@@ -18,6 +18,11 @@
 //!   matrix is enumerated from [`ust_persist::FAULT_POINTS`] with a
 //!   `panic!` fallback, so registering a new point fails this suite until
 //!   the matrix classifies it.
+//!
+//! Appends keep the store's UST-tree and mark the touched objects stale;
+//! the next mint refreshes it. Every store these tests mint from — recovered,
+//! settled, checkpointed or live — must mint a tree equal to a from-scratch
+//! build over its database.
 
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
@@ -29,6 +34,7 @@ use ust_bench::walcheck::split_holdback;
 use ust_core::{EngineConfig, EngineStore, Query, QueryEngine};
 use ust_fault::{fired, FaultPlan};
 use ust_generator::QueryWorkload;
+use ust_index::UstTree;
 use ust_persist::{wal, StoreError};
 use ust_trajectory::{ObjectId, Observation, TrajectoryDatabase};
 
@@ -62,6 +68,15 @@ fn store_path(tag: &str) -> PathBuf {
 fn cleanup(path: &PathBuf) {
     let _ = std::fs::remove_file(path);
     let _ = std::fs::remove_file(wal::wal_path(path));
+}
+
+/// Asserts the store's current tree equals `full`, the from-scratch build
+/// over the store's database: same diamonds in the same order.
+fn assert_from_scratch_tree(store: &EngineStore, full: &UstTree, context: &str) {
+    let tree = store.index().unwrap_or_else(|| panic!("{context}: no current tree"));
+    assert_eq!(tree.num_objects(), store.database().len(), "{context}: object count");
+    assert!(tree.diamonds() == full.diamonds(), "{context}: the tree differs from a full build");
+    tree.check_invariants().unwrap_or_else(|e| panic!("{context}: {e}"));
 }
 
 /// The from-scratch digest over `db`: what a crash-free engine answers.
@@ -130,6 +145,7 @@ fn appends_survive_kill_and_reopen_at_every_thread_count() {
         // A second reopen — the recovery — must answer like the from-scratch
         // engine over the same grown database, at every thread count.
         let recovered = EngineStore::load(&path).expect("recovery load succeeds");
+        assert!(recovered.index().is_none(), "batch {k}: replay leaves the tree stale");
         for (i, &threads) in [1usize, 2].iter().enumerate() {
             let digest =
                 measure_efficiency_on(&recovered.engine(engine_config(threads)), &queries).digest;
@@ -138,6 +154,8 @@ fn appends_survive_kill_and_reopen_at_every_thread_count() {
                 "batch {k}: recovered digest diverges at {threads} TS threads"
             );
         }
+        let full = UstTree::build(recovered.database());
+        assert_from_scratch_tree(&recovered, &full, &format!("batch {k}"));
     }
 
     // A checkpoint folds everything into the container; the WAL is gone and
@@ -147,6 +165,10 @@ fn appends_survive_kill_and_reopen_at_every_thread_count() {
     assert!(!wal::wal_path(&path).exists());
     let reloaded = EngineStore::load(&path).expect("load after checkpoint");
     assert_eq!(reloaded.wal_stats().frames, 0);
+    // The checkpoint refreshed the stale tree and wrote it: the reloaded
+    // store starts with a current tree over the whole database.
+    let full_tree = UstTree::build(&dataset.database);
+    assert_from_scratch_tree(&reloaded, &full_tree, "checkpointed store");
     let digest = measure_efficiency_on(&reloaded.engine(engine_config(1)), &queries).digest;
     assert_eq!(digest, full[0], "the checkpointed store answers like the original");
     cleanup(&path);
@@ -177,8 +199,8 @@ fn appends_invalidate_stale_adapted_models() {
     assert!(store.index().is_some(), "the store carries the tree");
     store.append_batch(batch).expect("append succeeds");
 
-    // The derived state of the touched objects is gone...
-    assert!(store.index().is_none(), "appends invalidate the persisted tree");
+    // The derived state of the touched objects is stale or gone...
+    assert!(store.index().is_none(), "appends leave the tree stale until the next mint");
     let touched: Vec<ObjectId> = batch.iter().map(|(id, _)| *id).collect();
     assert!(
         store.models().iter().all(|(id, _)| !touched.contains(id)),
@@ -191,6 +213,8 @@ fn appends_invalidate_stale_adapted_models() {
     // clears the cache per query, so it could not catch a stale preload;
     // this direct query does.)
     let grown = store.engine(engine_config(1));
+    let full = UstTree::build(&dataset.database);
+    assert_from_scratch_tree(&store, &full, "the mint after the append");
     let recovered = grown.pforall_nn(&query, 0.0).expect("recovered engine answers");
     let fresh_engine = QueryEngine::new(&dataset.database, engine_config(1));
     let fresh = fresh_engine.pforall_nn(&query, 0.0).expect("fresh engine answers");
@@ -224,6 +248,7 @@ fn crash_matrix_recovers_pre_or_post_state_for_every_fault_point() {
     let pre_digest = fresh_digest(&pre, &queries, 1);
     let post_digest = fresh_digest(&dataset.database, &queries, 1);
     assert_ne!(pre_digest, post_digest, "the batch must be observable in the digest");
+    let (pre_tree, post_tree) = (UstTree::build(&pre), UstTree::build(&dataset.database));
 
     // The whole persist catalog must be classified here: a new fault point
     // hits the `unknown` arm and fails the suite until the matrix covers it.
@@ -282,6 +307,8 @@ fn crash_matrix_recovers_pre_or_post_state_for_every_fault_point() {
             digest == pre_digest || digest == post_digest,
             "{point}: recovered to a third state (digest {digest:#x})"
         );
+        let full = if digest == pre_digest { &pre_tree } else { &post_tree };
+        assert_from_scratch_tree(&recovered, full, &format!("{point}: recovered"));
 
         // And with the fault gone, the cycle completes and lands on post.
         drop(recovered);
@@ -299,8 +326,10 @@ fn crash_matrix_recovers_pre_or_post_state_for_every_fault_point() {
         .unwrap_or_else(|e| panic!("{point}: no clean cycle after the fault: {e:?}"));
         let settled = EngineStore::load(&path).expect("the settled store loads");
         assert_eq!(settled.wal_stats().frames, 0, "{point}: the checkpoint retired the WAL");
+        assert!(settled.index().is_some(), "{point}: the checkpoint wrote the tree");
         let digest = measure_efficiency_on(&settled.engine(engine_config(1)), &queries).digest;
         assert_eq!(digest, post_digest, "{point}: the disarmed cycle must land on post");
+        assert_from_scratch_tree(&settled, &post_tree, &format!("{point}: settled"));
     }
     cleanup(&path);
 }

@@ -30,15 +30,23 @@
 //! crash matrix in `crates/bench/tests/store_recovery.rs` proves exactly
 //! that for every cataloged fault point.
 //!
-//! Appends invalidate derived state: the persisted UST-tree (engines minted
-//! afterwards rebuild it over the grown database) and the adapted models of
-//! every touched object (their observation history changed, so the cached
-//! a-posteriori matrices are stale; untouched objects keep their models).
+//! Appends keep the UST-tree but mark the touched objects stale in it: only
+//! their diamond runs no longer cover their grown trajectories. The next
+//! [`EngineStore::engine`] mint refreshes the tree once — rebuilding the
+//! touched objects' runs and re-packing the arena, see
+//! [`UstTree::refresh`] — at a cost proportional to those objects' segments
+//! plus one STR bulk load, and every later mint shares the refreshed tree.
+//! The refreshed tree equals a from-scratch build over the grown database,
+//! so answers do not depend on how the store grew. A checkpoint writes the
+//! current tree, refreshing it first if appends made it stale. Appends also
+//! drop the adapted models of every touched object (their observation
+//! history changed, so the cached a-posteriori matrices are stale; untouched
+//! objects keep their models).
 
 use crate::engine::{AdaptedModels, EngineConfig, QueryEngine};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use ust_index::UstTree;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use ust_index::{UstTree, UstTreeConfig};
 use ust_persist::{wal, LoadedStore, StoreContents, StoreError, StoreStats, WalAppendStats};
 use ust_trajectory::{ObjectId, Observation, TrajectoryDatabase};
 
@@ -60,12 +68,76 @@ pub struct WalReplayStats {
     pub wal_bytes: u64,
 }
 
+/// The store's UST-tree across appends: the current tree once one is known,
+/// otherwise the last current tree and the objects appended to since.
+#[derive(Debug, Default)]
+struct StoreIndex {
+    /// The tree over the current database: decoded, or cached by the first
+    /// mint (or checkpoint) after an append. A refresh that panics leaves it
+    /// unset, so no half-refreshed tree is ever cached.
+    current: OnceLock<Arc<UstTree>>,
+    /// The last current tree while `current` is unset: the start of the next
+    /// refresh, which releases it (`None` when the store has never had a
+    /// tree). Behind a lock because the refresh runs under `&self`.
+    base: Mutex<Option<Arc<UstTree>>>,
+    /// Objects appended to since `base` was current.
+    stale: Vec<ObjectId>,
+}
+
+impl StoreIndex {
+    fn new(tree: Option<UstTree>) -> Self {
+        let current = tree.map_or_else(OnceLock::new, |tree| OnceLock::from(Arc::new(tree)));
+        StoreIndex { current, ..Self::default() }
+    }
+
+    /// The stale base. Every update replaces the whole value, so a poisoned
+    /// lock still guards a valid one.
+    fn base(&self) -> MutexGuard<'_, Option<Arc<UstTree>>> {
+        self.base.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Whether the store has a tree to keep: a current one or a stale base.
+    fn has_tree(&self) -> bool {
+        self.current.get().is_some() || self.base().is_some()
+    }
+
+    /// Marks `touched` stale: the current tree becomes the next refresh's base.
+    fn mark_stale(&mut self, touched: &[ObjectId]) {
+        if let Some(tree) = self.current.take() {
+            *self.base() = Some(tree);
+            self.stale.clear();
+        }
+        self.stale.extend_from_slice(touched);
+        self.stale.sort_unstable();
+        self.stale.dedup();
+    }
+
+    /// The tree over `db`: the current one, else the base refreshed over the
+    /// stale objects (or, for a store that never had a tree, a full build),
+    /// cached for every later call.
+    fn get_or_refresh(&self, db: &TrajectoryDatabase, build_threads: usize) -> &Arc<UstTree> {
+        self.current.get_or_init(|| {
+            let base = self.base().clone();
+            let tree = match base {
+                Some(base) => base.refresh(db, &self.stale, build_threads),
+                None => {
+                    UstTree::build_with(db, &UstTreeConfig { build_threads, ..Default::default() })
+                }
+            };
+            // Only a finished refresh releases the base: the store then holds
+            // one tree, not two.
+            *self.base() = None;
+            Arc::new(tree)
+        })
+    }
+}
+
 /// An owning, ready-to-query view of a decoded store: the counterpart of
 /// [`QueryEngine::save_store`](crate::QueryEngine::save_store).
 #[derive(Debug)]
 pub struct EngineStore {
     database: TrajectoryDatabase,
-    index: Option<Arc<UstTree>>,
+    index: StoreIndex,
     models: AdaptedModels,
     stats: StoreStats,
     path: Option<PathBuf>,
@@ -95,7 +167,7 @@ impl EngineStore {
     fn from_loaded(loaded: LoadedStore) -> Self {
         EngineStore {
             database: loaded.database,
-            index: loaded.index.map(Arc::new),
+            index: StoreIndex::new(loaded.index),
             models: loaded.models,
             stats: loaded.stats,
             path: None,
@@ -141,10 +213,12 @@ impl EngineStore {
     /// create the object if the id is new. A rejected batch (typed error)
     /// leaves the log, the database and the derived state untouched.
     ///
-    /// Appending invalidates the stored UST-tree and the adapted models of
-    /// the touched objects (see the module docs); minted engines rebuild
-    /// both lazily. [`Self::checkpoint`] folds the log back into the
-    /// container once the batch stream quiets down.
+    /// Appending marks the touched objects stale in the UST-tree, so
+    /// [`Self::index`] reads `None` until the next [`Self::engine`] mint
+    /// refreshes it, and drops the touched objects' adapted models, which
+    /// minted engines re-adapt lazily (see the module docs).
+    /// [`Self::checkpoint`] folds the log back into the container once the
+    /// batch stream quiets down.
     pub fn append_batch(
         &mut self,
         batch: &[(ObjectId, Vec<Observation>)],
@@ -174,13 +248,16 @@ impl EngineStore {
     /// the rename but before the removal leaves a stale WAL whose frames the
     /// container already holds — harmless, because replay skips exact
     /// duplicates (and errs on any disagreement).
+    ///
+    /// The container carries the current UST-tree: a tree that appends made
+    /// stale is refreshed first (and cached for later mints), so a reloaded
+    /// store starts with a tree over its whole database. A store that has
+    /// never had a tree writes none.
     pub fn checkpoint(&mut self) -> Result<StoreStats, StoreError> {
         let Some(path) = self.path.clone() else { return Err(StoreError::NotFileBacked) };
-        let contents = StoreContents {
-            database: &self.database,
-            index: self.index.as_deref(),
-            models: &self.models,
-        };
+        let index =
+            self.index.has_tree().then(|| self.index.get_or_refresh(&self.database, 0).as_ref());
+        let contents = StoreContents { database: &self.database, index, models: &self.models };
         let written = ust_persist::write_store(&path, &contents)?;
         wal::truncate_wal(&wal::wal_path(&path))?;
         self.stats = written.clone();
@@ -234,17 +311,17 @@ impl EngineStore {
         Ok(())
     }
 
-    /// Drops derived state made stale by appends to `touched`: the persisted
-    /// UST-tree (its diamonds no longer cover the grown trajectories) and
-    /// the adapted models of exactly the touched objects.
+    /// Records appends to `touched`: marks them stale in the UST-tree (their
+    /// diamonds no longer cover the grown trajectories; the next mint
+    /// refreshes them) and drops the adapted models of exactly those objects.
     fn invalidate(&mut self, touched: &[ObjectId]) {
         if touched.is_empty() {
             return;
         }
-        self.index = None;
         let mut ids: Vec<ObjectId> = touched.to_vec();
         ids.sort_unstable();
         ids.dedup();
+        self.index.mark_stale(&ids);
         self.models.retain(|(id, _)| ids.binary_search(id).is_err());
     }
 
@@ -253,11 +330,12 @@ impl EngineStore {
         &self.database
     }
 
-    /// The decoded UST-tree, if the store carried one and no append has
-    /// invalidated it. The `Arc` is the same allocation every minted engine
-    /// shares.
+    /// The current UST-tree: the decoded one, or the one the last mint (or
+    /// checkpoint) refreshed or built. `None` between an append and the next
+    /// mint, and for a tree-less store before its first indexed mint. The
+    /// `Arc` is the same allocation every engine minted since shares.
     pub fn index(&self) -> Option<&Arc<UstTree>> {
-        self.index.as_ref()
+        self.index.current.get()
     }
 
     /// The decoded adapted models, sorted by object id (minus those dropped
@@ -285,15 +363,21 @@ impl EngineStore {
         self.path.as_deref()
     }
 
-    /// Mints a query engine over the stored state. If the store carries a
-    /// UST-tree and `config.use_index` is set, the engine shares it (no
-    /// rebuild); a tree-less store with `use_index` set falls back to
-    /// building one, exactly like [`QueryEngine::new`]. The engine's
-    /// adaptation cache starts pre-warmed with the stored models.
+    /// Mints a query engine over the stored state. With `config.use_index`
+    /// set, the engine shares the store's current UST-tree (no rebuild). The
+    /// first mint after appends refreshes the stale tree on
+    /// `config.index_build_threads` workers — rebuilding only the touched
+    /// objects' diamond runs, then one STR re-pack — and caches it for every
+    /// later mint; a tree-less store builds one the same way, exactly like
+    /// [`QueryEngine::new`]. A panic inside the refresh propagates and
+    /// caches nothing. The engine's adaptation cache starts pre-warmed with
+    /// the stored models.
     pub fn engine(&self, config: EngineConfig) -> QueryEngine<'_> {
-        let engine = match (&self.index, config.use_index) {
-            (Some(tree), true) => QueryEngine::with_index(&self.database, tree.clone(), config),
-            _ => QueryEngine::new(&self.database, config),
+        let engine = if config.use_index {
+            let tree = self.index.get_or_refresh(&self.database, config.index_build_threads);
+            QueryEngine::with_index(&self.database, tree.clone(), config)
+        } else {
+            QueryEngine::new(&self.database, config)
         };
         engine.preload_models(self.models.iter().cloned());
         engine
@@ -381,6 +465,22 @@ mod tests {
         ust_persist::write_store(path, &contents).unwrap();
     }
 
+    fn write_tiny_store_with_tree(path: &Path) {
+        let db = tiny_database();
+        let tree = UstTree::build(&db);
+        let contents = StoreContents { database: &db, index: Some(&tree), models: &[] };
+        ust_persist::write_store(path, &contents).unwrap();
+    }
+
+    /// Asserts `tree` is the from-scratch build over `db`.
+    fn assert_from_scratch(tree: &UstTree, db: &TrajectoryDatabase) {
+        let full = UstTree::build(db);
+        assert_eq!(tree.diamonds(), full.diamonds());
+        assert_eq!(tree.num_objects(), db.len());
+        assert_eq!(tree.build_stats().diamonds, tree.num_diamonds());
+        tree.check_invariants().unwrap();
+    }
+
     fn obs(pairs: &[(u32, u32)]) -> Vec<Observation> {
         pairs.iter().map(|&(t, s)| Observation::new(t, s)).collect()
     }
@@ -460,6 +560,78 @@ mod tests {
         let reloaded = EngineStore::load(&path).unwrap();
         assert_eq!(reloaded.database().object(9).unwrap().last_time(), 10);
         assert_eq!(reloaded.wal_stats().frames, 0);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn mints_refresh_a_stale_tree_once_and_share_it() {
+        let path = temp_store("refresh");
+        cleanup(&path);
+        write_tiny_store_with_tree(&path);
+        let mut store = EngineStore::load(&path).unwrap();
+        let decoded = Arc::downgrade(store.index().expect("the store carries a tree"));
+        store.append_batch(&[(7, obs(&[(6, 2), (8, 0)])), (21, obs(&[(1, 1)]))]).unwrap();
+        assert!(store.index().is_none(), "an append leaves the tree stale");
+        assert!(decoded.upgrade().is_some(), "the stale tree is the next refresh's base");
+
+        let first = store.engine(EngineConfig::with_samples(10));
+        assert!(decoded.upgrade().is_none(), "the refresh released the stale tree");
+        let tree = store.index().expect("the mint refreshed the tree").clone();
+        assert_from_scratch(&tree, store.database());
+        let stats = tree.build_stats();
+        assert_eq!(stats.segments, 4 + 1, "object 7's four segments and object 21's one");
+        assert_eq!(stats.objects, 3);
+        let second = store.engine(EngineConfig::with_samples(10));
+        assert!(std::ptr::eq(first.index().unwrap(), second.index().unwrap()));
+        assert!(std::ptr::eq(first.index().unwrap(), tree.as_ref()), "one refresh, cached");
+
+        // Replay marks the same objects stale: a reload mints the same tree.
+        drop((first, second));
+        drop(store);
+        let recovered = EngineStore::load(&path).unwrap();
+        assert!(recovered.index().is_none(), "replayed frames leave the tree stale");
+        let engine = recovered.engine(EngineConfig::with_samples(10));
+        assert_from_scratch(engine.index().unwrap(), recovered.database());
+        cleanup(&path);
+    }
+
+    #[test]
+    fn checkpoint_after_appends_writes_the_refreshed_tree() {
+        let path = temp_store("checkpoint_tree");
+        cleanup(&path);
+        write_tiny_store_with_tree(&path);
+        let mut store = EngineStore::load(&path).unwrap();
+        store.append_batch(&[(9, obs(&[(10, 2)])), (30, obs(&[(4, 0), (6, 1)]))]).unwrap();
+        store.checkpoint().unwrap();
+        let refreshed = store.index().expect("the checkpoint refreshed the tree");
+        assert_from_scratch(refreshed, store.database());
+
+        let reloaded = EngineStore::load(&path).unwrap();
+        assert_eq!(reloaded.wal_stats().frames, 0);
+        let tree = reloaded.index().expect("the container carries the tree");
+        assert_from_scratch(tree, reloaded.database());
+        cleanup(&path);
+    }
+
+    #[test]
+    fn tree_less_stores_build_one_tree_and_checkpoint_none_until_then() {
+        let path = temp_store("tree_less");
+        cleanup(&path);
+        write_tiny_store(&path);
+        let mut store = EngineStore::load(&path).unwrap();
+        store.append_batch(&[(9, obs(&[(10, 2)]))]).unwrap();
+        store.checkpoint().unwrap();
+        let mut reloaded = EngineStore::load(&path).unwrap();
+        assert!(reloaded.index().is_none(), "no tree to refresh, none written");
+
+        let unindexed = reloaded.engine(EngineConfig { use_index: false, ..Default::default() });
+        assert!(unindexed.index().is_none());
+        drop(unindexed);
+        assert!(reloaded.index().is_none(), "an unindexed mint builds nothing");
+        drop(reloaded.engine(EngineConfig::with_samples(10)));
+        assert_from_scratch(reloaded.index().expect("the mint built one"), reloaded.database());
+        reloaded.checkpoint().unwrap();
+        assert!(EngineStore::load(&path).unwrap().index().is_some());
         cleanup(&path);
     }
 

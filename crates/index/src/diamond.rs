@@ -14,7 +14,7 @@ use ust_markov::reachability::ReachabilitySets;
 use ust_spatial::{Point, Rect2, Rect3, StateSpace};
 
 /// The rectangular approximation of one observation segment of one object.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Diamond {
     /// The object this diamond belongs to.
     pub object: ObjectId,

@@ -8,11 +8,19 @@
 //! concatenated before one STR bulk load, so the resulting index — diamond
 //! order, R\*-tree shape, every pruning result — is byte-identical at every
 //! thread count.
+//!
+//! Appends only grow the touched objects' runs, so [`UstTree::refresh`]
+//! re-derives a tree over a grown database by copying every untouched run
+//! out of the old arena and rebuilding only the touched ones. The spliced
+//! arena is the one a full build would concatenate, and the same single STR
+//! bulk load packs it, so a refreshed tree is identical to a from-scratch
+//! [`UstTree::build_with`] — which is itself the refresh in which every
+//! object is stale.
 
 use crate::diamond::Diamond;
 use crate::par::{parallel_map_ordered, resolve_threads};
 use crate::pruning::{BoundsTable, PruningResult};
-use crate::{StateId, Timestamp};
+use crate::{ObjectId, StateId, Timestamp};
 use rustc_hash::FxHashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -60,6 +68,11 @@ impl Default for UstTreeConfig {
 /// Observability counters of one UST-tree build, surfaced through
 /// `QueryEngine` and the bench harness so the paper-scale build trajectory is
 /// measurable.
+///
+/// For a tree made by [`UstTree::refresh`] the counters describe the refresh:
+/// its wall time, the segments it rebuilt, their memo hits and misses and
+/// the threads it fanned out across. `objects` and `diamonds` stay totals
+/// over the whole tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IndexBuildStats {
     /// Wall-clock time of the whole build (reachability, diamonds, bulk load).
@@ -71,15 +84,15 @@ pub struct IndexBuildStats {
     pub objects: usize,
     /// Observation segments processed (one reachability commute each).
     pub segments: usize,
-    /// Diamonds actually indexed (segments with consistent observations).
+    /// Diamonds indexed (segments with consistent observations).
     pub diamonds: usize,
     /// Segments whose geometry was answered from the reach memo (no BFS run).
     pub reach_memo_hits: usize,
     /// Segments whose geometry ran the forward/backward BFS.
     pub reach_memo_misses: usize,
-    /// Largest per-timestamp reachable-state set encountered across all
-    /// segments — the peak BFS frontier, the quantity that blows up first
-    /// when the state space or the observation gap grows.
+    /// Largest per-timestamp reachable-state set encountered across the
+    /// processed segments — the peak BFS frontier, the quantity that blows up
+    /// first when the state space or the observation gap grows.
     pub peak_frontier: usize,
 }
 
@@ -215,6 +228,9 @@ pub struct UstTree {
     diamonds: Vec<Diamond>,
     rtree: RTree<3, usize>,
     num_objects: usize,
+    /// Whether the diamonds carry per-timestamp MBRs: the granularity a
+    /// refresh rebuilds touched runs at, so copied and rebuilt runs agree.
+    per_timestamp_mbrs: bool,
     build_stats: IndexBuildStats,
 }
 
@@ -233,6 +249,82 @@ impl UstTree {
     /// runs are concatenated in object order before a single STR bulk load,
     /// so the index is byte-identical at every thread count.
     pub fn build_with(db: &TrajectoryDatabase, cfg: &UstTreeConfig) -> Self {
+        // Every object is stale: nothing is copied, every run is rebuilt.
+        Self::splice(db, vec![None; db.len()], cfg)
+    }
+
+    /// Re-derives this tree over `db`, a database that has grown by appends
+    /// since this tree was built over it. `stale` lists the objects appended
+    /// to (duplicates and any order are fine); objects added to the database
+    /// since are stale whether listed or not.
+    ///
+    /// Every untouched object's diamond run is copied out of this tree's
+    /// arena, every stale object's whole run is rebuilt, and the runs are
+    /// spliced in database object order before one STR bulk load. The result
+    /// therefore equals `build_with(db, cfg)` — same diamonds, same order,
+    /// same R\*-tree shape, same pruning results — where `cfg` keeps this
+    /// tree's granularity and node capacity and runs the rebuild on
+    /// `build_threads` workers. Its cost is the stale objects' segments plus
+    /// one re-pack, and its [`IndexBuildStats`] describe just that work.
+    ///
+    /// An arena that is not grouped in database object order (a decoded one
+    /// whose source no longer matches `db`, say) cannot be spliced; the
+    /// refresh then falls back to the full build.
+    pub fn refresh(
+        &self,
+        db: &TrajectoryDatabase,
+        stale: &[ObjectId],
+        build_threads: usize,
+    ) -> Self {
+        let cfg = UstTreeConfig {
+            per_timestamp_mbrs: self.per_timestamp_mbrs,
+            rtree_capacity: self.rtree_capacity(),
+            build_threads,
+            ..UstTreeConfig::default()
+        };
+        let mut stale = stale.to_vec();
+        stale.sort_unstable();
+        match self.copy_plan(db, &stale) {
+            Some(plan) => Self::splice(db, plan, &cfg),
+            None => Self::build_with(db, &cfg),
+        }
+    }
+
+    /// For every object of `db` in database order: `Some(run)` copies the
+    /// object's run out of this arena, `None` rebuilds it. `None` overall
+    /// when the arena is not the concatenation of per-object runs in
+    /// database order, or a copied run has the wrong granularity.
+    fn copy_plan<'t>(
+        &'t self,
+        db: &TrajectoryDatabase,
+        sorted_stale: &[ObjectId],
+    ) -> Option<Vec<Option<&'t [Diamond]>>> {
+        let mut plan = Vec::with_capacity(db.len());
+        let mut cursor = 0usize;
+        for (i, object) in db.objects().iter().enumerate() {
+            let start = cursor;
+            while self.diamonds.get(cursor).is_some_and(|d| d.object == object.id()) {
+                cursor += 1;
+            }
+            let run = &self.diamonds[start..cursor];
+            // Objects past this tree's count were added since it was built.
+            let stale = i >= self.num_objects || sorted_stale.binary_search(&object.id()).is_ok();
+            if stale {
+                plan.push(None);
+            } else if run.iter().all(|d| d.per_time.is_some() == self.per_timestamp_mbrs) {
+                plan.push(Some(run));
+            } else {
+                return None;
+            }
+        }
+        (cursor == self.diamonds.len()).then_some(plan)
+    }
+
+    /// The one diamond-construction path: rebuilds the runs `plan` marks
+    /// `None` (fanned out across `cfg.build_threads` workers), splices them
+    /// with the copied runs in database object order and bulk-loads the
+    /// arena.
+    fn splice(db: &TrajectoryDatabase, plan: Vec<Option<&[Diamond]>>, cfg: &UstTreeConfig) -> Self {
         // lint: allow(T001) build_time is BuildStats observability; the index bytes are clock-free
         let start = Instant::now();
         let space = db.state_space();
@@ -255,7 +347,9 @@ impl UstTree {
         let work: Vec<(&UncertainObject, usize, Arc<ReachabilityIndex>)> = db
             .objects()
             .iter()
-            .map(|object| {
+            .zip(&plan)
+            .filter(|(_, copied)| copied.is_none())
+            .map(|(object, _)| {
                 let (key, reach) = reach_for(db.model_for(object.id()));
                 (object, key, reach)
             })
@@ -263,7 +357,7 @@ impl UstTree {
 
         // Resolve once, with the same per-item clamp the fan-out applies, so
         // the reported thread count is what actually ran.
-        let build_threads = resolve_threads(cfg.build_threads).min(db.len()).max(1);
+        let build_threads = resolve_threads(cfg.build_threads).min(work.len()).max(1);
         let memo = GeometryMemo::new(cfg.reach_memo);
         let runs: Vec<ObjectRun> = parallel_map_ordered(
             &work,
@@ -280,23 +374,27 @@ impl UstTree {
             reach_memo_misses: memo.misses.load(Ordering::Relaxed),
             ..Default::default()
         };
-        let mut diamonds: Vec<Diamond> =
-            Vec::with_capacity(runs.iter().map(|r| r.diamonds.len()).sum());
-        for run in runs {
-            stats.segments += run.segments;
-            stats.peak_frontier = stats.peak_frontier.max(run.peak_frontier);
-            diamonds.extend(run.diamonds);
+        let copied: usize = plan.iter().flatten().map(|run| run.len()).sum();
+        let rebuilt: usize = runs.iter().map(|r| r.diamonds.len()).sum();
+        let mut diamonds: Vec<Diamond> = Vec::with_capacity(copied + rebuilt);
+        let mut runs = runs.into_iter();
+        for entry in plan {
+            match entry {
+                Some(run) => diamonds.extend_from_slice(run),
+                None => {
+                    let run = runs.next().expect("one rebuilt run per stale object");
+                    stats.segments += run.segments;
+                    stats.peak_frontier = stats.peak_frontier.max(run.peak_frontier);
+                    diamonds.extend(run.diamonds);
+                }
+            }
         }
         stats.diamonds = diamonds.len();
 
-        let items: Vec<(Rect3, usize)> = diamonds
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (d.space_time_box(), i))
-            .collect();
-        let rtree = RTree::bulk_load_with_capacity(items, cfg.rtree_capacity);
-        stats.build_time = start.elapsed();
-        UstTree { diamonds, rtree, num_objects: db.len(), build_stats: stats }
+        let mut tree = Self::from_parts(diamonds, db.len(), cfg.rtree_capacity, stats);
+        tree.per_timestamp_mbrs = cfg.per_timestamp_mbrs;
+        tree.build_stats.build_time = start.elapsed();
+        tree
     }
 
     /// Reassembles a tree from a stored diamond arena without re-running the
@@ -322,7 +420,40 @@ impl UstTree {
             .map(|(i, d)| (d.space_time_box(), i))
             .collect();
         let rtree = RTree::bulk_load_with_capacity(items, rtree_capacity);
-        UstTree { diamonds, rtree, num_objects, build_stats }
+        // An empty arena keeps the default granularity.
+        let per_timestamp_mbrs = diamonds.iter().all(|d| d.per_time.is_some());
+        UstTree { diamonds, rtree, num_objects, per_timestamp_mbrs, build_stats }
+    }
+
+    /// Checks that the R\*-tree is well formed and indexes exactly the arena:
+    /// one entry per diamond, each under the diamond's own space-time box,
+    /// and build stats that count the same diamonds. For tests and property
+    /// checks.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        self.rtree.check_invariants()?;
+        if self.build_stats.diamonds != self.diamonds.len() {
+            return Err(format!(
+                "build stats count {} diamonds, the arena holds {}",
+                self.build_stats.diamonds,
+                self.diamonds.len()
+            ));
+        }
+        let mut seen = vec![false; self.diamonds.len()];
+        for (rect, &i) in self.rtree.iter() {
+            let Some(diamond) = self.diamonds.get(i) else {
+                return Err(format!("R*-tree entry {i} is past the arena"));
+            };
+            if std::mem::replace(&mut seen[i], true) {
+                return Err(format!("diamond {i} is indexed twice"));
+            }
+            if *rect != diamond.space_time_box() {
+                return Err(format!("diamond {i} is indexed under the wrong box"));
+            }
+        }
+        match seen.iter().position(|&s| !s) {
+            Some(i) => Err(format!("diamond {i} is not indexed")),
+            None => Ok(()),
+        }
     }
 
     /// Node capacity of the underlying R\*-tree (the bulk-load fan-out).
@@ -754,6 +885,46 @@ mod tests {
         assert_eq!(tree.num_diamonds(), 2);
         let result = tree.prune_point(&[5], Point::new(3.0, 0.0));
         assert!(result.is_candidate(1));
+    }
+
+    #[test]
+    fn refresh_rebuilds_only_stale_runs_and_equals_a_full_build() {
+        let mut db = example_db();
+        let cfg = UstTreeConfig { build_threads: 1, ..Default::default() };
+        let old = UstTree::build_with(&db, &cfg);
+        db.append_observations(2, &[ust_trajectory::Observation::new(12, 6)]).unwrap();
+        db.append_observations(5, &[ust_trajectory::Observation::new(3, 4)]).unwrap();
+        // Object 5 is new: stale without being listed.
+        let refreshed = old.refresh(&db, &[2, 2], 1);
+        let full = UstTree::build_with(&db, &cfg);
+        assert_eq!(refreshed.diamonds(), full.diamonds());
+        assert_eq!(refreshed.num_objects(), 5);
+        refreshed.check_invariants().unwrap();
+        let stats = refreshed.build_stats();
+        assert_eq!((stats.objects, stats.diamonds), (5, full.num_diamonds()));
+        assert_eq!(stats.segments, 3 + 1, "object 2's three segments and object 5's one");
+        assert_eq!(stats.reach_memo_hits + stats.reach_memo_misses, 4);
+    }
+
+    #[test]
+    fn refresh_of_an_arena_out_of_database_order_falls_back_to_a_full_build() {
+        let db = example_db();
+        let built = UstTree::build(&db);
+        let mut shuffled = built.diamonds().to_vec();
+        shuffled.reverse();
+        let decoded = UstTree::from_parts(shuffled, db.len(), 32, *built.build_stats());
+        let refreshed = decoded.refresh(&db, &[], 1);
+        assert_eq!(refreshed.diamonds(), built.diamonds());
+        assert_eq!(refreshed.build_stats().segments, 7, "every run was rebuilt");
+    }
+
+    #[test]
+    fn check_invariants_rejects_stats_that_miscount_the_arena() {
+        let tree = UstTree::build(&example_db());
+        tree.check_invariants().unwrap();
+        let stats = IndexBuildStats { diamonds: 3, ..*tree.build_stats() };
+        let bad = UstTree::from_parts(tree.diamonds().to_vec(), 4, 32, stats);
+        assert!(bad.check_invariants().is_err());
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //! same diamond stream, same R\*-tree shape, same pruning results — at every
 //! `build_threads` setting and with or without the reach-geometry memo.
 
+mod common;
+
+use common::assert_identical_trees;
 use std::sync::OnceLock;
 use ust_generator::{Dataset, ObjectWorkloadConfig, SyntheticNetworkConfig};
-use ust_index::{Diamond, UstTree, UstTreeConfig};
+use ust_index::{UstTree, UstTreeConfig};
 use ust_spatial::Point;
 
 /// A synthetic workload large enough that worker chunks are non-trivial and
@@ -26,46 +29,8 @@ fn dataset() -> &'static Dataset {
     })
 }
 
-fn assert_same_diamond(a: &Diamond, b: &Diamond) {
-    assert_eq!(a.object, b.object);
-    assert_eq!((a.t_start, a.t_end), (b.t_start, b.t_end));
-    // Bit-exact geometry, not approximate: the f64 payloads must be the same
-    // computation in the same order.
-    assert_eq!(a.mbr.min.map(f64::to_bits), b.mbr.min.map(f64::to_bits));
-    assert_eq!(a.mbr.max.map(f64::to_bits), b.mbr.max.map(f64::to_bits));
-    match (&a.per_time, &b.per_time) {
-        (Some(xs), Some(ys)) => {
-            assert_eq!(xs.len(), ys.len());
-            for (x, y) in xs.iter().zip(ys) {
-                assert_eq!(x.min.map(f64::to_bits), y.min.map(f64::to_bits));
-                assert_eq!(x.max.map(f64::to_bits), y.max.map(f64::to_bits));
-            }
-        }
-        (None, None) => {}
-        _ => panic!("per-timestamp MBR presence differs"),
-    }
-}
-
-fn assert_identical_trees(a: &UstTree, b: &UstTree) {
-    assert_eq!(a.num_diamonds(), b.num_diamonds());
-    assert_eq!(a.num_objects(), b.num_objects());
-    for (x, y) in a.diamonds().iter().zip(b.diamonds()) {
-        assert_same_diamond(x, y);
-    }
-    // Same diamond stream + same deterministic STR bulk load = same R*-tree
-    // shape: identical overlap streams (traversal order included) for a
-    // sweep of time windows.
-    for (from, to) in [(0u32, 200u32), (0, 10), (45, 90), (120, 121)] {
-        let xs: Vec<usize> = a
-            .diamonds_overlapping(from, to)
-            .iter()
-            .map(|d| d.object as usize)
-            .collect();
-        let mut ys: Vec<usize> = Vec::new();
-        b.for_each_overlapping(from, to, |d| ys.push(d.object as usize));
-        assert_eq!(xs, ys, "traversal order differs for window [{from}, {to}]");
-    }
-}
+/// Windows sweeping the dataset's horizon, for the traversal-order check.
+const WINDOWS: &[(u32, u32)] = &[(0, 200), (0, 10), (45, 90), (120, 121)];
 
 #[test]
 fn sharded_build_is_byte_identical_to_serial() {
@@ -78,7 +43,7 @@ fn sharded_build_is_byte_identical_to_serial() {
             &ds.database,
             &UstTreeConfig { build_threads: threads, ..Default::default() },
         );
-        assert_identical_trees(&serial, &sharded);
+        assert_identical_trees(&serial, &sharded, WINDOWS);
     }
 }
 
@@ -119,7 +84,7 @@ fn reach_memo_does_not_change_the_index() {
         &ds.database,
         &UstTreeConfig { build_threads: 1, reach_memo: false, ..Default::default() },
     );
-    assert_identical_trees(&memoized, &direct);
+    assert_identical_trees(&memoized, &direct, WINDOWS);
     assert!(
         memoized.build_stats().reach_memo_hits > 0,
         "the workload repeats commutes, so the memo must hit"
@@ -143,6 +108,6 @@ fn coarse_diamonds_share_the_determinism_guarantee() {
         &ds.database,
         &UstTreeConfig { build_threads: 3, ..cfg },
     );
-    assert_identical_trees(&serial, &sharded);
+    assert_identical_trees(&serial, &sharded, WINDOWS);
     assert!(serial.diamonds().iter().all(|d| d.per_time.is_none()));
 }

@@ -1,0 +1,46 @@
+//! Tree-identity assertions shared by the build-determinism and refresh
+//! suites.
+
+use ust_index::{Diamond, UstTree};
+
+/// Field-by-field, bit-exact diamond equality: the f64 payloads must be the
+/// same computation in the same order, not merely close.
+pub fn assert_same_diamond(a: &Diamond, b: &Diamond) {
+    assert_eq!(a.object, b.object);
+    assert_eq!((a.t_start, a.t_end), (b.t_start, b.t_end));
+    assert_eq!(a.mbr.min.map(f64::to_bits), b.mbr.min.map(f64::to_bits));
+    assert_eq!(a.mbr.max.map(f64::to_bits), b.mbr.max.map(f64::to_bits));
+    match (&a.per_time, &b.per_time) {
+        (Some(xs), Some(ys)) => {
+            assert_eq!(xs.len(), ys.len());
+            for (x, y) in xs.iter().zip(ys) {
+                assert_eq!(x.min.map(f64::to_bits), y.min.map(f64::to_bits));
+                assert_eq!(x.max.map(f64::to_bits), y.max.map(f64::to_bits));
+            }
+        }
+        (None, None) => {}
+        _ => panic!("per-timestamp MBR presence differs"),
+    }
+}
+
+/// Same diamonds in the same order, and the same R\*-tree shape: identical
+/// overlap streams (traversal order included) for every window in
+/// `windows`.
+pub fn assert_identical_trees(a: &UstTree, b: &UstTree, windows: &[(u32, u32)]) {
+    assert_eq!(a.num_diamonds(), b.num_diamonds());
+    assert_eq!(a.num_objects(), b.num_objects());
+    for (x, y) in a.diamonds().iter().zip(b.diamonds()) {
+        assert_same_diamond(x, y);
+    }
+    for &(from, to) in windows {
+        let key = |d: &Diamond| (d.object, d.t_start, d.t_end);
+        let xs: Vec<_> = a
+            .diamonds_overlapping(from, to)
+            .into_iter()
+            .map(key)
+            .collect();
+        let mut ys = Vec::new();
+        b.for_each_overlapping(from, to, |d| ys.push(key(d)));
+        assert_eq!(xs, ys, "traversal order differs for window [{from}, {to}]");
+    }
+}

@@ -340,6 +340,55 @@ fn index_build_panic_recovers_on_rebuild() {
 }
 
 #[test]
+fn index_refresh_panic_caches_nothing() {
+    let _guard = chaos_lock();
+    let db = ring_db(48, 6);
+    let path = temp_path("refresh.ustore");
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(ust_persist::wal::wal_path(&path));
+    QueryEngine::new(&db, EngineConfig::with_samples(20))
+        .save_store(&path)
+        .expect("the initial save succeeds");
+    let mut store = EngineStore::load(&path).expect("the store loads");
+    // Objects 2 and 3 walk one more state along the ring; object 7 is new.
+    let batch = vec![
+        (2, vec![Observation::new(GAP + 3, 17)]),
+        (3, vec![Observation::new(GAP + 1, 24)]),
+        (7, vec![Observation::new(1, 5), Observation::new(4, 6)]),
+    ];
+    store.append_batch(&batch).expect("the append succeeds");
+    let fresh = QueryEngine::new(store.database(), EngineConfig::with_samples(20));
+    let expected = fresh.pforall_nn(&ring_query(), 0.0).expect("the fresh engine answers");
+
+    for threads in [1usize, 2] {
+        let config =
+            EngineConfig { index_build_threads: threads, ..EngineConfig::with_samples(20) };
+        let armed = FaultPlan::once("index.build.shard").arm();
+        let result = catch_unwind(AssertUnwindSafe(|| drop(store.engine(config.clone()))));
+        assert!(result.is_err(), "threads={threads}: the refresh panic propagates out of the mint");
+        assert_eq!(fired("index.build.shard"), 1, "threads={threads}: the armed shard fired");
+        drop(armed);
+        assert!(store.index().is_none(), "threads={threads}: no half-refreshed tree is cached");
+    }
+
+    // The disarmed mint refreshes from the intact base: the from-scratch
+    // tree, and the from-scratch answers.
+    let engine = store.engine(EngineConfig::with_samples(20));
+    let tree = store.index().expect("the disarmed mint caches the refreshed tree");
+    assert!(tree.diamonds() == fresh.index().expect("indexed").diamonds());
+    tree.check_invariants().expect("the refreshed tree is well formed");
+    let outcome = engine.pforall_nn(&ring_query(), 0.0).expect("the refreshed engine answers");
+    let pairs = |o: &ust_core::QueryOutcome| -> Vec<(u32, u64)> {
+        o.results.iter().map(|r| (r.object, r.probability.to_bits())).collect()
+    };
+    assert_eq!(pairs(&outcome), pairs(&expected));
+    drop(engine);
+    drop(store);
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(ust_persist::wal::wal_path(&path));
+}
+
+#[test]
 fn failed_writes_leave_the_previous_store_intact() {
     let _guard = chaos_lock();
     let db = ring_db(32, 4);
