@@ -60,7 +60,7 @@ fn bench_alias_vs_cdf_draws(c: &mut Criterion) {
             (0..support as u32).map(|s| (s, seed_rng.gen::<f64>() + 0.01)),
         );
         assert!(row.normalize());
-        let kernel = AliasKernel::from_steps([[(0u32, &row)]]);
+        let kernel = AliasKernel::from_steps([[(0u32, row.entries())]]);
         group.bench_function(format!("alias_draw_support_{support}"), |b| {
             let mut rng = StdRng::seed_from_u64(0);
             b.iter(|| kernel.sample(0, 0, rng.gen::<f64>()).expect("non-empty row"))

@@ -121,7 +121,7 @@ pub fn measure_sampling_perf(cfg: &SamplingPerfConfig) -> ExperimentReport {
     let us: Vec<f64> = (0..cfg.draws).map(|_| rng.gen::<f64>()).collect();
     for &support in &cfg.supports {
         let row = synthetic_row(support, cfg.seed.wrapping_add(support as u64));
-        let kernel = AliasKernel::from_steps([[(0u32, &row)]]);
+        let kernel = AliasKernel::from_steps([[(0u32, row.entries())]]);
         let alias = time_draws(&us, |u| kernel.sample(0, 0, u).expect("non-empty row"));
         let cdf = time_draws(&us, |u| row.sample_with(u).expect("non-empty row"));
         report.push(

@@ -30,12 +30,31 @@
 //!    propagates the information of *future* observations into the past and
 //!    yields both the a-posteriori transition matrices `F^o(t)` and the
 //!    a-posteriori marginals `P(o(t) = s | Θ^o)`.
+//!
+//! # One step, without hash maps
+//!
+//! Both phases have the same step shape: every `(state, weight)` entry of a
+//! marginal is multiplied into that state's row, and the positive products
+//! `(row, col, w)` are grouped by `row`. A group's left fold of `w` is at
+//! once the unnormalised marginal entry of `row` at the next time and the
+//! mass its chain row is divided by; the row is dropped when
+//! [`SparseDist::normalize`] would refuse that mass. Products are generated
+//! in increasing `col` order, so each group is already a sorted row.
+//!
+//! The grouping is a counting sort over a per-thread scratch: a stamp per
+//! state marks the rows seen in this step, the distinct rows are sorted, and
+//! one scatter pass lays the products out group by group. Nothing is sized
+//! by `|S|` per call and no hash map is built. `R(t)` lives in that scratch
+//! as CSR rows for the backward phase; `F(t)` is emitted last step first into
+//! a second CSR scratch and copied once, in step order and at its exact size,
+//! into the [`AliasKernel`] — the only copy of `F(t)` an [`AdaptedModel`]
+//! keeps.
 
-use crate::alias::AliasKernel;
+use crate::alias::{AliasKernel, StepRows, TransitionRow};
 use crate::model::TransitionModel;
-use crate::sparse::SparseDist;
+use crate::sparse::{normalizable, SparseDist, PROB_EPSILON};
 use crate::{StateId, Timestamp};
-use rustc_hash::FxHashMap;
+use std::cell::Cell;
 
 /// Errors produced by the model adaptation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,69 +98,6 @@ impl std::fmt::Display for AdaptError {
 
 impl std::error::Error for AdaptError {}
 
-/// A time-slice of an (adapted) transition model: for each source state a
-/// sparse distribution over target states.
-#[derive(Debug, Clone, Default)]
-pub struct TransitionTable {
-    rows: FxHashMap<StateId, SparseDist>,
-}
-
-impl TransitionTable {
-    /// Builds a table from raw per-row weights, normalizing every row.
-    fn from_weights(rows: FxHashMap<StateId, Vec<(StateId, f64)>>) -> Self {
-        let mut out: FxHashMap<StateId, SparseDist> = FxHashMap::default();
-        out.reserve(rows.len());
-        for (state, weights) in rows {
-            let mut dist = SparseDist::from_pairs(weights);
-            if dist.normalize() {
-                out.insert(state, dist);
-            }
-        }
-        TransitionTable { rows: out }
-    }
-
-    /// Reassembles a table from already-normalized per-row distributions,
-    /// without renormalizing them. This is the store-loading counterpart of
-    /// the private normalizing construction used during adaptation: the rows
-    /// were normalized once when the model was built, and renormalizing on
-    /// load would perturb their bit patterns. Duplicate source states keep
-    /// the last distribution.
-    pub fn from_rows(rows: impl IntoIterator<Item = (StateId, SparseDist)>) -> Self {
-        TransitionTable { rows: rows.into_iter().collect() }
-    }
-
-    /// The outgoing distribution of `state`, if `state` is reachable at this
-    /// time slice.
-    pub fn row(&self, state: StateId) -> Option<&SparseDist> {
-        self.rows.get(&state)
-    }
-
-    /// Number of source states with a stored row.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Iterates over `(source state, outgoing distribution)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (StateId, &SparseDist)> {
-        self.rows.iter().map(|(&s, d)| (s, d))
-    }
-
-    /// The rows sorted by ascending source state. The backing map is
-    /// unordered, so this is the canonical deterministic view — it is what
-    /// [`AliasKernel`] construction consumes, keeping the kernel layout
-    /// byte-identical across platforms and runs.
-    pub fn sorted_rows(&self) -> Vec<(StateId, &SparseDist)> {
-        let mut rows: Vec<(StateId, &SparseDist)> = self.iter().collect();
-        rows.sort_unstable_by_key(|&(s, _)| s);
-        rows
-    }
-}
-
 /// Configuration of the model adaptation.
 ///
 /// The default configuration is the full forward–backward adaptation (the
@@ -154,6 +110,108 @@ pub struct ModelAdaptation {
     /// Replace every a-priori row by a uniform distribution over its support
     /// ("FBU" in Figure 12).
     pub uniform_transitions: bool,
+}
+
+/// Groups weighted products `(row, col, w)` by `row`, keeping generation
+/// order within a group (a counting sort).
+#[derive(Debug, Default)]
+struct Grouper {
+    /// Per state: the stamp of the last grouping that saw it as a row, and
+    /// its rank among that grouping's rows (later: its scatter cursor).
+    marks: Vec<(u32, u32)>,
+    /// Stamp of the current grouping; 0 is never a live stamp.
+    stamp: u32,
+    /// The step's products, in generation order.
+    products: Vec<(StateId, StateId, f64)>,
+    /// The distinct rows, ascending.
+    rows: Vec<StateId>,
+    /// Group `r` is `grouped[starts[r]..starts[r + 1]]`.
+    starts: Vec<u32>,
+    /// `(col, w)` per product, group by group.
+    grouped: Vec<(StateId, f64)>,
+}
+
+impl Grouper {
+    /// Lays the products out group by group.
+    fn group(&mut self) {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // Wrapped: old stamps could collide with new ones.
+            self.marks.fill((0, 0));
+            self.stamp = 1;
+        }
+        let stamp = self.stamp;
+        self.rows.clear();
+        for &(row, _, _) in &self.products {
+            let idx = row as usize;
+            if idx >= self.marks.len() {
+                self.marks.resize(idx + 1, (0, 0));
+            }
+            if self.marks[idx].0 != stamp {
+                self.marks[idx] = (stamp, 0);
+                self.rows.push(row);
+            }
+        }
+        self.rows.sort_unstable();
+        for (rank, &row) in self.rows.iter().enumerate() {
+            self.marks[row as usize].1 = rank as u32;
+        }
+        self.starts.clear();
+        self.starts.resize(self.rows.len() + 1, 0);
+        for &(row, _, _) in &self.products {
+            self.starts[self.marks[row as usize].1 as usize + 1] += 1;
+        }
+        for r in 1..self.starts.len() {
+            self.starts[r] += self.starts[r - 1];
+        }
+        for (&row, &start) in self.rows.iter().zip(&self.starts) {
+            self.marks[row as usize].1 = start;
+        }
+        self.grouped.clear();
+        self.grouped.resize(self.products.len(), (0, 0.0));
+        for &(row, col, w) in &self.products {
+            let cursor = &mut self.marks[row as usize].1;
+            self.grouped[*cursor as usize] = (col, w);
+            *cursor += 1;
+        }
+    }
+
+    /// Groups the products and closes one step of `chain`: per row, in
+    /// increasing state order, the left fold of its weights is its marginal
+    /// entry and its mass; the row divided by that mass joins `chain` unless
+    /// the mass is not normalizable. Returns the unnormalised marginal.
+    fn fold_step(&mut self, chain: &mut StepRows) -> SparseDist {
+        self.group();
+        let mut marginal = Vec::with_capacity(self.rows.len());
+        for (r, &row) in self.rows.iter().enumerate() {
+            let group = &self.grouped[self.starts[r] as usize..self.starts[r + 1] as usize];
+            let mass: f64 = group.iter().map(|&(_, w)| w).sum();
+            marginal.push((row, mass));
+            if normalizable(mass) {
+                for &(col, w) in group {
+                    chain.push_slot(col, w / mass);
+                }
+                chain.finish_row(row);
+            }
+        }
+        chain.finish_step();
+        SparseDist::from_sorted(marginal)
+    }
+}
+
+/// Working memory of [`ModelAdaptation::adapt`], reused by later calls on
+/// the same thread.
+#[derive(Debug, Default)]
+struct Scratch {
+    groups: Grouper,
+    /// `R(start + k + 1)` at step `k`, rows keyed by the state at that time.
+    reversed: StepRows,
+    /// `F(t)`, last step first.
+    transitions: StepRows,
+}
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = Cell::new(Scratch::default());
 }
 
 impl ModelAdaptation {
@@ -176,7 +234,9 @@ impl ModelAdaptation {
         model: &M,
         observations: &[(Timestamp, StateId)],
     ) -> Result<AdaptedModel, AdaptError> {
-        let first = *observations.first().ok_or(AdaptError::NoObservations)?;
+        if observations.is_empty() {
+            return Err(AdaptError::NoObservations);
+        }
         if observations.windows(2).any(|w| w[0].0 >= w[1].0) {
             return Err(AdaptError::UnsortedObservations);
         }
@@ -185,28 +245,37 @@ impl ModelAdaptation {
                 return Err(AdaptError::StateOutOfRange { time, state });
             }
         }
-        let last = *observations.last().expect("non-empty");
-        let start = first.0;
-        let end = last.0;
+        // The scratch leaves its slot for the call: a panic drops it rather
+        // than leaving it half-written, and a nested call gets a fresh one.
+        let mut scratch = SCRATCH.take();
+        let adapted = self.forward_backward(model, observations, &mut scratch);
+        SCRATCH.set(scratch);
+        adapted
+    }
+
+    /// Both phases over validated observations.
+    fn forward_backward<M: TransitionModel>(
+        &self,
+        model: &M,
+        observations: &[(Timestamp, StateId)],
+        scratch: &mut Scratch,
+    ) -> Result<AdaptedModel, AdaptError> {
+        let Scratch { groups, reversed, transitions } = scratch;
+        let (start, first) = observations[0];
+        let (end, last) = observations[observations.len() - 1];
         let horizon = (end - start) as usize;
-        let obs_at: FxHashMap<Timestamp, StateId> = observations.iter().copied().collect();
 
         // ------------------------------------------------------------------
         // Forward phase: belief propagation + time-reversed chain R(t).
         // ------------------------------------------------------------------
         let mut forward: Vec<SparseDist> = Vec::with_capacity(horizon + 1);
-        // reversed[k] is R(start + k + 1): rows indexed by the state at time
-        // t = start+k+1, each a distribution over states at time t-1.
-        let mut reversed: Vec<TransitionTable> = Vec::with_capacity(horizon);
-
-        let mut belief = SparseDist::delta(first.1);
-        forward.push(belief.clone());
-
+        forward.push(SparseDist::delta(first));
+        reversed.clear();
+        let mut pending = observations[1..].iter().peekable();
         for step in 1..=horizon {
             let t = start + step as Timestamp;
-            let mut acc: FxHashMap<StateId, f64> = FxHashMap::default();
-            let mut back_rows: FxHashMap<StateId, Vec<(StateId, f64)>> = FxHashMap::default();
-            for (j, pj) in belief.iter() {
+            groups.products.clear();
+            for (j, pj) in forward[step - 1].iter() {
                 let (cols, vals) = model.row(j, t - 1);
                 if cols.is_empty() {
                     continue;
@@ -216,74 +285,60 @@ impl ModelAdaptation {
                     let m_ji = if self.uniform_transitions { uniform } else { vals[idx] };
                     let w = m_ji * pj;
                     if w > 0.0 {
-                        *acc.entry(i).or_insert(0.0) += w;
-                        back_rows.entry(i).or_default().push((j, w));
+                        groups.products.push((i, j, w));
                     }
                 }
             }
-            if acc.is_empty() {
+            if groups.products.is_empty() {
                 return Err(AdaptError::ContradictoryObservations { time: t });
             }
-            reversed.push(TransitionTable::from_weights(back_rows));
-
-            let mut new_belief = SparseDist::from_pairs(acc);
-            new_belief.normalize();
-
-            if let Some(&theta) = obs_at.get(&t) {
-                if new_belief.prob(theta) <= 0.0 {
+            let mut belief = groups.fold_step(reversed);
+            belief.normalize();
+            if let Some(&(_, theta)) = pending.next_if(|&&(time, _)| time == t) {
+                if belief.prob(theta) <= 0.0 {
                     return Err(AdaptError::ContradictoryObservations { time: t });
                 }
                 belief = SparseDist::delta(theta);
-            } else {
-                belief = new_belief;
             }
-            forward.push(belief.clone());
+            forward.push(belief);
         }
 
         // ------------------------------------------------------------------
         // Backward phase: a-posteriori marginals and transitions F(t).
         // ------------------------------------------------------------------
         let mut posterior: Vec<SparseDist> = vec![SparseDist::new(); horizon + 1];
-        let mut transitions: Vec<TransitionTable> =
-            (0..horizon).map(|_| TransitionTable::default()).collect();
-        posterior[horizon] = SparseDist::delta(last.1);
-
+        posterior[horizon] = SparseDist::delta(last);
+        transitions.clear();
         for step in (0..horizon).rev() {
-            let next_post = posterior[step + 1].clone();
-            let r_table = &reversed[step]; // R(start + step + 1)
-            let mut acc: FxHashMap<StateId, f64> = FxHashMap::default();
-            let mut fwd_rows: FxHashMap<StateId, Vec<(StateId, f64)>> = FxHashMap::default();
-            for (j, pj) in next_post.iter() {
-                let Some(row) = r_table.row(j) else { continue };
+            groups.products.clear();
+            for (j, pj) in posterior[step + 1].iter() {
+                // R(start + step + 1) is the forward phase's step `step`.
+                let Some(row) = reversed.row(step, j) else { continue };
                 for (i, r_ji) in row.iter() {
                     let w = r_ji * pj;
                     if w > 0.0 {
-                        *acc.entry(i).or_insert(0.0) += w;
-                        fwd_rows.entry(i).or_default().push((j, w));
+                        groups.products.push((i, j, w));
                     }
                 }
             }
-            if acc.is_empty() {
+            if groups.products.is_empty() {
                 // The forward phase guarantees a consistent corridor, so this
                 // can only be triggered by numerical underflow.
                 return Err(AdaptError::ContradictoryObservations {
                     time: start + step as Timestamp,
                 });
             }
-            transitions[step] = TransitionTable::from_weights(fwd_rows);
-            let mut dist = SparseDist::from_pairs(acc);
-            dist.normalize();
-            posterior[step] = dist;
+            let mut marginal = groups.fold_step(transitions);
+            marginal.normalize();
+            posterior[step] = marginal;
         }
 
-        let kernel = AliasKernel::from_steps(transitions.iter().map(TransitionTable::sorted_rows));
         Ok(AdaptedModel {
             start,
             end,
             forward,
             posterior,
-            transitions,
-            kernel,
+            kernel: AliasKernel::from_rows(transitions.reversed()),
             observations: observations.to_vec(),
         })
     }
@@ -301,13 +356,11 @@ pub struct AdaptedModel {
     forward: Vec<SparseDist>,
     /// `posterior[k]`: P(o(start+k) = s | all observations Θ).
     posterior: Vec<SparseDist>,
-    /// `transitions[k]`: F(start+k), i.e. rows
-    /// P(o(start+k+1) = s_j | o(start+k) = s_i, Θ).
-    transitions: Vec<TransitionTable>,
-    /// Precomputed Walker/Vose alias tables over all transition rows — the
-    /// O(1) sampling kernel behind [`AdaptedModel::sample_transition`]. A
-    /// deterministic pure function of `transitions`, rebuilt on store load
-    /// rather than serialized.
+    /// `F(start+k)` at step `k` — rows P(o(start+k+1) = s_j | o(start+k) =
+    /// s_i, Θ) — with the Walker/Vose alias table of every row: the O(1)
+    /// sampling kernel behind [`AdaptedModel::sample_transition`]. The alias
+    /// tables are a deterministic function of the rows, rebuilt on store
+    /// load rather than serialized.
     kernel: AliasKernel,
     observations: Vec<(Timestamp, StateId)>,
 }
@@ -324,16 +377,18 @@ impl AdaptedModel {
     /// Reassembles a model from its stored parts (the store-loading
     /// counterpart of [`AdaptedModel::build`]). The covered interval is
     /// derived from the first and last observation; `forward` and `posterior`
-    /// must hold one marginal per covered timestamp and `transitions` one
-    /// table per covered step. No probabilistic post-processing happens here
-    /// — the parts are adopted bit-for-bit.
+    /// must hold one marginal per covered timestamp and `kernel` one step per
+    /// covered step, and every walk from the first observed state must find
+    /// a non-empty row at every step. No
+    /// probabilistic post-processing happens here — the parts are adopted
+    /// bit-for-bit.
     pub fn from_parts(
         observations: Vec<(Timestamp, StateId)>,
         forward: Vec<SparseDist>,
         posterior: Vec<SparseDist>,
-        transitions: Vec<TransitionTable>,
+        kernel: AliasKernel,
     ) -> Result<Self, &'static str> {
-        let Some(&(start, _)) = observations.first() else {
+        let Some(&(start, first)) = observations.first() else {
             return Err("adapted model needs at least one observation");
         };
         let (end, _) = observations[observations.len() - 1];
@@ -347,14 +402,16 @@ impl AdaptedModel {
         if posterior.len() != horizon + 1 {
             return Err("posterior marginal count must equal horizon + 1");
         }
-        if transitions.len() != horizon {
+        if kernel.num_steps() != horizon {
             return Err("transition-table count must equal the horizon");
         }
-        // The alias kernel is a deterministic function of the transition
-        // rows, so it is rebuilt here instead of being serialized — the
-        // `.ustore` format carries only the rows (see `ust-persist`).
-        let kernel = AliasKernel::from_steps(transitions.iter().map(TransitionTable::sorted_rows));
-        Ok(AdaptedModel { start, end, forward, posterior, transitions, kernel, observations })
+        // A sampled walk must never stand on a state without a way on.
+        match kernel.uncovered_step(first) {
+            None => {}
+            Some(0) => return Err("first observed state has no transition row at the first step"),
+            Some(_) => return Err("a transition target has no row at the next step"),
+        }
+        Ok(AdaptedModel { start, end, forward, posterior, kernel, observations })
     }
 
     /// First observed timestamp.
@@ -372,7 +429,7 @@ impl AdaptedModel {
     /// Number of transitions covered (`end - start`).
     #[inline]
     pub fn horizon(&self) -> usize {
-        self.transitions.len()
+        (self.end - self.start) as usize
     }
 
     /// Whether timestamp `t` lies in the covered interval `[start, end]`.
@@ -397,22 +454,26 @@ impl AdaptedModel {
         self.index_of(t).map(|k| &self.forward[k])
     }
 
+    /// The step index of `t → t+1`, if `t` lies in `[start, end)`.
+    #[inline]
+    fn step_of(&self, t: Timestamp) -> Option<usize> {
+        (t >= self.start && t < self.end).then(|| (t - self.start) as usize)
+    }
+
     /// The a-posteriori transition distribution out of `state` for the step
     /// `t → t+1`, or `None` if `t` is outside `[start, end)` or `state` is not
     /// reachable at `t`.
-    pub fn transition_row(&self, t: Timestamp, state: StateId) -> Option<&SparseDist> {
-        if t < self.start || t >= self.end {
-            return None;
-        }
-        self.transitions[(t - self.start) as usize].row(state)
+    pub fn transition_row(&self, t: Timestamp, state: StateId) -> Option<TransitionRow<'_>> {
+        self.kernel.row(self.step_of(t)?, state)
     }
 
-    /// The full transition table for the step `t → t+1`.
-    pub fn transition_table(&self, t: Timestamp) -> Option<&TransitionTable> {
-        if t < self.start || t >= self.end {
-            return None;
-        }
-        Some(&self.transitions[(t - self.start) as usize])
+    /// The rows of the step `t → t+1` in increasing source order, or `None`
+    /// if `t` is outside `[start, end)`.
+    pub fn transition_table(
+        &self,
+        t: Timestamp,
+    ) -> Option<impl ExactSizeIterator<Item = (StateId, TransitionRow<'_>)> + '_> {
+        self.step_of(t).map(|step| self.kernel.step_rows(step))
     }
 
     /// Draws the next state for the step `t → t+1` out of `state` with one
@@ -427,13 +488,10 @@ impl AdaptedModel {
     /// individual `u → state` mapping differs.
     #[inline]
     pub fn sample_transition(&self, t: Timestamp, state: StateId, u: f64) -> Option<StateId> {
-        if t < self.start || t >= self.end {
-            return None;
-        }
-        self.kernel.sample((t - self.start) as usize, state, u)
+        self.kernel.sample(self.step_of(t)?, state, u)
     }
 
-    /// The precomputed O(1) alias-table sampling kernel over all steps.
+    /// The a-posteriori chain with its O(1) alias-table sampling kernel.
     pub fn alias_kernel(&self) -> &AliasKernel {
         &self.kernel
     }
@@ -477,13 +535,15 @@ impl AdaptedModel {
                 return Err(format!("forward marginal at offset {k} is not normalized"));
             }
         }
-        for (k, table) in self.transitions.iter().enumerate() {
+        for k in 0..self.horizon() {
             let next_support: Vec<StateId> = self.posterior[k + 1].support().collect();
-            for (src, row) in table.iter() {
-                if !row.is_normalized() {
+            for (src, row) in self.kernel.step_rows(k) {
+                let mass: f64 = row.probs().iter().sum();
+                let normalized = (mass - 1.0).abs() < PROB_EPSILON;
+                if !normalized {
                     return Err(format!("transition row ({k}, {src}) is not normalized"));
                 }
-                for (dst, _) in row.iter() {
+                for &dst in row.targets() {
                     if next_support.binary_search(&dst).is_err() {
                         return Err(format!(
                             "transition row ({k}, {src}) reaches state {dst} outside the posterior support"
@@ -514,7 +574,7 @@ const _: () = {
     assert_send_sync::<AdaptedModel>();
     assert_send_sync::<ModelAdaptation>();
     assert_send_sync::<AdaptError>();
-    assert_send_sync::<TransitionTable>();
+    assert_send_sync::<AliasKernel>();
 };
 
 #[cfg(test)]
@@ -522,6 +582,7 @@ mod tests {
     use super::*;
     use crate::model::MarkovModel;
     use crate::sparse::CsrMatrix;
+    use rustc_hash::FxHashMap;
 
     /// The running example of the paper (Figure 1): object o1 starts at s2
     /// and can reach {s1, s3}; from s3 it reaches {s1, s3}. All branches have

@@ -4,20 +4,25 @@
 //! step per sampled world — at paper scale (10 000 worlds, hundreds of
 //! influence objects, tens of timestamps) that is easily 10⁷–10⁸ categorical
 //! draws per query. [`crate::SparseDist::sample_with`] answers each draw with
-//! a linear inverse-CDF scan, O(support) per draw and one pointer chase per
-//! row lookup (`FxHashMap` row → `Vec` entries).
+//! a linear inverse-CDF scan, O(support) per draw.
 //!
-//! An [`AliasKernel`] precomputes, once per [`crate::AdaptedModel`], the
-//! Walker/Vose alias table of every reachable transition row and lays all of
-//! them out in flat CSR-style arenas:
+//! An [`AliasKernel`] holds, once per [`crate::AdaptedModel`], every
+//! a-posteriori transition row together with its Walker/Vose alias table, all
+//! laid out in flat CSR-style arenas:
 //!
 //! * `step_starts` — per chain step `k`, the range of rows of `F(start+k)`,
 //! * `sources` / `row_starts` — per row, its source state (sorted within the
 //!   step) and the range of its slots,
-//! * `cols` / `probs` — per slot, the target state and its probability (the
-//!   plain CSR image of the row, used by scans and equivalence tests),
+//! * `cols` / `probs` — per slot, the target state and its probability: the
+//!   row itself, read through [`TransitionRow`] by the exact oracles and the
+//!   store encoder,
 //! * `threshold` / `alias` — per slot, the Vose acceptance threshold and the
 //!   aliased target.
+//!
+//! The first five arrays are a [`StepRows`] arena; the adaptation fills one
+//! with `F(t)` and the store decoder fills one with the stored rows, and
+//! [`AliasKernel::from_rows`] adds the alias tables on top. The kernel is the
+//! only copy of `F(t)` a model keeps.
 //!
 //! A draw is then O(1) after one binary search over the step's sources:
 //! `u · n` selects a slot, its fractional part is compared against the slot's
@@ -33,39 +38,234 @@
 //! `tests/alias_equivalence.rs` pins by construction checks and frequency
 //! comparison on shared `u` streams.
 //!
-//! Construction is deterministic: rows are visited in (step, source-id)
-//! order, the Vose small/large worklists are filled in increasing slot order
-//! and drained LIFO, so equal inputs produce byte-equal kernels on every
-//! platform and thread count.
+//! Construction is deterministic: rows are laid out in (step, source-id)
+//! order, each row's mass is the left-to-right fold of its probabilities, and
+//! the Vose small/large worklists are filled in increasing slot order and
+//! drained LIFO, so equal rows produce byte-equal kernels on every platform
+//! and thread count.
 
-use crate::sparse::SparseDist;
 use crate::StateId;
+use std::ops::Range;
 
-/// One flattened alias-table slot range: the half-open `[start, end)` window
-/// into the kernel's slot arenas belonging to one transition row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SlotRange {
-    start: usize,
-    end: usize,
-}
-
-/// Precomputed O(1) sampling kernel of an adapted model: per chain step, the
-/// Walker/Vose alias tables of every reachable row, in flat CSR arenas.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct AliasKernel {
+/// Per-step transition rows in CSR arenas, filled row by row.
+///
+/// A row is built by [`push_slot`](Self::push_slot) calls for its entries and
+/// closed by [`finish_row`](Self::finish_row) with its source state; a step is
+/// closed by [`finish_step`](Self::finish_step). Within a step, sources must
+/// be strictly increasing (row lookup is a binary search); within a row,
+/// targets are kept in push order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StepRows {
     /// `step_starts[k]..step_starts[k+1]` indexes the rows of step `k` in
     /// `sources`/`row_starts`. Length `num_steps + 1`.
     step_starts: Vec<u32>,
     /// Source state of each row, strictly increasing within a step.
     sources: Vec<StateId>,
     /// `row_starts[r]..row_starts[r+1]` indexes the slots of row `r` in
-    /// `cols`/`probs`/`threshold`/`alias`. Length `sources.len() + 1`.
+    /// `cols`/`probs`. Length `sources.len() + 1`.
     row_starts: Vec<u32>,
-    /// Primary target state of each slot (the CSR column array).
+    /// Target state of each slot (the CSR column array).
     cols: Vec<StateId>,
-    /// Probability of the slot's primary target (the CSR value array; feeds
-    /// scans and tests, not the draw itself).
+    /// Probability of each slot's target (the CSR value array).
     probs: Vec<f64>,
+}
+
+impl Default for StepRows {
+    fn default() -> Self {
+        StepRows {
+            step_starts: vec![0],
+            sources: Vec::new(),
+            row_starts: vec![0],
+            cols: Vec::new(),
+            probs: Vec::new(),
+        }
+    }
+}
+
+impl StepRows {
+    /// An arena with no steps.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Empties the arena, keeping its allocations.
+    pub(crate) fn clear(&mut self) {
+        self.step_starts.truncate(1);
+        self.sources.clear();
+        self.row_starts.truncate(1);
+        self.cols.clear();
+        self.probs.clear();
+    }
+
+    /// Appends one `(target, probability)` slot to the open row.
+    #[inline]
+    pub fn push_slot(&mut self, target: StateId, prob: f64) {
+        self.cols.push(target);
+        self.probs.push(prob);
+    }
+
+    /// Closes the open row — the slots pushed since the last closed row —
+    /// under `source`.
+    #[inline]
+    pub fn finish_row(&mut self, source: StateId) {
+        debug_assert!(
+            self.sources.len() == self.step_starts[self.step_starts.len() - 1] as usize
+                || self.sources.last().is_none_or(|&prev| prev < source),
+            "rows of a step must arrive in strictly increasing source order"
+        );
+        self.sources.push(source);
+        self.row_starts.push(self.cols.len() as u32);
+    }
+
+    /// Closes the open step: the rows finished since the last closed step.
+    pub fn finish_step(&mut self) {
+        self.step_starts.push(self.sources.len() as u32);
+    }
+
+    /// Number of closed steps.
+    #[inline]
+    fn num_steps(&self) -> usize {
+        self.step_starts.len() - 1
+    }
+
+    /// The row indices of `step`, or `None` past the last step.
+    #[inline]
+    fn step_range(&self, step: usize) -> Option<Range<usize>> {
+        let lo = *self.step_starts.get(step)? as usize;
+        let hi = *self.step_starts.get(step + 1)? as usize;
+        Some(lo..hi)
+    }
+
+    /// The slot indices of row `r`.
+    #[inline]
+    fn slots(&self, r: usize) -> Range<usize> {
+        self.row_starts[r] as usize..self.row_starts[r + 1] as usize
+    }
+
+    /// The slot indices of every row of the row range `rows`.
+    #[inline]
+    fn slots_of(&self, rows: &Range<usize>) -> Range<usize> {
+        self.row_starts[rows.start] as usize..self.row_starts[rows.end] as usize
+    }
+
+    /// The slot window of `(step, source)`, found by binary search over the
+    /// step's sorted sources. `None` if the step is out of range or the
+    /// source has no row there.
+    #[inline]
+    fn row_slots(&self, step: usize, source: StateId) -> Option<Range<usize>> {
+        let rows = self.step_range(step)?;
+        let r = rows.start + self.sources[rows].binary_search(&source).ok()?;
+        Some(self.slots(r))
+    }
+
+    /// The row view over a slot window.
+    #[inline]
+    fn view(&self, slots: Range<usize>) -> TransitionRow<'_> {
+        TransitionRow { targets: &self.cols[slots.clone()], probs: &self.probs[slots] }
+    }
+
+    /// The row of `(step, source)`, if it exists.
+    #[inline]
+    pub(crate) fn row(&self, step: usize, source: StateId) -> Option<TransitionRow<'_>> {
+        self.row_slots(step, source).map(|slots| self.view(slots))
+    }
+
+    /// The rows of `step` in increasing source order (empty past the last
+    /// step).
+    pub(crate) fn step_rows(
+        &self,
+        step: usize,
+    ) -> impl ExactSizeIterator<Item = (StateId, TransitionRow<'_>)> + '_ {
+        self.step_range(step)
+            .unwrap_or(0..0)
+            .map(move |r| (self.sources[r], self.view(self.slots(r))))
+    }
+
+    /// This arena with its steps in reverse order — rows within a step and
+    /// slots within a row keep theirs — allocated at its exact size.
+    pub(crate) fn reversed(&self) -> StepRows {
+        let mut out = StepRows {
+            step_starts: Vec::with_capacity(self.step_starts.len()),
+            sources: Vec::with_capacity(self.sources.len()),
+            row_starts: Vec::with_capacity(self.row_starts.len()),
+            cols: Vec::with_capacity(self.cols.len()),
+            probs: Vec::with_capacity(self.probs.len()),
+        };
+        out.step_starts.push(0);
+        out.row_starts.push(0);
+        for step in (0..self.num_steps()).rev() {
+            let rows = self.step_range(step).expect("step in range");
+            let slots = self.slots_of(&rows);
+            let shift = out.cols.len() as u32;
+            out.sources.extend_from_slice(&self.sources[rows.clone()]);
+            out.row_starts.extend(
+                self.row_starts[rows.start + 1..=rows.end]
+                    .iter()
+                    .map(|&end| end - slots.start as u32 + shift),
+            );
+            out.cols.extend_from_slice(&self.cols[slots.clone()]);
+            out.probs.extend_from_slice(&self.probs[slots]);
+            out.step_starts.push(out.sources.len() as u32);
+        }
+        out
+    }
+}
+
+/// A borrowed transition row: parallel target and probability slices, in
+/// increasing target order for every row an adaptation or a store produced.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TransitionRow<'a> {
+    targets: &'a [StateId],
+    probs: &'a [f64],
+}
+
+impl<'a> TransitionRow<'a> {
+    /// The target states.
+    #[inline]
+    pub fn targets(&self) -> &'a [StateId] {
+        self.targets
+    }
+
+    /// The probabilities, parallel to [`targets`](Self::targets).
+    #[inline]
+    pub fn probs(&self) -> &'a [f64] {
+        self.probs
+    }
+
+    /// Number of entries.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.targets.len()
+    }
+
+    /// Whether the row has no entries.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.targets.is_empty()
+    }
+
+    /// Iterator over `(target, probability)` pairs.
+    pub fn iter(&self) -> impl Iterator<Item = (StateId, f64)> + 'a {
+        self.targets.iter().copied().zip(self.probs.iter().copied())
+    }
+
+    /// Probability of `target` (zero if the row does not reach it).
+    pub fn prob(&self, target: StateId) -> f64 {
+        match self.targets.binary_search(&target) {
+            Ok(i) => self.probs[i],
+            Err(_) => 0.0,
+        }
+    }
+}
+
+/// Precomputed O(1) sampling kernel of an adapted model: per chain step, the
+/// rows of every reachable state with their Walker/Vose alias tables, in flat
+/// CSR arenas.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AliasKernel {
+    /// The rows themselves (`step_starts`, `sources`, `row_starts`, `cols`,
+    /// `probs`).
+    rows: StepRows,
     /// Vose acceptance threshold of each slot, in `[0, 1]`.
     threshold: Vec<f64>,
     /// Aliased target state of each slot (drawn when the fractional part of
@@ -73,125 +273,114 @@ pub struct AliasKernel {
     alias: Vec<StateId>,
 }
 
+impl Default for AliasKernel {
+    fn default() -> Self {
+        AliasKernel::from_rows(StepRows::new())
+    }
+}
+
 impl AliasKernel {
-    /// Builds the kernel from per-step `(source, row)` lists.
+    /// Builds the kernel over `rows`: runs Vose's O(n) alias construction on
+    /// every row, in arena order.
+    pub fn from_rows(rows: StepRows) -> Self {
+        let mut threshold = vec![1.0; rows.cols.len()];
+        let mut alias = rows.cols.clone();
+        let mut vose = Vose::default();
+        for r in 0..rows.sources.len() {
+            let slots = rows.slots(r);
+            vose.build(
+                &rows.cols[slots.clone()],
+                &rows.probs[slots.clone()],
+                &mut threshold[slots.clone()],
+                &mut alias[slots],
+            );
+        }
+        AliasKernel { rows, threshold, alias }
+    }
+
+    /// Builds the kernel from per-step `(source, entries)` lists, each row's
+    /// entries a `(target, probability)` slice such as
+    /// [`SparseDist::entries`](crate::SparseDist::entries).
     ///
-    /// Each step's rows must be sorted by strictly increasing source state —
-    /// [`crate::adapt::TransitionTable::sorted_rows`] provides exactly that —
+    /// Each step's rows must be sorted by strictly increasing source state,
     /// so the per-draw binary search and the deterministic layout hold.
     pub fn from_steps<'a, I, R>(steps: I) -> Self
     where
         I: IntoIterator<Item = R>,
-        R: IntoIterator<Item = (StateId, &'a SparseDist)>,
+        R: IntoIterator<Item = (StateId, &'a [(StateId, f64)])>,
     {
-        let mut kernel = AliasKernel {
-            step_starts: vec![0],
-            sources: Vec::new(),
-            row_starts: vec![0],
-            cols: Vec::new(),
-            probs: Vec::new(),
-            threshold: Vec::new(),
-            alias: Vec::new(),
-        };
+        let mut rows = StepRows::new();
         for step in steps {
-            for (source, row) in step {
-                debug_assert!(
-                    kernel.sources.len() + 1 == kernel.row_starts.len()
-                        && (kernel.step_starts.last().copied().unwrap_or(0) as usize
-                            == kernel.sources.len()
-                            || kernel.sources.last().is_none_or(|&prev| prev < source)),
-                    "rows of a step must arrive in strictly increasing source order"
-                );
-                kernel.push_row(source, row);
+            for (source, entries) in step {
+                for &(target, p) in entries {
+                    rows.push_slot(target, p);
+                }
+                rows.finish_row(source);
             }
-            kernel.step_starts.push(kernel.sources.len() as u32);
+            rows.finish_step();
         }
-        kernel
-    }
-
-    /// Appends one row: records its CSR image and runs Vose's O(n) alias
-    /// construction on it.
-    fn push_row(&mut self, source: StateId, row: &SparseDist) {
-        let base = self.cols.len();
-        for (state, p) in row.iter() {
-            self.cols.push(state);
-            self.probs.push(p);
-        }
-        let n = self.cols.len() - base;
-        self.sources.push(source);
-        self.row_starts.push(self.cols.len() as u32);
-        if n == 0 {
-            return;
-        }
-        // Vose: scale each probability by n/mass, split slots into "small"
-        // (< 1) and "large" (≥ 1), and repeatedly pair one of each — the
-        // small slot keeps its own target below its threshold and borrows the
-        // large slot's target above it. Worklists are filled in slot order
-        // and drained from the back, so the construction is deterministic.
-        let mass = row.total_mass();
-        let mut scaled: Vec<f64> = self.probs[base..].iter().map(|&p| p * n as f64 / mass).collect();
-        self.threshold.resize(base + n, 1.0);
-        self.alias.extend_from_slice(&self.cols[base..]);
-        let mut small: Vec<usize> = Vec::new();
-        let mut large: Vec<usize> = Vec::new();
-        for (i, &s) in scaled.iter().enumerate() {
-            if s < 1.0 {
-                small.push(i);
-            } else {
-                large.push(i);
-            }
-        }
-        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
-            small.pop();
-            self.threshold[base + s] = scaled[s];
-            self.alias[base + s] = self.cols[base + l];
-            // The large slot donated `1 - scaled[s]` of its mass.
-            scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-            if scaled[l] < 1.0 {
-                large.pop();
-                small.push(l);
-            }
-        }
-        // Leftovers (all ≈ 1 up to rounding) keep threshold 1.0 / self-alias
-        // from the initialisation above: they always accept their own target.
+        AliasKernel::from_rows(rows)
     }
 
     /// Number of chain steps covered.
     #[inline]
     pub fn num_steps(&self) -> usize {
-        self.step_starts.len() - 1
+        self.rows.num_steps()
     }
 
     /// Total number of stored rows across all steps.
     #[inline]
     pub fn num_rows(&self) -> usize {
-        self.sources.len()
+        self.rows.sources.len()
     }
 
     /// Total number of slots (non-zero transition entries) across all rows.
     #[inline]
     pub fn num_slots(&self) -> usize {
-        self.cols.len()
+        self.rows.cols.len()
     }
 
-    /// The slot window of `(step, source)`, found by binary search over the
-    /// step's sorted sources. `None` if the step is out of range or the
-    /// source has no row there.
-    #[inline]
-    fn row_range(&self, step: usize, source: StateId) -> Option<SlotRange> {
-        let lo = *self.step_starts.get(step)? as usize;
-        let hi = *self.step_starts.get(step + 1)? as usize;
-        let r = lo + self.sources[lo..hi].binary_search(&source).ok()?;
-        Some(SlotRange {
-            start: self.row_starts[r] as usize,
-            end: self.row_starts[r + 1] as usize,
+    /// The row of `(step, source)`, or `None` if the step is out of range or
+    /// the source has no row there.
+    pub fn row(&self, step: usize, source: StateId) -> Option<TransitionRow<'_>> {
+        self.rows.row(step, source)
+    }
+
+    /// The rows of `step` in increasing source order (empty past the last
+    /// step).
+    pub(crate) fn step_rows(
+        &self,
+        step: usize,
+    ) -> impl ExactSizeIterator<Item = (StateId, TransitionRow<'_>)> + '_ {
+        self.rows.step_rows(step)
+    }
+
+    /// The first step at which a walk that starts in `first` can stand on a
+    /// state with no non-empty row, so that a draw would find nowhere to go:
+    /// `Some(0)` when `first` has none at step 0, `Some(k + 1)` when a target
+    /// of some step-`k` row has none at step `k + 1`, and `None` when every
+    /// walk can always move on. Rows of states no walk reaches are checked
+    /// too.
+    pub(crate) fn uncovered_step(&self, first: StateId) -> Option<usize> {
+        let rows = &self.rows;
+        if rows.num_steps() == 0 {
+            return None;
+        }
+        if rows.row_slots(0, first).is_none_or(|slots| slots.is_empty()) {
+            return Some(0);
+        }
+        (1..rows.num_steps()).find(|&next| {
+            let here = rows.step_range(next - 1).expect("step in range");
+            let there = rows.step_range(next).expect("step in range");
+            let sources = &rows.sources[there.clone()];
+            let starts = &rows.row_starts[there.start..=there.end];
+            rows.cols[rows.slots_of(&here)].iter().any(|target| {
+                match sources.binary_search(target) {
+                    Ok(i) => starts[i + 1] == starts[i],
+                    Err(_) => true,
+                }
+            })
         })
-    }
-
-    /// The CSR image of a row: parallel `(targets, probabilities)` slices.
-    pub fn row(&self, step: usize, source: StateId) -> Option<(&[StateId], &[f64])> {
-        let range = self.row_range(step, source)?;
-        Some((&self.cols[range.start..range.end], &self.probs[range.start..range.end]))
     }
 
     /// Draws from the row of `(step, source)` with one uniform `u ∈ [0, 1)`:
@@ -206,7 +395,7 @@ impl AliasKernel {
             u.is_finite() && (0.0..1.0).contains(&u),
             "alias sample requires u in [0, 1), got {u}"
         );
-        let range = self.row_range(step, source)?;
+        let range = self.rows.row_slots(step, source)?;
         let n = range.end - range.start;
         if n == 0 {
             return None;
@@ -217,7 +406,7 @@ impl AliasKernel {
         let idx = (scaled as usize).min(n - 1);
         let frac = scaled - idx as f64;
         let slot = range.start + idx;
-        Some(if frac < self.threshold[slot] { self.cols[slot] } else { self.alias[slot] })
+        Some(if frac < self.threshold[slot] { self.rows.cols[slot] } else { self.alias[slot] })
     }
 
     /// The exact probability the alias table assigns to `target` in the row
@@ -225,14 +414,14 @@ impl AliasKernel {
     /// `u`-values that select it. Used by the equivalence tests to prove the
     /// table is a faithful encoding of the row, independent of sampling.
     pub fn table_probability(&self, step: usize, source: StateId, target: StateId) -> f64 {
-        let Some(range) = self.row_range(step, source) else { return 0.0 };
+        let Some(range) = self.rows.row_slots(step, source) else { return 0.0 };
         let n = range.end - range.start;
         if n == 0 {
             return 0.0;
         }
         let mut measure = 0.0;
-        for slot in range.start..range.end {
-            if self.cols[slot] == target {
+        for slot in range {
+            if self.rows.cols[slot] == target {
                 measure += self.threshold[slot];
             }
             if self.alias[slot] == target {
@@ -243,20 +432,78 @@ impl AliasKernel {
     }
 }
 
+/// Worklists of Vose's construction, reused across the rows of one kernel.
+#[derive(Debug, Default)]
+struct Vose {
+    scaled: Vec<f64>,
+    small: Vec<usize>,
+    large: Vec<usize>,
+}
+
+impl Vose {
+    /// Fills one row's `threshold`/`alias` slots, which arrive initialised to
+    /// 1.0 and the slot's own target. Vose: scale each probability by
+    /// n/mass, split slots into "small" (< 1) and "large" (≥ 1), and
+    /// repeatedly pair one of each — the small slot keeps its own target
+    /// below its threshold and borrows the large slot's target above it.
+    /// Worklists are filled in slot order and drained from the back, so the
+    /// construction is deterministic.
+    fn build(
+        &mut self,
+        cols: &[StateId],
+        probs: &[f64],
+        threshold: &mut [f64],
+        alias: &mut [StateId],
+    ) {
+        let n = probs.len();
+        if n == 0 {
+            return;
+        }
+        let mass: f64 = probs.iter().sum();
+        let Vose { scaled, small, large } = self;
+        scaled.clear();
+        scaled.extend(probs.iter().map(|&p| p * n as f64 / mass));
+        small.clear();
+        large.clear();
+        for (i, &s) in scaled.iter().enumerate() {
+            if s < 1.0 {
+                small.push(i);
+            } else {
+                large.push(i);
+            }
+        }
+        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
+            small.pop();
+            threshold[s] = scaled[s];
+            alias[s] = cols[l];
+            // The large slot donated `1 - scaled[s]` of its mass.
+            scaled[l] = (scaled[l] + scaled[s]) - 1.0;
+            if scaled[l] < 1.0 {
+                large.pop();
+                small.push(l);
+            }
+        }
+        // Leftovers (all ≈ 1 up to rounding) keep threshold 1.0 / self-alias
+        // from the initialisation: they always accept their own target.
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sparse::SparseDist;
 
     fn kernel_of(rows: Vec<(StateId, SparseDist)>) -> AliasKernel {
-        AliasKernel::from_steps(vec![rows.iter().map(|(s, d)| (*s, d))])
+        AliasKernel::from_steps([rows.iter().map(|(s, d)| (*s, d.entries()))])
     }
 
     #[test]
     fn empty_kernel_has_no_rows() {
-        let k = AliasKernel::from_steps(Vec::<Vec<(StateId, &SparseDist)>>::new());
+        let k = AliasKernel::from_steps(Vec::<Vec<(StateId, &[(StateId, f64)])>>::new());
         assert_eq!(k.num_steps(), 0);
         assert_eq!(k.num_rows(), 0);
         assert!(k.sample(0, 0, 0.5).is_none());
+        assert_eq!(k, AliasKernel::default());
     }
 
     #[test]
@@ -321,9 +568,10 @@ mod tests {
 
     #[test]
     fn multi_step_layout_keeps_rows_separate() {
+        let (d1, d2, d3) = (SparseDist::delta(1), SparseDist::delta(2), SparseDist::delta(3));
         let k = AliasKernel::from_steps(vec![
-            vec![(0u32, &SparseDist::delta(1)), (2, &SparseDist::delta(3))],
-            vec![(1u32, &SparseDist::delta(2))],
+            vec![(0u32, d1.entries()), (2, d3.entries())],
+            vec![(1u32, d2.entries())],
         ]);
         assert_eq!(k.num_steps(), 2);
         assert_eq!(k.num_rows(), 3);
@@ -331,9 +579,12 @@ mod tests {
         assert_eq!(k.sample(0, 2, 0.5), Some(3));
         assert_eq!(k.sample(1, 1, 0.5), Some(2));
         assert_eq!(k.sample(1, 0, 0.5), None);
-        let (cols, probs) = k.row(0, 2).unwrap();
-        assert_eq!(cols, &[3]);
-        assert_eq!(probs, &[1.0]);
+        let row = k.row(0, 2).unwrap();
+        assert_eq!(row.targets(), &[3]);
+        assert_eq!(row.probs(), &[1.0]);
+        let step: Vec<StateId> = k.step_rows(0).map(|(s, _)| s).collect();
+        assert_eq!(step, vec![0, 2]);
+        assert_eq!(k.step_rows(2).len(), 0, "past the last step");
     }
 
     #[test]
@@ -344,5 +595,47 @@ mod tests {
         let a = kernel_of(rows.clone());
         let b = kernel_of(rows);
         assert_eq!(a, b, "equal inputs must produce byte-equal kernels");
+    }
+
+    #[test]
+    fn reversing_steps_keeps_rows_and_exact_sizes() {
+        let mut rows = StepRows::new();
+        for (step, sources) in [vec![1u32, 4], vec![], vec![0, 2, 3]].into_iter().enumerate() {
+            for source in sources {
+                rows.push_slot(source + 10, 0.5);
+                rows.push_slot(source + 20 + step as StateId, 0.5);
+                rows.finish_row(source);
+            }
+            rows.finish_step();
+        }
+        let back = rows.reversed();
+        assert_eq!(back.num_steps(), 3);
+        for step in 0..3 {
+            let want: Vec<_> =
+                rows.step_rows(2 - step).map(|(s, r)| (s, r.iter().collect::<Vec<_>>())).collect();
+            let got: Vec<_> =
+                back.step_rows(step).map(|(s, r)| (s, r.iter().collect::<Vec<_>>())).collect();
+            assert_eq!(got, want, "step {step}");
+        }
+        assert_eq!(back.reversed(), rows, "reversing twice is the identity");
+        assert_eq!(back.cols.capacity(), back.cols.len());
+    }
+
+    #[test]
+    fn uncovered_step_finds_the_first_dead_end() {
+        let delta = |s: StateId| SparseDist::delta(s);
+        let (d1, d2) = (delta(1), delta(2));
+        // 0 → 1 → 2: every walk from 0 can move on.
+        let k = AliasKernel::from_steps(vec![vec![(0u32, d1.entries())], vec![(1, d2.entries())]]);
+        assert_eq!(k.uncovered_step(0), None);
+        assert_eq!(k.uncovered_step(5), Some(0), "the first state has no row at step 0");
+        // 0 → 1, but step 1 only has a row for 2.
+        let k = AliasKernel::from_steps(vec![vec![(0u32, d1.entries())], vec![(2, d2.entries())]]);
+        assert_eq!(k.uncovered_step(0), Some(1));
+        // An empty row is no way on either.
+        let empty: &[(StateId, f64)] = &[];
+        let k = AliasKernel::from_steps(vec![vec![(0u32, d1.entries())], vec![(1, empty)]]);
+        assert_eq!(k.uncovered_step(0), Some(1));
+        assert_eq!(AliasKernel::default().uncovered_step(0), None, "no steps, no walk");
     }
 }

@@ -21,9 +21,10 @@
 //!   (Algorithm 2): Bayesian inference that turns the a-priori chain plus the
 //!   observations into an a-posteriori chain `F^o(t)` whose realisations are
 //!   exactly the possible trajectories consistent with all observations,
-//! * [`alias`] — precomputed Walker/Vose alias tables in flat CSR arenas:
-//!   the O(1)-per-draw Monte-Carlo sampling kernel built once per adapted
-//!   model,
+//! * [`alias`] — the a-posteriori rows in flat CSR arenas with a
+//!   precomputed Walker/Vose alias table per row: the O(1)-per-draw
+//!   Monte-Carlo sampling kernel, and the only copy of `F^o(t)` an adapted
+//!   model keeps,
 //! * [`reachability`] — support-only propagation used to compute the
 //!   "diamond" space-time approximations indexed by the UST-tree (Section 6),
 //! * [`dense`] — a small dense reference implementation of Algorithm 2 used to
@@ -37,7 +38,7 @@ pub mod reachability;
 pub mod sparse;
 
 pub use adapt::{AdaptError, AdaptedModel, ModelAdaptation};
-pub use alias::AliasKernel;
+pub use alias::{AliasKernel, StepRows, TransitionRow};
 pub use model::{MarkovModel, TransitionModel};
 pub use reachability::ReachabilityIndex;
 pub use sparse::{CsrMatrix, SparseDist};

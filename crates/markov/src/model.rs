@@ -25,6 +25,7 @@ pub trait TransitionModel {
 
     /// The transition distribution out of `state` at time `t`
     /// (`P(o(t+1) = · | o(t) = state)`), as `(columns, values)` slices.
+    /// Columns are distinct, as in every [`CsrMatrix`] row.
     fn row(&self, state: StateId, t: Timestamp) -> (&[StateId], &[f64]);
 
     /// Convenience iterator over the row entries.

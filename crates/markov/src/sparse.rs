@@ -25,6 +25,14 @@ pub const PROB_EPSILON: f64 = 1e-9;
 /// on normalized floats with lossless headroom.
 pub const MIN_NORMALIZABLE_MASS: f64 = f64::MIN_POSITIVE * (1.0 / PROB_EPSILON);
 
+/// Whether [`SparseDist::normalize`] divides by `mass` rather than refusing
+/// it: not NaN and at least [`MIN_NORMALIZABLE_MASS`].
+#[inline]
+pub(crate) fn normalizable(mass: f64) -> bool {
+    // NaN fails the comparison, so it is refused too.
+    mass >= MIN_NORMALIZABLE_MASS
+}
+
 // ---------------------------------------------------------------------------
 // SparseDist
 // ---------------------------------------------------------------------------
@@ -146,8 +154,7 @@ impl SparseDist {
     /// non-finite entries ([`MIN_NORMALIZABLE_MASS`]).
     pub fn normalize(&mut self) -> bool {
         let mass = self.total_mass();
-        // The explicit NaN arm matters: `mass < t` alone would let NaN through.
-        if mass.is_nan() || mass < MIN_NORMALIZABLE_MASS {
+        if !normalizable(mass) {
             return false;
         }
         for (_, p) in &mut self.entries {
@@ -212,9 +219,11 @@ impl SparseDist {
         self.entries.last().map(|&(s, _)| s)
     }
 
-    /// Builds a distribution directly from a pre-sorted, deduplicated entry
-    /// list. Used by the hot paths of the adaptation algorithm.
-    pub(crate) fn from_sorted_unchecked(entries: Vec<(StateId, f64)>) -> Self {
+    /// Adopts entries already sorted by strictly increasing state, each with
+    /// a positive probability, verbatim. For such entries this is exactly
+    /// [`from_pairs`](Self::from_pairs) — same entries, same cached mass —
+    /// without its hash map and sort. The order is checked in debug builds.
+    pub fn from_sorted(entries: Vec<(StateId, f64)>) -> Self {
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "entries must be sorted");
         let mass = mass_of(&entries);
         SparseDist { entries, mass }
@@ -358,7 +367,7 @@ impl CsrMatrix {
         }
         let mut entries: Vec<(StateId, f64)> = acc.into_iter().filter(|&(_, p)| p > 0.0).collect();
         entries.sort_unstable_by_key(|&(s, _)| s);
-        SparseDist::from_sorted_unchecked(entries)
+        SparseDist::from_sorted(entries)
     }
 
     /// Transposed matrix (used for backward reachability).

@@ -22,7 +22,7 @@ use ust_markov::{SparseDist, StateId};
 
 /// Builds a one-step kernel holding `row` for source state 0.
 fn kernel_of(row: &SparseDist) -> AliasKernel {
-    AliasKernel::from_steps([[(0u32, row)]])
+    AliasKernel::from_steps([[(0u32, row.entries())]])
 }
 
 /// A normalized distribution from raw `(state, weight)` pairs; `None` if the
@@ -89,7 +89,7 @@ fn chi_square(row: &SparseDist, counts: impl Iterator<Item = (StateId, usize)>, 
 fn empty_row_has_no_kernel_row_and_no_cdf_sample() {
     let empty = SparseDist::new();
     assert_eq!(empty.sample_with(0.5), None);
-    let kernel = AliasKernel::from_steps([[(0u32, &empty)]]);
+    let kernel = AliasKernel::from_steps([[(0u32, empty.entries())]]);
     assert_eq!(kernel.sample(0, 0, 0.5), None, "empty row yields no draw");
 }
 

@@ -1,8 +1,8 @@
 //! Per-structure encoders and validating decoders.
 //!
-//! Encoders write one canonical byte form per value: hash-map-backed
-//! structures (per-object model overrides, transition-table rows) are emitted
-//! in ascending key order, so encode→decode→encode is byte-identical. The
+//! Encoders write one canonical byte form per value: keyed structures
+//! (per-object model overrides, transition-table rows) are emitted in
+//! ascending key order, so encode→decode→encode is byte-identical. The
 //! decoders validate every structural invariant the in-memory constructors
 //! rely on — sortedness, positivity, finiteness, ids in range — *before*
 //! handing values to those constructors, so a decoded store can never smuggle
@@ -15,8 +15,8 @@ use crate::format::{ByteReader, ByteWriter};
 use rustc_hash::FxHashSet;
 use std::sync::Arc;
 use ust_index::{Diamond, IndexBuildStats, UstTree};
-use ust_markov::adapt::TransitionTable;
-use ust_markov::{AdaptedModel, CsrMatrix, MarkovModel, SparseDist};
+use ust_markov::{AdaptedModel, AliasKernel, CsrMatrix, MarkovModel, SparseDist};
+use ust_markov::{StepRows, TransitionRow};
 use ust_spatial::{Point, Rect2, StateId, StateSpace};
 use ust_trajectory::{ObjectId, Timestamp, TrajectoryDatabase, UncertainObject};
 
@@ -163,19 +163,28 @@ pub(crate) fn decode_model(
 // ---------------------------------------------------------------------------
 
 pub(crate) fn encode_dist(w: &mut ByteWriter, d: &SparseDist) {
-    w.u64(d.support_size() as u64);
-    for (s, p) in d.iter() {
+    encode_entries(w, d.support_size(), d.iter());
+}
+
+/// The entry-list form shared by distributions and transition rows: a count,
+/// then `(state, probability)` pairs.
+fn encode_entries(w: &mut ByteWriter, n: usize, entries: impl Iterator<Item = (StateId, f64)>) {
+    w.u64(n as u64);
+    for (s, p) in entries {
         w.u32(s);
         w.f64(p);
     }
 }
 
-pub(crate) fn decode_dist(
+/// Reads `n` entries of an entry list, validating each before handing it to
+/// `push`: state in range, states strictly increasing, probability positive
+/// and finite.
+fn decode_entries(
     r: &mut ByteReader<'_>,
     num_states: usize,
-) -> Result<SparseDist, StoreError> {
-    let n = r.count("distribution entries", 12)?;
-    let mut entries = Vec::with_capacity(n);
+    n: usize,
+    mut push: impl FnMut(StateId, f64),
+) -> Result<(), StoreError> {
     let mut prev: Option<StateId> = None;
     for _ in 0..n {
         let state = r.u32()?;
@@ -194,30 +203,45 @@ pub(crate) fn decode_dist(
             });
         }
         prev = Some(state);
-        entries.push((state, prob));
+        push(state, prob);
     }
-    // Sorted, duplicate-free, strictly positive: `from_pairs` keeps the
+    Ok(())
+}
+
+pub(crate) fn decode_dist(
+    r: &mut ByteReader<'_>,
+    num_states: usize,
+) -> Result<SparseDist, StoreError> {
+    let n = r.count("distribution entries", 12)?;
+    let mut entries = Vec::with_capacity(n);
+    decode_entries(r, num_states, n, |state, prob| entries.push((state, prob)))?;
+    // Sorted, duplicate-free, strictly positive: `from_sorted` adopts the
     // entries verbatim and recomputes the cached mass with the same
     // left-to-right fold the original used — bit-identical round trip.
-    Ok(SparseDist::from_pairs(entries))
+    Ok(SparseDist::from_sorted(entries))
 }
 
-pub(crate) fn encode_table(w: &mut ByteWriter, table: &TransitionTable) {
-    let mut rows: Vec<(StateId, &SparseDist)> = table.iter().collect();
-    rows.sort_unstable_by_key(|&(s, _)| s);
+/// Writes one step of transition rows, already in increasing source order.
+pub(crate) fn encode_table<'a>(
+    w: &mut ByteWriter,
+    rows: impl ExactSizeIterator<Item = (StateId, TransitionRow<'a>)>,
+) {
     w.u64(rows.len() as u64);
-    for (state, dist) in rows {
+    for (state, row) in rows {
         w.u32(state);
-        encode_dist(w, dist);
+        encode_entries(w, row.len(), row.iter());
     }
 }
 
+/// Reads one step of transition rows straight into `rows`. The rows were
+/// stored normalized and are adopted as they are: renormalizing them would
+/// change their bits.
 pub(crate) fn decode_table(
     r: &mut ByteReader<'_>,
     num_states: usize,
-) -> Result<TransitionTable, StoreError> {
+    rows: &mut StepRows,
+) -> Result<(), StoreError> {
     let n = r.count("transition-table rows", 12)?;
-    let mut rows = Vec::with_capacity(n);
     let mut prev: Option<StateId> = None;
     for _ in 0..n {
         let state = r.u32()?;
@@ -232,11 +256,12 @@ pub(crate) fn decode_table(
             });
         }
         prev = Some(state);
-        rows.push((state, decode_dist(r, num_states)?));
+        let entries = r.count("distribution entries", 12)?;
+        decode_entries(r, num_states, entries, |target, prob| rows.push_slot(target, prob))?;
+        rows.finish_row(state);
     }
-    // Rows were stored already normalized; `from_rows` must not renormalize
-    // them (that would change the bits).
-    Ok(TransitionTable::from_rows(rows))
+    rows.finish_step();
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -312,17 +337,16 @@ pub(crate) fn decode_adapted(
     for _ in 0..=horizon {
         posterior.push(decode_dist(r, num_states)?);
     }
-    // lint: allow(A001) horizon is pre-checked against remaining() by the min_needed guard above
-    let mut transitions = Vec::with_capacity(horizon);
+    let mut transitions = StepRows::new();
     for _ in 0..horizon {
-        transitions.push(decode_table(r, num_states)?);
+        decode_table(r, num_states, &mut transitions)?;
     }
-    // The alias-table sampling kernel is NOT part of the MODELS section:
-    // it is a deterministic pure function of the transition rows, and
-    // `from_parts` rebuilds it from the decoded rows — so a store-loaded
-    // model samples identically to the freshly adapted one it was encoded
-    // from, with zero format change.
-    AdaptedModel::from_parts(observations, forward, posterior, transitions)
+    // The alias tables are NOT part of the MODELS section: they are a
+    // deterministic pure function of the transition rows, rebuilt here from
+    // the decoded rows — so a store-loaded model samples identically to the
+    // freshly adapted one it was encoded from, with zero format change.
+    // `from_parts` also rejects rows that leave a walk without a way on.
+    AdaptedModel::from_parts(observations, forward, posterior, AliasKernel::from_rows(transitions))
         .map_err(|context| StoreError::Malformed { context })
 }
 
