@@ -47,10 +47,7 @@ fn index_digest(tree: &UstTree) -> u64 {
 }
 
 fn main() {
-    let settings = RunSettings::from_env();
-    settings.reject_ingest_flags("index_build");
-    settings.reject_store_flag("index_build");
-    settings.reject_wal_flags("index_build");
+    let settings = RunSettings::from_env(&["--build-threads"]);
     let params = ScaleParams::for_scale(settings.scale);
     let (num_states, num_objects) = ScaleParams::index_build_target(settings.scale);
     let build_threads = settings.build_threads.unwrap_or(0);

@@ -69,7 +69,7 @@ fn bench_miner(c: &mut Criterion) {
     for tau in [0.1, 0.5] {
         let cfg = PcnnConfig::new(tau);
         group.bench_function(format!("vertical_tau_{tau}"), |b| {
-            b.iter(|| vertical_timesets(&worldset, &cfg))
+            b.iter(|| vertical_timesets(&worldset, &cfg, None))
         });
         group.bench_function(format!("reference_tau_{tau}"), |b| {
             b.iter(|| apriori_timesets(&masks, num_times, &cfg))

@@ -1,4 +1,11 @@
 //! Minimal command-line handling shared by the figure binaries.
+//!
+//! Every binary accepts the common flags (`--quick`, `--paper-scale`,
+//! `--scale`, `--seed`, `--json`). The optional flags — `--threads`,
+//! `--build-threads`, `--csv`/`--objects`, `--store`, `--wal`/`--wal-recover`
+//! and `--deadline-ms` — are honoured only where a binary says so: it names
+//! them once in [`RunSettings::from_env`], and any other optional flag is a
+//! usage error (exit code 2) instead of a setting silently dropped.
 
 /// The scale at which an experiment is run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,8 +40,7 @@ pub struct RunSettings {
     /// fixed count. `1` is the exact serial build.
     pub build_threads: Option<usize>,
     /// Path to a T-Drive-format CSV to ingest instead of generating the
-    /// simulated workload. Only fig09 honours this; the other figure
-    /// binaries reject it via [`RunSettings::reject_ingest_flags`].
+    /// simulated workload (fig09 only).
     pub csv_path: Option<String>,
     /// Explicit object-count override for the sweep (fig09 only, like
     /// `--csv`). With `--csv`, requesting more objects than the file yields
@@ -43,29 +49,25 @@ pub struct RunSettings {
     /// Base path for on-disk engine stores (fig06/fig08/fig09 only). Each
     /// sweep point saves its engine state to a derived path, immediately
     /// cold-starts a second engine from that store and cross-checks the
-    /// result digests; the load wall time lands in the report meta. Binaries
-    /// without store support reject it via
-    /// [`RunSettings::reject_store_flag`].
+    /// result digests; the load wall time lands in the report meta.
     pub store_path: Option<String>,
     /// Incremental-ingest mode (fig09 only, requires `--csv` and `--store`):
     /// each sweep point holds back the tail observations of the ingested
     /// objects, saves a pre-append store, WAL-appends the held-back batch
     /// through [`ust_core::EngineStore::append_batch`], and cross-checks the
     /// recovered digest against a from-scratch engine over the full data.
-    /// The store and its WAL are left on disk for `--wal-recover`. Binaries
-    /// without WAL support reject it via [`RunSettings::reject_wal_flags`].
+    /// The store and its WAL are left on disk for `--wal-recover`.
     pub wal: bool,
     /// Recovery half of the incremental-ingest smoke (fig09 only, requires
     /// `--csv` and `--store`): loads the store a previous `--wal` run left
     /// behind — replaying its WAL, in this (separate) process — and
     /// re-measures, proving the digests survive a cross-process recovery.
     pub wal_recover: bool,
-    /// Per-query deadline in milliseconds (fig06/fig08/fig09 only). Each
-    /// measured query runs under a [`ust_core::QueryBudget`] with this
-    /// deadline; a breach during the filter or TS phase is a typed error that
-    /// aborts the figure with exit code 2, a breach during sampling degrades
-    /// (fewer worlds, recorded in the report meta). Binaries without budget
-    /// support reject it via [`RunSettings::reject_deadline_flag`].
+    /// Per-query deadline in milliseconds (fig06/fig08/fig09 only). The
+    /// measured engine's [`ust_core::EngineConfig::budget`] carries it (see
+    /// [`RunSettings::query_budget`]); a breach during the filter or TS phase
+    /// is a typed error that aborts the figure with exit code 2, a breach
+    /// during sampling degrades (fewer worlds, recorded in the report meta).
     pub deadline_ms: Option<u64>,
 }
 
@@ -88,63 +90,41 @@ impl Default for RunSettings {
 }
 
 impl RunSettings {
-    /// Parses `std::env::args()`. Unknown flags abort with a usage message.
-    pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
-    }
-
-    /// Aborts with a usage error if the ingestion flags (`--csv`,
-    /// `--objects`) were given to a binary that does not honour them — only
-    /// `fig09_realdata_vary_objects` ingests real data, and silently running
-    /// the simulated workload after the user pointed at a file would record
-    /// results with wrong provenance.
-    pub fn reject_ingest_flags(&self, binary: &str) {
-        if self.csv_path.is_some() || self.objects.is_some() {
+    /// Parses `std::env::args()` for a binary that honours the optional
+    /// flags in `honoured`, spelled as on the command line (`"--threads"`,
+    /// `"--csv"`, ...). Unknown flags, and optional flags the binary does not
+    /// honour, abort with a usage message and exit code 2: a flag parsed and
+    /// then ignored would record results under settings the user never got.
+    pub fn from_env(honoured: &[&str]) -> Self {
+        let settings = Self::parse(std::env::args().skip(1));
+        if let Some(flag) = settings.unhonoured_flag(honoured) {
+            let honours =
+                if honoured.is_empty() { "none".to_string() } else { honoured.join(", ") };
             usage_and_exit(&format!(
-                "{binary} does not support --csv/--objects; only \
-                 fig09_realdata_vary_objects ingests real data"
+                "this binary does not support {flag} (optional flags it honours: {honours})"
             ));
         }
+        settings
     }
 
-    /// Aborts with a usage error if `--store` was given to a binary that
-    /// does not save/load engine stores — only fig06, fig08 and fig09
-    /// exercise the persistence round trip, and silently ignoring the flag
-    /// would let the user believe a store was written.
-    pub fn reject_store_flag(&self, binary: &str) {
-        if self.store_path.is_some() {
-            usage_and_exit(&format!(
-                "{binary} does not support --store; only fig06_vary_states, \
-                 fig08_vary_objects and fig09_realdata_vary_objects exercise the \
-                 on-disk store round trip"
-            ));
+    /// The first optional flag that was given but is not in `honoured`, if
+    /// any. Panics if `honoured` names something that is not an optional
+    /// flag, so a misspelt declaration cannot silently reject its own flag.
+    fn unhonoured_flag(&self, honoured: &[&str]) -> Option<&'static str> {
+        let given = [
+            ("--threads", self.adaptation_threads.is_some()),
+            ("--build-threads", self.build_threads.is_some()),
+            ("--csv", self.csv_path.is_some()),
+            ("--objects", self.objects.is_some()),
+            ("--store", self.store_path.is_some()),
+            ("--wal", self.wal),
+            ("--wal-recover", self.wal_recover),
+            ("--deadline-ms", self.deadline_ms.is_some()),
+        ];
+        for flag in honoured {
+            assert!(given.iter().any(|(f, _)| f == flag), "{flag} is not an optional flag");
         }
-    }
-
-    /// Aborts with a usage error if `--wal`/`--wal-recover` was given to a
-    /// binary that does not run the incremental-ingest path — only
-    /// fig09_realdata_vary_objects appends to a live store, and silently
-    /// ignoring the flag would let the user believe the WAL was exercised.
-    pub fn reject_wal_flags(&self, binary: &str) {
-        if self.wal || self.wal_recover {
-            usage_and_exit(&format!(
-                "{binary} does not support --wal/--wal-recover; only \
-                 fig09_realdata_vary_objects runs the incremental-ingest path"
-            ));
-        }
-    }
-
-    /// Aborts with a usage error if `--deadline-ms` was given to a binary
-    /// that does not run its queries under a budget — only the efficiency
-    /// figures (fig06/fig08/fig09) do, and silently ignoring the flag would
-    /// let the user believe the reported timings were deadline-bounded.
-    pub fn reject_deadline_flag(&self, binary: &str) {
-        if self.deadline_ms.is_some() {
-            usage_and_exit(&format!(
-                "{binary} does not support --deadline-ms; only the efficiency figures \
-                 (fig06/fig08/fig09) run queries under a budget"
-            ));
-        }
+        given.into_iter().find(|&(flag, set)| set && !honoured.contains(&flag)).map(|(f, _)| f)
     }
 
     /// Aborts with a usage error unless the WAL flags form a runnable fig09
@@ -174,9 +154,9 @@ impl RunSettings {
         }
     }
 
-    /// The [`ust_core::QueryBudget`] the efficiency figures run each query
-    /// under: deadline-only when `--deadline-ms` was given, unlimited
-    /// otherwise.
+    /// The [`ust_core::QueryBudget`] the efficiency figures put into their
+    /// measured engine's configuration: deadline-only when `--deadline-ms`
+    /// was given, unlimited otherwise.
     pub fn query_budget(&self) -> ust_core::QueryBudget {
         match self.deadline_ms {
             Some(ms) => ust_core::QueryBudget::default().with_deadline_ms(ms),
@@ -351,6 +331,40 @@ mod tests {
         let s = parse(&[]);
         assert_eq!(s.deadline_ms, None);
         assert!(s.query_budget().is_unlimited());
+    }
+
+    #[test]
+    fn every_optional_flag_is_checked_against_the_declaration() {
+        let cases: [(&[&str], &str); 8] = [
+            (&["--threads", "2"], "--threads"),
+            (&["--build-threads", "2"], "--build-threads"),
+            (&["--csv", "x.csv"], "--csv"),
+            (&["--objects", "4"], "--objects"),
+            (&["--store", "x.ustore"], "--store"),
+            (&["--wal"], "--wal"),
+            (&["--wal-recover"], "--wal-recover"),
+            (&["--deadline-ms", "0"], "--deadline-ms"),
+        ];
+        for (args, flag) in cases {
+            let s = parse(args);
+            assert_eq!(s.unhonoured_flag(&[]), Some(flag), "{flag} given, nothing honoured");
+            assert_eq!(s.unhonoured_flag(&[flag]), None, "{flag} given and honoured");
+            let others: Vec<&str> = cases.iter().map(|&(_, f)| f).filter(|f| f != &flag).collect();
+            assert_eq!(s.unhonoured_flag(&others), Some(flag), "{flag} is not any other flag");
+        }
+        // The common flags need no declaration.
+        let common = parse(&["--quick", "--seed", "3", "--json", "out.json", "--bench"]);
+        assert_eq!(common.unhonoured_flag(&[]), None);
+        // The first unhonoured flag, in declaration order, is the one reported.
+        let two = parse(&["--deadline-ms", "5", "--threads", "1"]);
+        assert_eq!(two.unhonoured_flag(&["--build-threads"]), Some("--threads"));
+        assert_eq!(two.unhonoured_flag(&["--threads"]), Some("--deadline-ms"));
+    }
+
+    #[test]
+    #[should_panic(expected = "--thread is not an optional flag")]
+    fn a_misspelt_declaration_panics() {
+        parse(&[]).unhonoured_flag(&["--thread"]);
     }
 
     #[test]

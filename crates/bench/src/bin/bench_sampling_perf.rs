@@ -15,11 +15,7 @@ use ust_bench::perf::{measure_sampling_perf, SamplingPerfConfig};
 use ust_bench::{RunScale, RunSettings};
 
 fn main() {
-    let settings = RunSettings::from_env();
-    settings.reject_ingest_flags("bench_sampling_perf");
-    settings.reject_store_flag("bench_sampling_perf");
-    settings.reject_wal_flags("bench_sampling_perf");
-    settings.reject_deadline_flag("bench_sampling_perf");
+    let settings = RunSettings::from_env(&[]);
     let cfg = match settings.scale {
         RunScale::Quick => SamplingPerfConfig::quick(settings.seed),
         // The snapshot has no paper-scale variant: the trajectory tracks the

@@ -14,7 +14,7 @@
 //! match the fresh engine's; store size and load time land in the meta.
 
 use ust_bench::datasets::{build_queries, build_synthetic, ScaleParams};
-use ust_bench::efficiency::{measure_ts_phase, try_measure_efficiency_on};
+use ust_bench::efficiency::{measure_efficiency, measure_ts_phase};
 use ust_bench::errors::exit_failure;
 use ust_bench::storecheck::store_roundtrip_check;
 use ust_bench::{ExperimentReport, Row, RunScale, RunSettings};
@@ -22,10 +22,8 @@ use ust_core::prepare::resolve_adaptation_threads;
 use ust_core::{EngineConfig, QueryEngine};
 
 fn main() {
-    let settings = RunSettings::from_env();
-    settings.reject_ingest_flags("fig06_vary_states");
-    settings.reject_wal_flags("fig06_vary_states");
-    let budget = settings.query_budget();
+    let settings =
+        RunSettings::from_env(&["--threads", "--build-threads", "--store", "--deadline-ms"]);
     let params = ScaleParams::for_scale(settings.scale);
     let threads = resolve_adaptation_threads(settings.adaptation_threads.unwrap_or(0));
     let build_threads = settings.build_threads.unwrap_or(0);
@@ -51,9 +49,11 @@ fn main() {
         eprintln!("[fig06] N = {n} (TS threads: {threads})");
         let dataset = build_synthetic(&params, n, params.branching, params.num_objects, settings.seed);
         let queries = build_queries(&dataset, &params, settings.seed);
-        // One engine (and one UST-tree build) serves both measurements: the
-        // serial TS baseline first — no Monte-Carlo refinement — then the
-        // full parallel measurement.
+        // One UST-tree build serves both measurements: the serial TS
+        // baseline first — a one-thread engine over the shared index, no
+        // Monte-Carlo refinement and no budget — then the full parallel
+        // measurement under the `--deadline-ms` budget. The store check
+        // replays with `config`, which carries no budget either.
         let config = EngineConfig {
             num_samples: params.num_samples,
             seed: settings.seed,
@@ -61,12 +61,23 @@ fn main() {
             index_build_threads: build_threads,
             ..Default::default()
         };
-        let engine = QueryEngine::new(&dataset.database, config.clone());
+        let engine = QueryEngine::new(
+            &dataset.database,
+            EngineConfig { budget: settings.query_budget(), ..config.clone() },
+        );
         let build = *engine.index_build_stats().expect("filter step enabled");
         report.set_meta(format!("index_build_seconds_n{n}"), build.build_time.as_secs_f64());
         report.set_meta(format!("reach_memo_hits_n{n}"), build.reach_memo_hits as f64);
-        let ts_serial = measure_ts_phase(&engine, &queries, 1);
-        let m = match try_measure_efficiency_on(&engine, &queries, &budget) {
+        let serial = QueryEngine::with_index(
+            &dataset.database,
+            engine.shared_index().expect("filter step enabled"),
+            EngineConfig { adaptation_threads: 1, ..config.clone() },
+        );
+        let ts_serial = match measure_ts_phase(&serial, &queries) {
+            Ok(ts) => ts,
+            Err(error) => exit_failure("fig06_vary_states", "serial TS baseline", &error),
+        };
+        let m = match measure_efficiency(&engine, &queries) {
             Ok(m) => m,
             Err(error) => exit_failure("fig06_vary_states", "query budget breached", &error),
         };

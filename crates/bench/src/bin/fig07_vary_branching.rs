@@ -5,15 +5,13 @@
 
 use ust_bench::datasets::{build_queries, build_synthetic, ScaleParams};
 use ust_bench::efficiency::measure_efficiency;
+use ust_bench::errors::exit_failure;
 use ust_bench::{ExperimentReport, Row, RunSettings};
 use ust_core::prepare::resolve_adaptation_threads;
+use ust_core::{EngineConfig, QueryEngine};
 
 fn main() {
-    let settings = RunSettings::from_env();
-    settings.reject_ingest_flags("fig07_vary_branching");
-    settings.reject_store_flag("fig07_vary_branching");
-    settings.reject_wal_flags("fig07_vary_branching");
-    settings.reject_deadline_flag("fig07_vary_branching");
+    let settings = RunSettings::from_env(&["--threads"]);
     let params = ScaleParams::for_scale(settings.scale);
     // The paper's TS series is a *serial* adaptation time, so this figure
     // defaults to one TS worker for comparability across machines; parallel
@@ -32,7 +30,17 @@ fn main() {
         let dataset =
             build_synthetic(&params, params.num_states, b, params.num_objects, settings.seed);
         let queries = build_queries(&dataset, &params, settings.seed);
-        let m = measure_efficiency(&dataset, &queries, params.num_samples, settings.seed, threads);
+        let config = EngineConfig {
+            num_samples: params.num_samples,
+            seed: settings.seed,
+            adaptation_threads: threads,
+            ..Default::default()
+        };
+        let engine = QueryEngine::new(&dataset.database, config);
+        let m = match measure_efficiency(&engine, &queries) {
+            Ok(m) => m,
+            Err(error) => exit_failure("fig07_vary_branching", "query evaluation", &error),
+        };
         report.push(
             Row::new(format!("b={b}"))
                 .with("TS", m.ts_seconds)

@@ -14,7 +14,7 @@
 //! match the fresh engine's; store size and load time land in the meta.
 
 use ust_bench::datasets::{build_queries, build_synthetic, ScaleParams};
-use ust_bench::efficiency::try_measure_efficiency_on;
+use ust_bench::efficiency::measure_efficiency;
 use ust_bench::errors::exit_failure;
 use ust_bench::storecheck::store_roundtrip_check;
 use ust_bench::{ExperimentReport, Row, RunScale, RunSettings};
@@ -22,10 +22,8 @@ use ust_core::prepare::resolve_adaptation_threads;
 use ust_core::{EngineConfig, QueryEngine};
 
 fn main() {
-    let settings = RunSettings::from_env();
-    settings.reject_ingest_flags("fig08_vary_objects");
-    settings.reject_wal_flags("fig08_vary_objects");
-    let budget = settings.query_budget();
+    let settings =
+        RunSettings::from_env(&["--threads", "--build-threads", "--store", "--deadline-ms"]);
     let params = ScaleParams::for_scale(settings.scale);
     // The paper's TS series is a *serial* adaptation time, so this figure
     // defaults to one TS worker for comparability across machines; parallel
@@ -55,6 +53,8 @@ fn main() {
         eprintln!("[fig08] |D| = {d}");
         let dataset = build_synthetic(&params, params.num_states, params.branching, d, settings.seed);
         let queries = build_queries(&dataset, &params, settings.seed);
+        // The measured engine runs under the `--deadline-ms` budget; the
+        // store check replays with `config`, which carries none.
         let config = EngineConfig {
             num_samples: params.num_samples,
             seed: settings.seed,
@@ -62,9 +62,12 @@ fn main() {
             index_build_threads: build_threads,
             ..Default::default()
         };
-        let engine = QueryEngine::new(&dataset.database, config.clone());
+        let engine = QueryEngine::new(
+            &dataset.database,
+            EngineConfig { budget: settings.query_budget(), ..config.clone() },
+        );
         let build = *engine.index_build_stats().expect("filter step enabled");
-        let m = match try_measure_efficiency_on(&engine, &queries, &budget) {
+        let m = match measure_efficiency(&engine, &queries) {
             Ok(m) => m,
             Err(error) => exit_failure("fig08_vary_objects", "query budget breached", &error),
         };

@@ -32,7 +32,7 @@
 //!   the cross-process crash-recovery smoke CI runs on every push.
 
 use ust_bench::datasets::{build_queries, build_taxi, ScaleParams};
-use ust_bench::efficiency::{try_measure_efficiency, try_measure_efficiency_on};
+use ust_bench::efficiency::measure_efficiency;
 use ust_bench::errors::{exit_failure, report_skipped_rows};
 use ust_bench::ingest::{ingest_taxi_path, take_objects, IngestedTaxi};
 use ust_bench::storecheck::store_roundtrip_check;
@@ -45,7 +45,15 @@ use ust_generator::Dataset;
 const BINARY: &str = "fig09_realdata_vary_objects";
 
 fn main() {
-    let settings = RunSettings::from_env();
+    let settings = RunSettings::from_env(&[
+        "--threads",
+        "--csv",
+        "--objects",
+        "--store",
+        "--wal",
+        "--wal-recover",
+        "--deadline-ms",
+    ]);
     settings.validate_wal_mode();
     if settings.store_path.is_some() && settings.csv_path.is_none() {
         exit_failure(
@@ -86,7 +94,6 @@ fn run_simulated(settings: &RunSettings, params: &ScaleParams, threads: usize) -
          (paper: Figure 9; series TS/FA/EX in seconds, |C(q)|/|I(q)| in objects)",
     )
     .with_meta("adaptation_threads", threads as f64);
-    let budget = settings.query_budget();
     if let Some(ms) = settings.deadline_ms {
         report.set_meta("deadline_ms", ms as f64);
     }
@@ -96,14 +103,15 @@ fn run_simulated(settings: &RunSettings, params: &ScaleParams, threads: usize) -
         eprintln!("[fig09] |D| = {d}");
         let dataset = build_taxi(params, d, settings.seed);
         let queries = build_queries(&dataset, params, settings.seed);
-        let m = match try_measure_efficiency(
-            &dataset,
-            &queries,
-            params.num_samples,
-            settings.seed,
-            threads,
-            &budget,
-        ) {
+        let config = EngineConfig {
+            num_samples: params.num_samples,
+            seed: settings.seed,
+            adaptation_threads: threads,
+            budget: settings.query_budget(),
+            ..Default::default()
+        };
+        let engine = QueryEngine::new(&dataset.database, config);
+        let m = match measure_efficiency(&engine, &queries) {
             Ok(m) => m,
             Err(error) => exit_failure(BINARY, "query budget breached", &error),
         };
@@ -177,7 +185,6 @@ fn run_ingested(
     .with_meta("ingested_observations", summary.observations as f64)
     .with_meta("mean_observations", summary.mean_observations())
     .with_meta("dropped_fixes", ingested.match_stats.dropped_fixes() as f64);
-    let budget = settings.query_budget();
     if let Some(ms) = settings.deadline_ms {
         report.set_meta("deadline_ms", ms as f64);
     }
@@ -200,17 +207,20 @@ fn run_ingested(
             ground_truth: Default::default(),
         };
         let queries = build_queries(&dataset, params, settings.seed);
-        // Built explicitly (instead of inside `try_measure_efficiency`) so
-        // the store/WAL checks below can reuse the engine and its exact
-        // configuration for their digest comparisons.
+        // The measured engine runs under the `--deadline-ms` budget; the
+        // store/WAL checks below replay with `config`, which carries none,
+        // for their digest comparisons.
         let config = EngineConfig {
             num_samples: params.num_samples,
             seed: settings.seed,
             adaptation_threads: threads,
             ..Default::default()
         };
-        let engine = QueryEngine::new(&dataset.database, config.clone());
-        let m = match try_measure_efficiency_on(&engine, &queries, &budget) {
+        let engine = QueryEngine::new(
+            &dataset.database,
+            EngineConfig { budget: settings.query_budget(), ..config.clone() },
+        );
+        let m = match measure_efficiency(&engine, &queries) {
             Ok(m) => m,
             Err(error) => exit_failure(BINARY, "query budget breached", &error),
         };

@@ -11,11 +11,7 @@ use ust_bench::sampling_efficiency::{measure_sampling_efficiency, SamplingEffici
 use ust_bench::{ExperimentReport, Row, RunScale, RunSettings};
 
 fn main() {
-    let settings = RunSettings::from_env();
-    settings.reject_ingest_flags("fig10_sampling_efficiency");
-    settings.reject_store_flag("fig10_sampling_efficiency");
-    settings.reject_wal_flags("fig10_sampling_efficiency");
-    settings.reject_deadline_flag("fig10_sampling_efficiency");
+    let settings = RunSettings::from_env(&[]);
     let cfg = match settings.scale {
         RunScale::Quick => SamplingEfficiencyConfig {
             num_states: 500,

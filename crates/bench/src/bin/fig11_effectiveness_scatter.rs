@@ -13,11 +13,7 @@ use ust_bench::{ExperimentReport, Row, RunScale, RunSettings};
 use ust_generator::{QueryWorkload, QueryWorkloadConfig};
 
 fn main() {
-    let settings = RunSettings::from_env();
-    settings.reject_ingest_flags("fig11_effectiveness_scatter");
-    settings.reject_store_flag("fig11_effectiveness_scatter");
-    settings.reject_wal_flags("fig11_effectiveness_scatter");
-    settings.reject_deadline_flag("fig11_effectiveness_scatter");
+    let settings = RunSettings::from_env(&[]);
     let mut params = ScaleParams::for_scale(settings.scale);
     // The paper uses v = 0.2 and |T| = 5 for this experiment.
     params.lag = 0.2;

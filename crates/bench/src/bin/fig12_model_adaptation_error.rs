@@ -15,11 +15,7 @@ use ust_bench::{ExperimentReport, RunScale, RunSettings};
 use ust_core::prepare::resolve_adaptation_threads;
 
 fn main() {
-    let settings = RunSettings::from_env();
-    settings.reject_ingest_flags("fig12_model_adaptation_error");
-    settings.reject_store_flag("fig12_model_adaptation_error");
-    settings.reject_wal_flags("fig12_model_adaptation_error");
-    settings.reject_deadline_flag("fig12_model_adaptation_error");
+    let settings = RunSettings::from_env(&["--threads"]);
     let params = ScaleParams::for_scale(settings.scale);
     let threads = resolve_adaptation_threads(settings.adaptation_threads.unwrap_or(0));
     let (num_objects, max_evaluated) = match settings.scale {

@@ -18,11 +18,7 @@ use ust_bench::{ExperimentReport, Row, RunScale, RunSettings};
 use ust_core::prepare::resolve_adaptation_threads;
 
 fn main() {
-    let settings = RunSettings::from_env();
-    settings.reject_ingest_flags("fig13_pcnn_vary_objects");
-    settings.reject_store_flag("fig13_pcnn_vary_objects");
-    settings.reject_wal_flags("fig13_pcnn_vary_objects");
-    settings.reject_deadline_flag("fig13_pcnn_vary_objects");
+    let settings = RunSettings::from_env(&["--threads"]);
     let params = ScaleParams::for_scale(settings.scale);
     let threads = resolve_adaptation_threads(settings.adaptation_threads.unwrap_or(1));
     let sweep: Vec<usize> = match settings.scale {

@@ -20,11 +20,7 @@ use ust_bench::{ExperimentReport, Row, RunSettings};
 use ust_core::prepare::resolve_adaptation_threads;
 
 fn main() {
-    let settings = RunSettings::from_env();
-    settings.reject_ingest_flags("fig14_pcnn_vary_tau");
-    settings.reject_store_flag("fig14_pcnn_vary_tau");
-    settings.reject_wal_flags("fig14_pcnn_vary_tau");
-    settings.reject_deadline_flag("fig14_pcnn_vary_tau");
+    let settings = RunSettings::from_env(&["--threads"]);
     let params = ScaleParams::for_scale(settings.scale);
     let threads = resolve_adaptation_threads(settings.adaptation_threads.unwrap_or(1));
     let dataset = build_synthetic(

@@ -103,7 +103,7 @@ pub fn measure_estimate_precision(
         let sa_forall = sa_engine.pforall_nn(&query, 0.0).expect("query succeeds");
         let sa_exists = sa_engine.pexists_nn(&query, 0.0).expect("query succeeds");
         // Snapshot estimates over the influence set's adapted models.
-        let (_, influencers) = sa_engine.filter(&query).expect("filter succeeds");
+        let (_, influencers) = sa_engine.filter_knn(&query, 1).expect("filter succeeds");
         let models: Vec<_> = influencers
             .iter()
             .map(|&id| (id, sa_engine.adapted_model(id).expect("adaptation succeeds")))

@@ -10,9 +10,17 @@
 //!   (re-sampled with a warm model cache),
 //! * **|C(q)|** and **|I(q)|** — the candidate and influence set sizes after
 //!   UST-tree pruning.
+//!
+//! The harness measures the engine it is handed, under that engine's
+//! configuration. The query budget lives only in
+//! [`EngineConfig::budget`](ust_core::EngineConfig::budget): a figure that
+//! honours `--deadline-ms` puts the deadline there when it builds the
+//! measured engine, and a caller that needs another budget on the same
+//! engine changes it between runs with
+//! [`QueryEngine::set_budget`](ust_core::QueryEngine::set_budget).
 
-use ust_core::{EngineConfig, Query, QueryBudget, QueryEngine, QueryError};
-use ust_generator::{Dataset, QueryWorkload};
+use ust_core::{Query, QueryEngine, QueryError};
+use ust_generator::QueryWorkload;
 
 /// Averaged efficiency measurements over a query workload.
 #[derive(Debug, Clone, Copy, Default)]
@@ -70,61 +78,18 @@ pub fn fnv_fold(digest: u64, word: u64) -> u64 {
 /// FNV-1a offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Runs the P∀NNQ / P∃NNQ efficiency measurement over a query workload.
+/// Runs the P∀NNQ / P∃NNQ efficiency measurement over a query workload on
+/// `engine`, whose model cache is cleared before every P∀NNQ.
 ///
 /// `tau = 0` is used, as in the paper's efficiency experiments, so that no
-/// result is cut off by the threshold. `adaptation_threads` is handed to the
-/// engine's TS phase (`0` = available parallelism, `1` = the serial loop).
+/// result is cut off by the threshold. Every query runs under the engine's
+/// budget: a breach the engine cannot absorb by degrading (deadline during
+/// the filter or TS phase, exhausted caps) surfaces as the typed
+/// [`QueryError`]; sampling-phase deadline breaches degrade instead and are
+/// tallied in [`EfficiencyOutcome::degraded_queries`].
 pub fn measure_efficiency(
-    dataset: &Dataset,
-    workload: &QueryWorkload,
-    num_samples: usize,
-    seed: u64,
-    adaptation_threads: usize,
-) -> EfficiencyOutcome {
-    try_measure_efficiency(
-        dataset,
-        workload,
-        num_samples,
-        seed,
-        adaptation_threads,
-        &QueryBudget::default(),
-    )
-    .expect("query evaluation succeeds under an unlimited budget")
-}
-
-/// [`measure_efficiency`] with every query pair run under `budget` (see
-/// [`try_measure_efficiency_on`] for the breach semantics).
-pub fn try_measure_efficiency(
-    dataset: &Dataset,
-    workload: &QueryWorkload,
-    num_samples: usize,
-    seed: u64,
-    adaptation_threads: usize,
-    budget: &QueryBudget,
-) -> Result<EfficiencyOutcome, QueryError> {
-    let config = EngineConfig { num_samples, seed, adaptation_threads, ..Default::default() };
-    let engine = QueryEngine::new(&dataset.database, config);
-    try_measure_efficiency_on(&engine, workload, budget)
-}
-
-/// [`measure_efficiency`] over an existing engine (so the UST-tree built at
-/// engine construction can be shared with other measurements on the same
-/// dataset). The model cache is cleared before every P∀NNQ.
-pub fn measure_efficiency_on(engine: &QueryEngine, workload: &QueryWorkload) -> EfficiencyOutcome {
-    try_measure_efficiency_on(engine, workload, &QueryBudget::default())
-        .expect("query evaluation succeeds under an unlimited budget")
-}
-
-/// [`measure_efficiency_on`] with every query pair run under `budget`. A
-/// budget breach the engine cannot absorb by degrading (deadline during the
-/// filter or TS phase, exhausted caps) surfaces as the typed [`QueryError`];
-/// sampling-phase deadline breaches degrade instead and are tallied in
-/// [`EfficiencyOutcome::degraded_queries`].
-pub fn try_measure_efficiency_on(
     engine: &QueryEngine,
     workload: &QueryWorkload,
-    budget: &QueryBudget,
 ) -> Result<EfficiencyOutcome, QueryError> {
     let mut out = EfficiencyOutcome { digest: FNV_OFFSET, ..Default::default() };
     for spec in &workload.queries {
@@ -132,9 +97,9 @@ pub fn try_measure_efficiency_on(
             .expect("workload queries are well-formed");
         // Cold model cache: the adaptation time of this query is the TS phase.
         engine.clear_model_cache();
-        let forall = engine.pforall_nn_with_budget(&query, 0.0, budget)?;
+        let forall = engine.pforall_nn(&query, 0.0)?;
         // Warm cache: the P∃NNQ measures only the sampling/refinement cost.
-        let exists = engine.pexists_nn_with_budget(&query, 0.0, budget)?;
+        let exists = engine.pexists_nn(&query, 0.0)?;
         for outcome in [&forall, &exists] {
             out.digest = fnv_fold(out.digest, outcome.stats.candidates as u64);
             out.digest = fnv_fold(out.digest, outcome.stats.influencers as u64);
@@ -175,34 +140,27 @@ pub fn try_measure_efficiency_on(
 }
 
 /// Measures *only* the TS phase over a query workload: per query, the cache
-/// is cleared and the influence set's models are adapted cold with the given
-/// thread count; no possible world is sampled. Returns the mean cold
-/// adaptation time per query in seconds, and leaves the engine's model cache
-/// cleared.
+/// is cleared and the influence set's models are adapted cold across the
+/// engine's [`adaptation_threads`](ust_core::EngineConfig::adaptation_threads);
+/// no possible world is sampled. Returns the mean cold adaptation time per
+/// query in seconds, and leaves the engine's model cache cleared.
 ///
-/// `fig06` uses this for its serial baseline column (`TS1`) on the *same*
-/// engine as the parallel measurement, so neither the UST-tree build nor the
-/// Monte-Carlo refinement runs twice per sweep point.
-pub fn measure_ts_phase(engine: &QueryEngine, workload: &QueryWorkload, threads: usize) -> f64 {
+/// `fig06` uses this for its serial baseline column (`TS1`) on a one-thread
+/// engine that shares the measured engine's UST-tree, so neither the index
+/// build nor the Monte-Carlo refinement runs twice per sweep point.
+pub fn measure_ts_phase(engine: &QueryEngine, workload: &QueryWorkload) -> Result<f64, QueryError> {
     let mut total = 0.0;
     let mut queries = 0usize;
     for spec in &workload.queries {
         let query = Query::at_point(spec.location, spec.times.iter().copied())
             .expect("workload queries are well-formed");
-        let (_, influencers) = engine.filter(&query).expect("filter succeeds");
+        let (_, influencers) = engine.filter_knn(&query, 1)?;
         engine.clear_model_cache();
-        let outcome = engine
-            .prepare_objects_with_threads(&influencers, threads)
-            .expect("adaptation succeeds");
-        total += outcome.cold_time.as_secs_f64();
+        total += engine.prepare_objects(&influencers)?.cold_time.as_secs_f64();
         queries += 1;
     }
     engine.clear_model_cache();
-    if queries > 0 {
-        total / queries as f64
-    } else {
-        0.0
-    }
+    Ok(if queries > 0 { total / queries as f64 } else { 0.0 })
 }
 
 #[cfg(test)]
@@ -210,6 +168,11 @@ mod tests {
     use super::*;
     use crate::args::RunScale;
     use crate::datasets::{build_queries, build_synthetic, ScaleParams};
+    use ust_core::{EngineConfig, QueryBudget};
+
+    fn config(adaptation_threads: usize) -> EngineConfig {
+        EngineConfig { num_samples: 50, seed: 3, adaptation_threads, ..Default::default() }
+    }
 
     #[test]
     fn efficiency_measurement_produces_sane_numbers() {
@@ -217,7 +180,8 @@ mod tests {
         params.num_queries = 2;
         let ds = build_synthetic(&params, 600, 8.0, 40, 3);
         let queries = build_queries(&ds, &params, 3);
-        let outcome = measure_efficiency(&ds, &queries, 50, 3, 1);
+        let engine = QueryEngine::new(&ds.database, config(1));
+        let outcome = measure_efficiency(&engine, &queries).expect("unlimited budget");
         assert_eq!(outcome.queries, 2);
         assert!(outcome.ts_seconds >= 0.0);
         assert!(outcome.fa_seconds > 0.0);
@@ -235,8 +199,12 @@ mod tests {
         params.num_queries = 1;
         let ds = build_synthetic(&params, 600, 8.0, 40, 3);
         let queries = build_queries(&ds, &params, 3);
-        let serial = measure_efficiency(&ds, &queries, 50, 3, 1);
-        let parallel = measure_efficiency(&ds, &queries, 50, 3, 4);
+        let measure = |threads| {
+            let engine = QueryEngine::new(&ds.database, config(threads));
+            measure_efficiency(&engine, &queries).expect("unlimited budget")
+        };
+        let serial = measure(1);
+        let parallel = measure(4);
         assert_eq!(serial.candidates, parallel.candidates);
         assert_eq!(serial.influencers, parallel.influencers);
         assert_eq!(serial.cold_adaptations, parallel.cold_adaptations);
@@ -245,13 +213,33 @@ mod tests {
     }
 
     #[test]
+    fn measurement_runs_under_the_engine_budget() {
+        let mut params = ScaleParams::for_scale(RunScale::Quick);
+        params.num_queries = 1;
+        let ds = build_synthetic(&params, 600, 8.0, 40, 3);
+        let queries = build_queries(&ds, &params, 3);
+        let deadline = QueryBudget::unlimited().with_deadline_ms(0);
+        let mut engine =
+            QueryEngine::new(&ds.database, EngineConfig { budget: deadline, ..config(1) });
+        let err = measure_efficiency(&engine, &queries).expect_err("a zero deadline trips");
+        assert!(matches!(err, QueryError::DeadlineExceeded { .. }), "got {err:?}");
+        assert!(measure_ts_phase(&engine, &queries).is_err(), "the TS harness is governed too");
+        engine.set_budget(QueryBudget::unlimited());
+        let lifted = measure_efficiency(&engine, &queries).expect("the same engine recovers");
+        assert_eq!(lifted.degraded_queries, 0);
+    }
+
+    #[test]
     fn ts_only_measurement_runs_without_sampling() {
         let mut params = ScaleParams::for_scale(RunScale::Quick);
         params.num_queries = 2;
         let ds = build_synthetic(&params, 600, 8.0, 40, 3);
         let queries = build_queries(&ds, &params, 3);
-        let engine = QueryEngine::new(&ds.database, EngineConfig::with_samples(1));
-        let ts = measure_ts_phase(&engine, &queries, 1);
+        let engine = QueryEngine::new(
+            &ds.database,
+            EngineConfig { adaptation_threads: 1, ..EngineConfig::with_samples(1) },
+        );
+        let ts = measure_ts_phase(&engine, &queries).expect("unlimited budget");
         assert!(ts >= 0.0);
         assert_eq!(engine.cached_models(), 0, "the cache is left cleared");
     }

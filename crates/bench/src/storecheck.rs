@@ -8,7 +8,7 @@
 //! report answers "what does the store cost and what does it save" — the
 //! load should be a few percent of the build it replaces.
 
-use crate::efficiency::{measure_efficiency_on, EfficiencyOutcome};
+use crate::efficiency::{measure_efficiency, EfficiencyOutcome};
 use crate::errors::exit_failure;
 use crate::report::ExperimentReport;
 use ust_core::{EngineConfig, EngineStore, QueryEngine};
@@ -23,8 +23,10 @@ pub fn store_point_path(base: &str, point: &str) -> String {
 }
 
 /// Saves `engine`'s state to [`store_point_path`]`(base, point)`, cold-starts
-/// an engine from the written store, re-measures the workload on it and
-/// verifies the result digest matches the `fresh` measurement bit-for-bit.
+/// an engine from the written store with `config`, re-measures the workload
+/// on it and verifies the result digest matches the `fresh` measurement
+/// bit-for-bit. The figures pass a `config` without their `--deadline-ms`
+/// budget, so the replay always runs to completion.
 /// Writes `store_bytes_<point>`, `store_sections_<point>` and
 /// `store_load_seconds_<point>` into the report meta. Any failure — write,
 /// load, or a digest mismatch — is fatal via [`exit_failure`].
@@ -49,7 +51,10 @@ pub fn store_roundtrip_check(
         Err(e) => exit_failure(binary, &format!("cannot load store {path}"), &e),
     };
     let cold = store.engine(config);
-    let replay = measure_efficiency_on(&cold, workload);
+    let replay = match measure_efficiency(&cold, workload) {
+        Ok(replay) => replay,
+        Err(e) => exit_failure(binary, &format!("replay of store {path}"), &e),
+    };
     if replay.digest != fresh.digest {
         exit_failure(
             binary,

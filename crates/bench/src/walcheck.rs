@@ -12,7 +12,7 @@
 //! the same digests, which is exactly the crash-recovery contract of
 //! DESIGN.md §10 exercised across a real process boundary.
 
-use crate::efficiency::measure_efficiency_on;
+use crate::efficiency::measure_efficiency;
 use crate::errors::exit_failure;
 use crate::report::ExperimentReport;
 use crate::storecheck::store_point_path;
@@ -104,7 +104,10 @@ pub fn wal_ingest_check(
         Err(e) => exit_failure(binary, &format!("cannot append to store {path}"), &e),
     };
     let grown = store.engine(config);
-    let replay = measure_efficiency_on(&grown, workload);
+    let replay = match measure_efficiency(&grown, workload) {
+        Ok(replay) => replay,
+        Err(e) => exit_failure(binary, &format!("replay of store {path}"), &e),
+    };
     if replay.digest != fresh_digest {
         exit_failure(
             binary,
@@ -154,7 +157,10 @@ pub fn wal_recover_check(
         );
     }
     let recovered = store.engine(config);
-    let replay = measure_efficiency_on(&recovered, workload);
+    let replay = match measure_efficiency(&recovered, workload) {
+        Ok(replay) => replay,
+        Err(e) => exit_failure(binary, &format!("replay of recovered store {path}"), &e),
+    };
     if replay.digest != fresh_digest {
         exit_failure(
             binary,
@@ -175,7 +181,7 @@ mod tests {
     use super::*;
     use crate::args::RunScale;
     use crate::datasets::{build_queries, build_synthetic, ScaleParams};
-    use crate::efficiency::measure_efficiency;
+    use ust_core::EngineConfig;
 
     #[test]
     fn holdback_splits_tails_and_restores_through_append() {
@@ -200,13 +206,13 @@ mod tests {
             grown.append_observations(*id, obs).expect("the holdback batch applies");
         }
         let queries = build_queries(&ds, &params, 7);
-        let full = measure_efficiency(&ds, &queries, 30, 7, 1);
-        let regrown_ds = ust_generator::Dataset {
-            network: ds.network.clone(),
-            database: grown,
-            ground_truth: Default::default(),
+        let config =
+            EngineConfig { num_samples: 30, seed: 7, adaptation_threads: 1, ..Default::default() };
+        let measure = |db| {
+            measure_efficiency(&QueryEngine::new(db, config.clone()), &queries).expect("unlimited")
         };
-        let regrown = measure_efficiency(&regrown_ds, &queries, 30, 7, 1);
+        let full = measure(&ds.database);
+        let regrown = measure(&grown);
         assert_eq!(full.digest, regrown.digest, "holdback + append is lossless");
     }
 }

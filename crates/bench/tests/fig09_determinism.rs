@@ -86,7 +86,14 @@ fn fig09_measurement_is_identical_across_runs_and_thread_counts() {
     let run = |threads: usize| {
         let ingested = ingest();
         let queries = build_queries(&ingested.dataset, &params, 0);
-        measure_efficiency(&ingested.dataset, &queries, params.num_samples, 0, threads)
+        let config = EngineConfig {
+            num_samples: params.num_samples,
+            seed: 0,
+            adaptation_threads: threads,
+            ..Default::default()
+        };
+        let engine = QueryEngine::new(&ingested.dataset.database, config);
+        measure_efficiency(&engine, &queries).expect("unlimited budget")
     };
     let a = run(1);
     let b = run(1); // identical re-run, fresh ingest

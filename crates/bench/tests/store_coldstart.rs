@@ -8,7 +8,7 @@ use std::path::PathBuf;
 
 use ust_bench::args::RunScale;
 use ust_bench::datasets::{build_queries, build_synthetic, ScaleParams};
-use ust_bench::efficiency::measure_efficiency_on;
+use ust_bench::efficiency::measure_efficiency;
 use ust_core::{EngineConfig, EngineStore, QueryEngine};
 
 fn quick_params() -> ScaleParams {
@@ -36,7 +36,7 @@ fn cold_started_engine_answers_byte_identically() {
             ..Default::default()
         };
         let fresh = QueryEngine::new(&dataset.database, config.clone());
-        let fresh_m = measure_efficiency_on(&fresh, &queries);
+        let fresh_m = measure_efficiency(&fresh, &queries).expect("unlimited budget");
         assert_ne!(fresh_m.digest, 0);
 
         let path = store_path(&format!("t{threads}"));
@@ -50,7 +50,7 @@ fn cold_started_engine_answers_byte_identically() {
         assert!(store.index().is_some(), "the tree must survive the trip");
 
         let cold = store.engine(config);
-        let cold_m = measure_efficiency_on(&cold, &queries);
+        let cold_m = measure_efficiency(&cold, &queries).expect("unlimited budget");
         assert_eq!(
             fresh_m.digest, cold_m.digest,
             "cold-started engine diverged at {threads} TS threads"
@@ -82,7 +82,7 @@ fn cold_started_engine_without_index_still_matches() {
         ..Default::default()
     };
     let fresh = QueryEngine::new(&dataset.database, config.clone());
-    let fresh_m = measure_efficiency_on(&fresh, &queries);
+    let fresh_m = measure_efficiency(&fresh, &queries).expect("unlimited budget");
 
     // Save from an indexed engine so the store genuinely carries a TREE
     // section that the cold start then has to skip.
@@ -94,6 +94,6 @@ fn cold_started_engine_without_index_still_matches() {
     std::fs::remove_file(&path).ok();
 
     let cold = store.engine(config);
-    let cold_m = measure_efficiency_on(&cold, &queries);
+    let cold_m = measure_efficiency(&cold, &queries).expect("unlimited budget");
     assert_eq!(fresh_m.digest, cold_m.digest, "index-free cold start diverged");
 }

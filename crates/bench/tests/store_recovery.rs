@@ -29,7 +29,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use ust_bench::args::RunScale;
 use ust_bench::datasets::{build_queries, build_synthetic, ScaleParams};
-use ust_bench::efficiency::measure_efficiency_on;
+use ust_bench::efficiency::measure_efficiency;
 use ust_bench::walcheck::split_holdback;
 use ust_core::{EngineConfig, EngineStore, Query, QueryEngine};
 use ust_fault::{fired, FaultPlan};
@@ -79,10 +79,15 @@ fn assert_from_scratch_tree(store: &EngineStore, full: &UstTree, context: &str) 
     tree.check_invariants().unwrap_or_else(|e| panic!("{context}: {e}"));
 }
 
+/// The result digest of the efficiency workload on `engine`.
+fn digest_of(engine: &QueryEngine, queries: &QueryWorkload) -> u64 {
+    measure_efficiency(engine, queries).expect("unlimited budget").digest
+}
+
 /// The from-scratch digest over `db`: what a crash-free engine answers.
 fn fresh_digest(db: &TrajectoryDatabase, queries: &QueryWorkload, threads: usize) -> u64 {
     let engine = QueryEngine::new(db, engine_config(threads));
-    measure_efficiency_on(&engine, queries).digest
+    digest_of(&engine, queries)
 }
 
 /// Peels `n` single-observation batches off the tails of `db`'s objects:
@@ -147,8 +152,7 @@ fn appends_survive_kill_and_reopen_at_every_thread_count() {
         let recovered = EngineStore::load(&path).expect("recovery load succeeds");
         assert!(recovered.index().is_none(), "batch {k}: replay leaves the tree stale");
         for (i, &threads) in [1usize, 2].iter().enumerate() {
-            let digest =
-                measure_efficiency_on(&recovered.engine(engine_config(threads)), &queries).digest;
+            let digest = digest_of(&recovered.engine(engine_config(threads)), &queries);
             assert_eq!(
                 digest, stage_digests[k][i],
                 "batch {k}: recovered digest diverges at {threads} TS threads"
@@ -169,7 +173,7 @@ fn appends_survive_kill_and_reopen_at_every_thread_count() {
     // store starts with a current tree over the whole database.
     let full_tree = UstTree::build(&dataset.database);
     assert_from_scratch_tree(&reloaded, &full_tree, "checkpointed store");
-    let digest = measure_efficiency_on(&reloaded.engine(engine_config(1)), &queries).digest;
+    let digest = digest_of(&reloaded.engine(engine_config(1)), &queries);
     assert_eq!(digest, full[0], "the checkpointed store answers like the original");
     cleanup(&path);
 }
@@ -188,7 +192,7 @@ fn appends_invalidate_stale_adapted_models() {
     let path = store_path("stale_models");
     cleanup(&path);
     let pre_engine = QueryEngine::new(&pre, engine_config(1));
-    measure_efficiency_on(&pre_engine, &queries);
+    measure_efficiency(&pre_engine, &queries).expect("unlimited budget");
     let spec = &queries.queries[0];
     let query = Query::at_point(spec.location, spec.times.iter().copied()).expect("valid query");
     pre_engine.pforall_nn(&query, 0.0).expect("warm-up query succeeds");
@@ -209,7 +213,7 @@ fn appends_invalidate_stale_adapted_models() {
 
     // ...and a query on the minted engine — whose cache starts pre-warmed
     // with the surviving stored models, nothing cleared — answers exactly
-    // like a fresh engine over the grown data. (`measure_efficiency_on`
+    // like a fresh engine over the grown data. (`measure_efficiency`
     // clears the cache per query, so it could not catch a stale preload;
     // this direct query does.)
     let grown = store.engine(engine_config(1));
@@ -302,7 +306,7 @@ fn crash_matrix_recovers_pre_or_post_state_for_every_fault_point() {
         // engine — never a third state, never a panic, never a corrupt load.
         let recovered = EngineStore::load(&path)
             .unwrap_or_else(|e| panic!("{point}: the store no longer loads: {e:?}"));
-        let digest = measure_efficiency_on(&recovered.engine(engine_config(1)), &queries).digest;
+        let digest = digest_of(&recovered.engine(engine_config(1)), &queries);
         assert!(
             digest == pre_digest || digest == post_digest,
             "{point}: recovered to a third state (digest {digest:#x})"
@@ -327,7 +331,7 @@ fn crash_matrix_recovers_pre_or_post_state_for_every_fault_point() {
         let settled = EngineStore::load(&path).expect("the settled store loads");
         assert_eq!(settled.wal_stats().frames, 0, "{point}: the checkpoint retired the WAL");
         assert!(settled.index().is_some(), "{point}: the checkpoint wrote the tree");
-        let digest = measure_efficiency_on(&settled.engine(engine_config(1)), &queries).digest;
+        let digest = digest_of(&settled.engine(engine_config(1)), &queries);
         assert_eq!(digest, post_digest, "{point}: the disarmed cycle must land on post");
         assert_from_scratch_tree(&settled, &post_tree, &format!("{point}: settled"));
     }

@@ -20,7 +20,7 @@
 use crate::govern::{
     BudgetGauge, QueryBudget, QueryPhase, Verdict, FILTER_CHECK_INTERVAL, WORLD_CHECK_INTERVAL,
 };
-use crate::pcnn::{vertical_timesets_governed, PcnnConfig, PcnnResult, WorldSet};
+use crate::pcnn::{vertical_timesets, PcnnConfig, PcnnResult, WorldSet};
 use crate::prepare::{
     adapt_batch_governed, parallel_map_ordered, AdaptationCache, CacheStats, PrepareOutcome,
 };
@@ -74,10 +74,13 @@ pub struct EngineConfig {
     /// [`ust_index::UstTreeConfig::build_threads`]); only build wall-clock
     /// time changes.
     pub index_build_threads: usize,
-    /// The [`QueryBudget`] every evaluation on this engine runs under by
-    /// default. The default is unlimited — exactly the pre-governance
-    /// behaviour. The `*_with_budget` entry points override it per call; the
-    /// degradation contract is documented in [`crate::govern`].
+    /// The [`QueryBudget`] every evaluation on this engine runs under: each
+    /// query method, [`QueryEngine::filter_knn`] and
+    /// [`QueryEngine::prepare_objects`]. It is the only budget — there is no
+    /// per-call override; change it between queries with
+    /// [`QueryEngine::set_budget`]. The default is unlimited, exactly the
+    /// pre-governance behaviour. The degradation contract is documented in
+    /// [`crate::govern`].
     pub budget: QueryBudget,
 }
 
@@ -100,31 +103,6 @@ impl EngineConfig {
     /// Convenience constructor overriding the number of sampled worlds.
     pub fn with_samples(num_samples: usize) -> Self {
         EngineConfig { num_samples, ..Default::default() }
-    }
-
-    /// Returns the configuration with the TS-phase thread count overridden
-    /// (builder style).
-    pub fn with_adaptation_threads(self, adaptation_threads: usize) -> Self {
-        EngineConfig { adaptation_threads, ..self }
-    }
-
-    /// Returns the configuration with the PCNN lattice thread count
-    /// overridden (builder style).
-    pub fn with_pcnn_threads(self, pcnn_threads: usize) -> Self {
-        EngineConfig { pcnn_threads, ..self }
-    }
-
-    /// Returns the configuration with the UST-tree build thread count
-    /// overridden (builder style).
-    pub fn with_index_build_threads(self, index_build_threads: usize) -> Self {
-        EngineConfig { index_build_threads, ..self }
-    }
-
-    /// Returns the configuration with the default query budget overridden
-    /// (builder style).
-    #[must_use]
-    pub fn with_budget(self, budget: QueryBudget) -> Self {
-        EngineConfig { budget, ..self }
     }
 }
 
@@ -161,9 +139,12 @@ impl<'a> QueryEngine<'a> {
     /// the filter step (the build fans out across
     /// [`EngineConfig::index_build_threads`] workers).
     pub fn new(db: &'a TrajectoryDatabase, config: EngineConfig) -> Self {
-        let tree_cfg =
-            UstTreeConfig { build_threads: config.index_build_threads, ..Default::default() };
-        Self::with_index_config(db, config, &tree_cfg)
+        let index = config.use_index.then(|| {
+            let tree_cfg =
+                UstTreeConfig { build_threads: config.index_build_threads, ..Default::default() };
+            Arc::new(UstTree::build_with(db, &tree_cfg))
+        });
+        QueryEngine { db, index, config, cache: AdaptationCache::new() }
     }
 
     /// Creates an engine reusing a pre-built UST-tree. The `Arc` makes the
@@ -175,17 +156,6 @@ impl<'a> QueryEngine<'a> {
         config: EngineConfig,
     ) -> Self {
         QueryEngine { db, index: Some(index), config, cache: AdaptationCache::new() }
-    }
-
-    /// Creates an engine with a custom UST-tree configuration.
-    pub fn with_index_config(
-        db: &'a TrajectoryDatabase,
-        config: EngineConfig,
-        tree_cfg: &UstTreeConfig,
-    ) -> Self {
-        let index =
-            if config.use_index { Some(Arc::new(UstTree::build_with(db, tree_cfg))) } else { None };
-        QueryEngine { db, index, config, cache: AdaptationCache::new() }
     }
 
     /// The underlying database.
@@ -257,6 +227,14 @@ impl<'a> QueryEngine<'a> {
         &self.config
     }
 
+    /// Replaces [`EngineConfig::budget`] for every later evaluation, keeping
+    /// the UST-tree and the model cache. A budget breach never poisons the
+    /// cache, so after one a caller can lift or widen the budget and re-run
+    /// the same query on the same, still warm, engine.
+    pub fn set_budget(&mut self, budget: QueryBudget) {
+        self.config.budget = budget;
+    }
+
     /// Discards all cached a-posteriori models (useful for benchmarking the
     /// adaptation phase in isolation).
     pub fn clear_model_cache(&self) {
@@ -301,7 +279,8 @@ impl<'a> QueryEngine<'a> {
         self.cache.get_or_adapt(id, || self.adapt_uncached(id)).map(|(model, _)| model)
     }
 
-    /// Adapts (or fetches from the cache) the models of the given objects.
+    /// Adapts (or fetches from the cache) the models of the given objects,
+    /// under [`EngineConfig::budget`].
     ///
     /// Cold objects are fanned out across
     /// [`adaptation_threads`](EngineConfig::adaptation_threads) scoped worker
@@ -309,20 +288,7 @@ impl<'a> QueryEngine<'a> {
     /// reported [`PrepareOutcome::cold_time`]. The returned model order always
     /// matches `ids`, independent of the thread count.
     pub fn prepare_objects(&self, ids: &[ObjectId]) -> Result<PrepareOutcome, QueryError> {
-        self.prepare_objects_with_threads(ids, self.config.adaptation_threads)
-    }
-
-    /// [`prepare_objects`](Self::prepare_objects) with an explicit TS-phase
-    /// thread count, overriding the engine configuration for this call (used
-    /// by the benchmarks to measure a serial baseline on the same engine and
-    /// UST-tree as the parallel measurement).
-    pub fn prepare_objects_with_threads(
-        &self,
-        ids: &[ObjectId],
-        threads: usize,
-    ) -> Result<PrepareOutcome, QueryError> {
-        let gauge = self.config.budget.start();
-        self.prepare_objects_governed(ids, threads, &gauge)
+        self.prepare_objects_governed(ids, &self.config.budget.start())
     }
 
     /// The TS phase under an already-started [`BudgetGauge`]: every worker
@@ -333,7 +299,6 @@ impl<'a> QueryEngine<'a> {
     fn prepare_objects_governed(
         &self,
         ids: &[ObjectId],
-        threads: usize,
         gauge: &BudgetGauge,
     ) -> Result<PrepareOutcome, QueryError> {
         let mut slots: Vec<Option<Arc<AdaptedModel>>> = Vec::new();
@@ -354,7 +319,7 @@ impl<'a> QueryEngine<'a> {
             let results = adapt_batch_governed(
                 &self.cache,
                 &cold_ids,
-                threads,
+                self.config.adaptation_threads,
                 |id| self.adapt_uncached(id),
                 gauge,
             );
@@ -385,24 +350,19 @@ impl<'a> QueryEngine<'a> {
     // Filter step
     // ------------------------------------------------------------------
 
-    /// Runs the filter step for a 1-NN query: returns `(candidates, influencers)`.
+    /// The filter step for k-NN queries, under [`EngineConfig::budget`]:
+    /// returns `(candidates, influencers)`.
     ///
     /// With the UST-tree enabled this is the `dmin`/`dmax` pruning of
-    /// Section 6; without it, every object covering (overlapping) the query
+    /// Section 6, the pruning distance being the k-th smallest `dmax` per
+    /// timestamp; without it, every object covering (overlapping) the query
     /// interval is a candidate (influencer).
-    pub fn filter(&self, query: &Query) -> Result<(Vec<ObjectId>, Vec<ObjectId>), QueryError> {
-        self.filter_knn(query, 1)
-    }
-
-    /// The filter step for k-NN queries (the pruning distance is the k-th
-    /// smallest `dmax` per timestamp).
     pub fn filter_knn(
         &self,
         query: &Query,
         k: usize,
     ) -> Result<(Vec<ObjectId>, Vec<ObjectId>), QueryError> {
-        let gauge = self.config.budget.start();
-        self.filter_knn_governed(query, k, &gauge)
+        self.filter_knn_governed(query, k, &self.config.budget.start())
     }
 
     /// The filter step under an already-started [`BudgetGauge`]: one
@@ -472,6 +432,9 @@ impl<'a> QueryEngine<'a> {
     /// bookkeeping. The block width equals [`WORLD_CHECK_INTERVAL`], so
     /// budget checkpoints fire at exactly the world indices the per-world
     /// loop probed at, and degraded runs stop at the same block boundaries.
+    ///
+    /// The adaptation and sampling fields of `stats` are filled in as the
+    /// phases finish.
     fn sample(
         &self,
         query: &Query,
@@ -479,12 +442,12 @@ impl<'a> QueryEngine<'a> {
         influencers: &[ObjectId],
         k: usize,
         gauge: &BudgetGauge,
+        stats: &mut QueryStats,
     ) -> Result<SamplingOutput, QueryError> {
-        let prepared =
-            self.prepare_objects_governed(influencers, self.config.adaptation_threads, gauge)?;
-        let adaptation_time = prepared.cold_time;
-        let cache_hits = prepared.cache_hits;
-        let cold_adaptations = prepared.cold_adaptations;
+        let prepared = self.prepare_objects_governed(influencers, gauge)?;
+        stats.adaptation_time = prepared.cold_time;
+        stats.cache_hits = prepared.cache_hits;
+        stats.cold_adaptations = prepared.cold_adaptations;
         let sampler = WorldSampler::from_models(prepared.models);
         let times = query.times();
         let space = self.db.state_space();
@@ -613,7 +576,10 @@ impl<'a> QueryEngine<'a> {
             }
             worlds_done += count;
         }
-        let sampling_time = start.elapsed();
+        stats.sampling_time = start.elapsed();
+        stats.worlds = worlds_done;
+        stats.worlds_requested = requested;
+        stats.degraded = degraded;
         if worlds_done < num_worlds {
             // Shrink every candidate's world-set to the worlds actually
             // sampled, so supports and probability denominators agree.
@@ -625,43 +591,34 @@ impl<'a> QueryEngine<'a> {
         Ok(SamplingOutput {
             candidate_worlds,
             exists_counts: world_ids.into_iter().zip(exists_counts).collect(),
-            worlds: worlds_done,
-            worlds_requested: requested,
-            degraded,
-            adaptation_time,
-            cache_hits,
-            cold_adaptations,
-            sampling_time,
         })
-    }
-
-    fn stats_from(
-        &self,
-        candidates: &[ObjectId],
-        influencers: &[ObjectId],
-        sampling: &SamplingOutput,
-        gauge: &BudgetGauge,
-        filter_time: Duration,
-    ) -> QueryStats {
-        QueryStats {
-            candidates: candidates.len(),
-            influencers: influencers.len(),
-            adaptation_time: sampling.adaptation_time,
-            cache_hits: sampling.cache_hits,
-            cold_adaptations: sampling.cold_adaptations,
-            sampling_time: sampling.sampling_time,
-            worlds: sampling.worlds,
-            filter_time,
-            budget_checkpoints: gauge.checkpoints() as usize,
-            worlds_requested: sampling.worlds_requested,
-            degraded: sampling.degraded,
-            ..Default::default()
-        }
     }
 
     // ------------------------------------------------------------------
     // Query semantics
     // ------------------------------------------------------------------
+
+    /// The steps every query semantics opens with, run once under
+    /// [`EngineConfig::budget`]: validate `tau`, start the gauge, time the
+    /// filter, then adapt and sample. A budget error from these phases
+    /// carries the filter's counts and time in its partial stats.
+    fn evaluate(&self, query: &Query, k: usize, tau: f64) -> Result<Evaluation, QueryError> {
+        Query::validate_threshold(tau)?;
+        let gauge = self.config.budget.start();
+        // lint: allow(T001) filter_time is QueryStats observability; it never feeds results
+        let filter_start = Instant::now();
+        let (candidates, influencers) = self.filter_knn_governed(query, k, &gauge)?;
+        let mut stats = QueryStats {
+            candidates: candidates.len(),
+            influencers: influencers.len(),
+            filter_time: filter_start.elapsed(),
+            ..Default::default()
+        };
+        match self.sample(query, &candidates, &influencers, k, &gauge, &mut stats) {
+            Ok(sampling) => Ok(Evaluation { gauge, stats, sampling }),
+            Err(error) => Err(enrich_partial(error, &stats)),
+        }
+    }
 
     /// P∀NNQ (Definition 2): objects that are the nearest neighbor of `q` at
     /// every timestamp of `T` with probability at least `tau`.
@@ -675,28 +632,6 @@ impl<'a> QueryEngine<'a> {
         self.pexists_knn(query, 1, tau)
     }
 
-    /// [`pforall_nn`](Self::pforall_nn) under a per-call [`QueryBudget`]
-    /// overriding the engine default.
-    pub fn pforall_nn_with_budget(
-        &self,
-        query: &Query,
-        tau: f64,
-        budget: &QueryBudget,
-    ) -> Result<QueryOutcome, QueryError> {
-        self.pforall_knn_with_budget(query, 1, tau, budget)
-    }
-
-    /// [`pexists_nn`](Self::pexists_nn) under a per-call [`QueryBudget`]
-    /// overriding the engine default.
-    pub fn pexists_nn_with_budget(
-        &self,
-        query: &Query,
-        tau: f64,
-        budget: &QueryBudget,
-    ) -> Result<QueryOutcome, QueryError> {
-        self.pexists_knn_with_budget(query, 1, tau, budget)
-    }
-
     /// P∀kNNQ (Section 8): objects that belong to the k-NN set of `q` at every
     /// timestamp of `T` with probability at least `tau`.
     pub fn pforall_knn(
@@ -705,45 +640,11 @@ impl<'a> QueryEngine<'a> {
         k: usize,
         tau: f64,
     ) -> Result<QueryOutcome, QueryError> {
-        self.pforall_knn_with_budget(query, k, tau, &self.config.budget)
-    }
-
-    /// [`pforall_knn`](Self::pforall_knn) under a per-call [`QueryBudget`]
-    /// overriding the engine default. The degradation contract is documented
-    /// in [`crate::govern`].
-    pub fn pforall_knn_with_budget(
-        &self,
-        query: &Query,
-        k: usize,
-        tau: f64,
-        budget: &QueryBudget,
-    ) -> Result<QueryOutcome, QueryError> {
-        Query::validate_threshold(tau)?;
-        let gauge = budget.start();
-        // lint: allow(T001) filter_time is QueryStats observability; it never feeds results
-        let filter_start = Instant::now();
-        let (candidates, influencers) = self.filter_knn_governed(query, k, &gauge)?;
-        let filter_time = filter_start.elapsed();
-        let sampling = self
-            .sample(query, &candidates, &influencers, k, &gauge)
-            .map_err(|e| enrich_partial(e, &candidates, &influencers, filter_time))?;
-        let mut results: Vec<ObjectProbability> = sampling
-            .candidate_worlds
-            .iter()
-            .map(|(object, worlds)| {
-                // The ∀ event is one AND-reduction over the candidate's
-                // world-set columns — no per-world mask is ever materialised.
-                let hits = worlds.forall_support();
-                ObjectProbability {
-                    object: *object,
-                    probability: hits as f64 / sampling.worlds.max(1) as f64,
-                }
-            })
-            .filter(|r| r.probability >= tau && r.probability > 0.0)
-            .collect();
-        sort_results(&mut results);
-        let stats = self.stats_from(&candidates, &influencers, &sampling, &gauge, filter_time);
-        Ok(QueryOutcome { results, stats })
+        let run = self.evaluate(query, k, tau)?;
+        // The ∀ event is one AND-reduction over the candidate's world-set
+        // columns — no per-world mask is ever materialised.
+        let hits = run.sampling.candidate_worlds.iter().map(|(o, w)| (*o, w.forall_support()));
+        Ok(run.answer(hits, tau))
     }
 
     /// P∃kNNQ (Section 8): objects that belong to the k-NN set of `q` at some
@@ -754,40 +655,8 @@ impl<'a> QueryEngine<'a> {
         k: usize,
         tau: f64,
     ) -> Result<QueryOutcome, QueryError> {
-        self.pexists_knn_with_budget(query, k, tau, &self.config.budget)
-    }
-
-    /// [`pexists_knn`](Self::pexists_knn) under a per-call [`QueryBudget`]
-    /// overriding the engine default. The degradation contract is documented
-    /// in [`crate::govern`].
-    pub fn pexists_knn_with_budget(
-        &self,
-        query: &Query,
-        k: usize,
-        tau: f64,
-        budget: &QueryBudget,
-    ) -> Result<QueryOutcome, QueryError> {
-        Query::validate_threshold(tau)?;
-        let gauge = budget.start();
-        // lint: allow(T001) filter_time is QueryStats observability; it never feeds results
-        let filter_start = Instant::now();
-        let (candidates, influencers) = self.filter_knn_governed(query, k, &gauge)?;
-        let filter_time = filter_start.elapsed();
-        let sampling = self
-            .sample(query, &candidates, &influencers, k, &gauge)
-            .map_err(|e| enrich_partial(e, &candidates, &influencers, filter_time))?;
-        let mut results: Vec<ObjectProbability> = sampling
-            .exists_counts
-            .iter()
-            .map(|&(object, hits)| ObjectProbability {
-                object,
-                probability: hits as f64 / sampling.worlds.max(1) as f64,
-            })
-            .filter(|r| r.probability >= tau && r.probability > 0.0)
-            .collect();
-        sort_results(&mut results);
-        let stats = self.stats_from(&candidates, &influencers, &sampling, &gauge, filter_time);
-        Ok(QueryOutcome { results, stats })
+        let run = self.evaluate(query, k, tau)?;
+        Ok(run.answer(run.sampling.exists_counts.iter().copied(), tau))
     }
 
     /// PCNNQ (Definition 3, Algorithm 1): per object, the timestamp subsets of
@@ -796,49 +665,18 @@ impl<'a> QueryEngine<'a> {
         self.pcknn(query, 1, tau)
     }
 
-    /// [`pcnn`](Self::pcnn) under a per-call [`QueryBudget`] overriding the
-    /// engine default.
-    pub fn pcnn_with_budget(
-        &self,
-        query: &Query,
-        tau: f64,
-        budget: &QueryBudget,
-    ) -> Result<PcnnOutcome, QueryError> {
-        self.pcknn_with_budget(query, 1, tau, budget)
-    }
-
     /// PCkNNQ (Section 8): the continuous query under k-NN semantics.
     ///
-    /// Each candidate's lattice is mined vertically
-    /// ([`vertical_timesets_governed`]) and the per-object runs are fanned out
-    /// across [`pcnn_threads`](EngineConfig::pcnn_threads) scoped workers.
-    /// Results are merged back in ascending object order, so the outcome is
-    /// byte-identical at every thread count.
-    pub fn pcknn(&self, query: &Query, k: usize, tau: f64) -> Result<PcnnOutcome, QueryError> {
-        self.pcknn_with_budget(query, k, tau, &self.config.budget)
-    }
-
-    /// [`pcknn`](Self::pcknn) under a per-call [`QueryBudget`] overriding the
-    /// engine default. A deadline breach during mining degrades — the lattice
-    /// stops expanding and the sets validated so far (an exact
-    /// under-approximation of the full answer) are returned with
+    /// Each candidate's lattice is mined vertically ([`vertical_timesets`])
+    /// and the per-object runs are fanned out across
+    /// [`pcnn_threads`](EngineConfig::pcnn_threads) scoped workers. Results
+    /// are merged back in ascending object order, so the outcome is
+    /// byte-identical at every thread count. A deadline breach during mining
+    /// degrades — the lattice stops expanding and the sets validated so far
+    /// (an exact under-approximation of the full answer) are returned with
     /// `stats.degraded` set; cancellation is always a typed error.
-    pub fn pcknn_with_budget(
-        &self,
-        query: &Query,
-        k: usize,
-        tau: f64,
-        budget: &QueryBudget,
-    ) -> Result<PcnnOutcome, QueryError> {
-        Query::validate_threshold(tau)?;
-        let gauge = budget.start();
-        // lint: allow(T001) filter_time is QueryStats observability; it never feeds results
-        let filter_start = Instant::now();
-        let (candidates, influencers) = self.filter_knn_governed(query, k, &gauge)?;
-        let filter_time = filter_start.elapsed();
-        let sampling = self
-            .sample(query, &candidates, &influencers, k, &gauge)
-            .map_err(|e| enrich_partial(e, &candidates, &influencers, filter_time))?;
+    pub fn pcknn(&self, query: &Query, k: usize, tau: f64) -> Result<PcnnOutcome, QueryError> {
+        let run = self.evaluate(query, k, tau)?;
         let cfg = if self.config.maximal_pcnn_sets {
             PcnnConfig::maximal(tau)
         } else {
@@ -848,9 +686,9 @@ impl<'a> QueryEngine<'a> {
         // lint: allow(T001) mining_time is QueryStats observability; it never feeds results
         let mine_start = Instant::now();
         let lattices: Vec<Result<PcnnResult, QueryError>> = parallel_map_ordered(
-            &sampling.candidate_worlds,
+            &run.sampling.candidate_worlds,
             self.config.pcnn_threads,
-            |(_, worlds)| vertical_timesets_governed(worlds, &cfg, Some(&gauge)),
+            |(_, worlds)| vertical_timesets(worlds, &cfg, Some(&run.gauge)),
         );
         let mining_time = mine_start.elapsed();
         let mut candidate_sets_evaluated = 0usize;
@@ -858,9 +696,8 @@ impl<'a> QueryEngine<'a> {
         let mut frontier_peak = 0usize;
         let mut mining_degraded = false;
         let mut results: Vec<PcnnObjectResult> = Vec::new();
-        for ((object, _), lattice) in sampling.candidate_worlds.iter().zip(lattices) {
-            let lattice = lattice
-                .map_err(|e| enrich_partial(e, &candidates, &influencers, filter_time))?;
+        for ((object, _), lattice) in run.sampling.candidate_worlds.iter().zip(lattices) {
+            let lattice = lattice.map_err(|e| enrich_partial(e, &run.stats))?;
             candidate_sets_evaluated += lattice.candidate_sets_evaluated;
             max_level = max_level.max(lattice.max_level);
             frontier_peak = frontier_peak.max(lattice.frontier_peak);
@@ -881,7 +718,7 @@ impl<'a> QueryEngine<'a> {
                 candidate_sets_evaluated: lattice.candidate_sets_evaluated,
             });
         }
-        let mut stats = self.stats_from(&candidates, &influencers, &sampling, &gauge, filter_time);
+        let mut stats = run.stats_now();
         stats.max_level = max_level;
         stats.frontier_peak = frontier_peak;
         stats.mining_time = mining_time;
@@ -891,18 +728,13 @@ impl<'a> QueryEngine<'a> {
 }
 
 /// Fills the engine-level fields of the partial stats a budget error carries:
-/// the gauge only knows its checkpoint count, while the filter outcome and
-/// timing live up here.
-fn enrich_partial(
-    mut error: QueryError,
-    candidates: &[ObjectId],
-    influencers: &[ObjectId],
-    filter_time: Duration,
-) -> QueryError {
+/// the gauge only knows its checkpoint count, while the filter's counts and
+/// time (the same fields of `filtered`) live up here.
+fn enrich_partial(mut error: QueryError, filtered: &QueryStats) -> QueryError {
     if let Some(stats) = error.partial_stats_mut() {
-        stats.candidates = candidates.len();
-        stats.influencers = influencers.len();
-        stats.filter_time = filter_time;
+        stats.candidates = filtered.candidates;
+        stats.influencers = filtered.influencers;
+        stats.filter_time = filtered.filter_time;
     }
     error
 }
@@ -915,24 +747,40 @@ struct SamplingOutput {
     /// Per influence object (sampler order), the number of worlds with at
     /// least one NN timestamp (the ∃ event of Definition 1).
     exists_counts: Vec<(ObjectId, usize)>,
-    /// Worlds actually sampled (the probability denominator).
-    worlds: usize,
-    /// Worlds the configuration asked for.
-    worlds_requested: usize,
-    /// Whether a `max_worlds` cap or a deadline stopped sampling early.
-    degraded: bool,
-    adaptation_time: Duration,
-    cache_hits: usize,
-    cold_adaptations: usize,
-    sampling_time: Duration,
 }
 
-fn sort_results(results: &mut [ObjectProbability]) {
-    results.sort_by(|a, b| {
-        b.probability
-            .total_cmp(&a.probability)
-            .then_with(|| a.object.cmp(&b.object))
-    });
+/// One evaluation after its shared opening steps: the live gauge, the
+/// filter and sampling stats, and the sampled worlds every semantics reads
+/// its answer from.
+struct Evaluation {
+    gauge: BudgetGauge,
+    /// Every [`QueryStats`] field the filter and sampling phases own;
+    /// `budget_checkpoints` is read from the gauge by
+    /// [`stats_now`](Self::stats_now).
+    stats: QueryStats,
+    sampling: SamplingOutput,
+}
+
+impl Evaluation {
+    /// The stats so far, with every checkpoint polled up to now counted.
+    fn stats_now(&self) -> QueryStats {
+        QueryStats { budget_checkpoints: self.gauge.checkpoints() as usize, ..self.stats.clone() }
+    }
+
+    /// The answer of a probability semantics from its per-object world hit
+    /// counts: every object whose estimate is non-zero and at least `tau`,
+    /// by descending probability, then ascending id.
+    fn answer(&self, hits: impl Iterator<Item = (ObjectId, usize)>, tau: f64) -> QueryOutcome {
+        let worlds = self.stats.worlds.max(1) as f64;
+        let mut results: Vec<ObjectProbability> = hits
+            .map(|(object, hits)| ObjectProbability { object, probability: hits as f64 / worlds })
+            .filter(|r| r.probability >= tau && r.probability > 0.0)
+            .collect();
+        results.sort_by(|a, b| {
+            b.probability.total_cmp(&a.probability).then_with(|| a.object.cmp(&b.object))
+        });
+        QueryOutcome { results, stats: self.stats_now() }
+    }
 }
 
 #[cfg(test)]

@@ -107,9 +107,10 @@ impl CancelToken {
 }
 
 /// Bounds one query evaluation. The default is unlimited — identical to the
-/// pre-governance engine. Carried in
-/// [`EngineConfig::budget`](crate::EngineConfig) or passed per call via the
-/// `*_with_budget` entry points.
+/// pre-governance engine. A budget lives only in
+/// [`EngineConfig::budget`](crate::EngineConfig), which every query method,
+/// the filter step and the TS phase run under; change it between queries
+/// with [`QueryEngine::set_budget`](crate::QueryEngine::set_budget).
 #[derive(Debug, Clone, Default)]
 pub struct QueryBudget {
     /// Wall-clock deadline, measured from the start of the evaluation. A

@@ -80,10 +80,10 @@ pub struct PcnnResult {
     /// filter.
     pub frontier_peak: usize,
     /// Whether a budget checkpoint stopped the expansion before the frontier
-    /// emptied ([`vertical_timesets_governed`]). Everything in
+    /// emptied ([`vertical_timesets`]). Everything in
     /// [`sets`](Self::sets) is still exactly validated — a degraded result
-    /// is an under-approximation, never a wrong set. Always `false` from the
-    /// ungoverned entry points.
+    /// is an under-approximation, never a wrong set. Always `false` without
+    /// a gauge.
     pub degraded: bool,
 }
 
@@ -300,36 +300,20 @@ fn mask_to_indices(mask: u64) -> Vec<usize> {
 /// `u64` bit masks and each level's world bitsets live in one shared arena,
 /// so the per-candidate bookkeeping is branch-light and allocation-free.
 ///
+/// With a [`BudgetGauge`] the gauge is polled at every lattice level and
+/// every [`MINING_CHECK_INTERVAL`] validated candidates within a level.
+/// Cancellation is a typed error; a passed deadline *degrades* — the
+/// expansion stops, every set validated so far is kept (exact, see the
+/// anti-monotonicity argument in the module docs) and the result is flagged
+/// [`PcnnResult::degraded`]. With `gauge = None` no checkpoint exists, so
+/// the result is always `Ok`.
+///
 /// Timestamp sets beyond 64 elements cannot be packed into the mask; since a
 /// 2⁶⁴-node lattice is unreachable anyway, inputs with more than 64 columns
-/// take the (equivalent) reference path instead.
-pub fn vertical_timesets(worlds: &WorldSet, cfg: &PcnnConfig) -> PcnnResult {
-    match vertical_timesets_governed(worlds, cfg, None) {
-        Ok(result) => result,
-        // Unreachable: without a gauge no checkpoint exists to err.
-        Err(_) => PcnnResult {
-            sets: Vec::new(),
-            candidate_sets_evaluated: 0,
-            max_level: 0,
-            frontier_peak: 0,
-            degraded: false,
-        },
-    }
-}
-
-/// [`vertical_timesets`] under a [`BudgetGauge`]: the gauge is polled at
-/// every lattice level and every [`MINING_CHECK_INTERVAL`] validated
-/// candidates within a level. Cancellation is a typed error; a passed
-/// deadline *degrades* — the expansion stops, every set validated so far is
-/// kept (exact, see the anti-monotonicity argument in the module docs) and
-/// the result is flagged [`PcnnResult::degraded`]. With `gauge = None` this
-/// is exactly the ungoverned miner.
-///
-/// Inputs wider than 64 timestamps take the reference path; they are polled
-/// once up front (a breach there degrades to an empty lattice) and then run
-/// ungoverned — a 2⁶⁴-node lattice is unreachable, so the case exists for
-/// API totality, not performance.
-pub fn vertical_timesets_governed(
+/// take the (equivalent) reference path instead. They are polled once up
+/// front (a breach there degrades to an empty lattice) and then run
+/// ungoverned — the case exists for API totality, not performance.
+pub fn vertical_timesets(
     worlds: &WorldSet,
     cfg: &PcnnConfig,
     gauge: Option<&BudgetGauge>,
@@ -645,7 +629,7 @@ mod tests {
     fn both(world_masks: &[TimeMask], num_times: usize, cfg: &PcnnConfig) -> PcnnResult {
         let reference = apriori_timesets(world_masks, num_times, cfg);
         let ws = WorldSet::from_world_masks(num_times, world_masks);
-        let vertical = vertical_timesets(&ws, cfg);
+        let vertical = vertical_timesets(&ws, cfg, None).unwrap();
         assert_eq!(vertical.sets, reference.sets, "qualifying sets must match the reference");
         assert_eq!(vertical.candidate_sets_evaluated, reference.candidate_sets_evaluated);
         assert_eq!(vertical.max_level, reference.max_level);
@@ -842,8 +826,8 @@ mod tests {
         let ws = WorldSet::from_world_masks(3, &m);
         let cfg = PcnnConfig::new(0.1);
         let gauge = QueryBudget::unlimited().start();
-        let governed = vertical_timesets_governed(&ws, &cfg, Some(&gauge)).unwrap();
-        let free = vertical_timesets(&ws, &cfg);
+        let governed = vertical_timesets(&ws, &cfg, Some(&gauge)).unwrap();
+        let free = vertical_timesets(&ws, &cfg, None).unwrap();
         assert_eq!(governed.sets, free.sets);
         assert_eq!(governed.candidate_sets_evaluated, free.candidate_sets_evaluated);
         assert!(!governed.degraded);
@@ -857,7 +841,7 @@ mod tests {
         let m = masks(3, &[&[0, 1, 2], &[0, 1, 2], &[0, 1, 2]]);
         let ws = WorldSet::from_world_masks(3, &m);
         let gauge = QueryBudget::unlimited().with_deadline(Duration::ZERO).start();
-        let result = vertical_timesets_governed(&ws, &PcnnConfig::new(0.5), Some(&gauge)).unwrap();
+        let result = vertical_timesets(&ws, &PcnnConfig::new(0.5), Some(&gauge)).unwrap();
         assert!(result.degraded);
         // The zero deadline trips at the first level checkpoint: the L1
         // singletons were already validated and survive; nothing deeper does.
@@ -874,7 +858,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let gauge = QueryBudget::unlimited().with_cancel(&token).start();
-        let err = vertical_timesets_governed(&ws, &PcnnConfig::new(0.5), Some(&gauge)).unwrap_err();
+        let err = vertical_timesets(&ws, &PcnnConfig::new(0.5), Some(&gauge)).unwrap_err();
         assert!(matches!(err, QueryError::Cancelled { phase: QueryPhase::Mining, .. }));
     }
 
@@ -884,7 +868,7 @@ mod tests {
         assert!(result.sets.is_empty());
         assert_eq!(result.max_level, 0);
         assert_eq!(result.frontier_peak, 0);
-        let empty = vertical_timesets(&WorldSet::new(3, 0), &PcnnConfig::new(0.5));
+        let empty = vertical_timesets(&WorldSet::new(3, 0), &PcnnConfig::new(0.5), None).unwrap();
         assert!(empty.sets.is_empty());
         assert_eq!(empty.candidate_sets_evaluated, result.candidate_sets_evaluated);
         let m = masks(1, &[&[0], &[]]);

@@ -12,8 +12,9 @@
 //!   claims the slot; later arrivals block on the claiming thread's result
 //!   instead of recomputing (the classic anti-stampede discipline, in contrast
 //!   to the old check-then-recompute under separate `RwLock` acquisitions).
-//! * [`adapt_batch`] — a batched fan-out that partitions cold object ids
-//!   across [`std::thread::scope`] workers. With
+//! * [`adapt_batch_governed`] — a batched fan-out that partitions cold
+//!   object ids across [`std::thread::scope`] workers, polling the query's
+//!   budget gauge once per object. With
 //!   [`EngineConfig::adaptation_threads`](crate::EngineConfig) set to `1` the
 //!   fan-out degenerates to the exact serial loop the engine used before, so
 //!   results are bit-for-bit identical; any other thread count produces the
@@ -297,7 +298,7 @@ impl AdaptationCache {
 
 /// The workspace's one implementation of the chunked ordered fan-out lives in
 /// [`ust_index::par`] (the UST-tree build shards through it too); the TS
-/// phase ([`adapt_batch`]), the PCNN per-candidate runs and the bench
+/// phase ([`adapt_batch_governed`]), the PCNN per-candidate runs and the bench
 /// harness's per-object loops all re-use it through this re-export.
 pub use ust_index::par::parallel_map_ordered;
 
@@ -309,24 +310,13 @@ pub fn resolve_adaptation_threads(configured: usize) -> usize {
 
 /// Adapts a batch of (cold) object ids through the cache, fanning the work out
 /// across at most `threads` scoped workers via [`parallel_map_ordered`].
-pub fn adapt_batch<F>(
-    cache: &AdaptationCache,
-    ids: &[ObjectId],
-    threads: usize,
-    adapt: F,
-) -> Vec<Result<(std::sync::Arc<AdaptedModel>, bool), QueryError>>
-where
-    F: Fn(ObjectId) -> Result<AdaptedModel, QueryError> + Sync,
-{
-    parallel_map_ordered(ids, threads, |&id| cache.get_or_adapt(id, || adapt(id)))
-}
-
-/// [`adapt_batch`] under a [`QueryBudget`](crate::govern::QueryBudget):
-/// every worker polls the gauge *before* each adaptation. One adaptation is
-/// a coarse unit of work (a full forward–backward run), so the per-item poll
-/// is both cheap and the natural deterministic checkpoint granularity of
-/// this phase. The poll happens outside [`AdaptationCache::get_or_adapt`],
-/// so a breach can never be mistaken for a per-object failure and cached.
+///
+/// Every worker polls the query's [`BudgetGauge`] *before* each adaptation.
+/// One adaptation is a coarse unit of work (a full forward–backward run), so
+/// the per-item poll is both cheap and the natural deterministic checkpoint
+/// granularity of this phase. The poll happens outside
+/// [`AdaptationCache::get_or_adapt`], so a breach can never be mistaken for
+/// a per-object failure and cached.
 pub fn adapt_batch_governed<F>(
     cache: &AdaptationCache,
     ids: &[ObjectId],
@@ -466,11 +456,18 @@ mod tests {
         let cache = AdaptationCache::new();
         let executions = AtomicUsize::new(0);
         let ids: Vec<ObjectId> = (0..64).collect();
+        let gauge = crate::govern::QueryBudget::unlimited().start();
         for threads in [1usize, 4] {
-            let results = adapt_batch(&cache, &ids, threads, |_| {
-                executions.fetch_add(1, Ordering::SeqCst);
-                toy_adapt()
-            });
+            let results = adapt_batch_governed(
+                &cache,
+                &ids,
+                threads,
+                |_| {
+                    executions.fetch_add(1, Ordering::SeqCst);
+                    toy_adapt()
+                },
+                &gauge,
+            );
             assert_eq!(results.len(), ids.len());
             for r in &results {
                 assert!(r.is_ok());

@@ -48,21 +48,20 @@ fn ring_query() -> Query {
     Query::at_point(Point::new(1.2, 0.0), 0..=GAP).expect("valid query")
 }
 
-/// Asserts the engine still answers correctly: same result set as a fresh
-/// engine over the same database, and no failure slot left in the cache.
-fn assert_reusable(engine: &QueryEngine, db: &TrajectoryDatabase) {
+/// Asserts the engine still answers correctly once its budget is lifted:
+/// same result set as a fresh engine over the same database, and no failure
+/// slot left in the cache.
+fn assert_reusable(engine: &mut QueryEngine, db: &TrajectoryDatabase) {
     assert_eq!(
         engine.cache_stats().cached_failures,
         0,
         "budget breaches must never be cached as failures"
     );
-    let outcome = engine
-        .pforall_nn_with_budget(&ring_query(), 0.0, &QueryBudget::unlimited())
-        .expect("the engine answers the next unlimited query");
+    engine.set_budget(QueryBudget::unlimited());
+    let outcome =
+        engine.pforall_nn(&ring_query(), 0.0).expect("the engine answers the next unlimited query");
     let fresh = QueryEngine::new(db, engine.config().clone());
-    let expected = fresh
-        .pforall_nn_with_budget(&ring_query(), 0.0, &QueryBudget::unlimited())
-        .expect("a fresh engine answers");
+    let expected = fresh.pforall_nn(&ring_query(), 0.0).expect("a fresh engine answers");
     let pairs = |o: &ust_core::QueryOutcome| -> Vec<(u64, u64)> {
         o.results.iter().map(|r| (u64::from(r.object), r.probability.to_bits())).collect()
     };
@@ -77,10 +76,10 @@ fn assert_reusable(engine: &QueryEngine, db: &TrajectoryDatabase) {
 #[test]
 fn zero_deadline_is_a_typed_filter_error() {
     let db = ring_db(64, 8);
-    let engine = QueryEngine::new(&db, EngineConfig::with_samples(50));
-    let budget = QueryBudget::unlimited().with_deadline(std::time::Duration::ZERO);
+    let mut engine = QueryEngine::new(&db, EngineConfig::with_samples(50));
+    engine.set_budget(QueryBudget::unlimited().with_deadline(std::time::Duration::ZERO));
     let err = engine
-        .pforall_nn_with_budget(&ring_query(), 0.0, &budget)
+        .pforall_nn(&ring_query(), 0.0)
         .expect_err("a zero deadline trips at the query-start checkpoint");
     match &err {
         QueryError::DeadlineExceeded { phase, stats } => {
@@ -90,26 +89,26 @@ fn zero_deadline_is_a_typed_filter_error() {
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
     assert!(err.is_transient());
-    assert_reusable(&engine, &db);
+    assert_reusable(&mut engine, &db);
 }
 
 #[test]
 fn cancel_before_start_is_a_typed_error() {
     let db = ring_db(64, 8);
-    let engine = QueryEngine::new(&db, EngineConfig::with_samples(50));
+    let mut engine = QueryEngine::new(&db, EngineConfig::with_samples(50));
     let token = CancelToken::new();
     token.cancel();
-    let budget = QueryBudget::unlimited().with_cancel(&token);
+    engine.set_budget(QueryBudget::unlimited().with_cancel(&token));
     let err = engine
-        .pforall_nn_with_budget(&ring_query(), 0.0, &budget)
+        .pforall_nn(&ring_query(), 0.0)
         .expect_err("a pre-cancelled token trips at the query-start checkpoint");
     assert!(
         matches!(err, QueryError::Cancelled { phase: QueryPhase::Filter, .. }),
         "expected Cancelled in the filter phase, got {err:?}"
     );
     // Cancellation is sticky: the same budget keeps refusing.
-    assert!(engine.pexists_nn_with_budget(&ring_query(), 0.0, &budget).is_err());
-    assert_reusable(&engine, &db);
+    assert!(engine.pexists_nn(&ring_query(), 0.0).is_err());
+    assert_reusable(&mut engine, &db);
 }
 
 #[test]
@@ -119,14 +118,16 @@ fn cancel_during_prepare_is_deterministic_at_every_thread_count() {
     for threads in [1usize, 2, 4] {
         let token = CancelToken::new();
         token.cancel();
-        let config = EngineConfig::with_samples(50)
-            .with_adaptation_threads(threads)
-            .with_budget(QueryBudget::unlimited().with_cancel(&token));
-        let engine = QueryEngine::new(&db, config);
+        let config = EngineConfig {
+            adaptation_threads: threads,
+            budget: QueryBudget::unlimited().with_cancel(&token),
+            ..EngineConfig::with_samples(50)
+        };
+        let mut engine = QueryEngine::new(&db, config);
         // The adaptation fan-out polls the gauge once per cold object, so a
         // cancelled token surfaces from the TS phase itself — at any count.
         let err = engine
-            .prepare_objects_with_threads(&ids, threads)
+            .prepare_objects(&ids)
             .expect_err("cancellation surfaces from the adaptation fan-out");
         assert!(
             matches!(err, QueryError::Cancelled { phase: QueryPhase::Adaptation, .. }),
@@ -137,24 +138,23 @@ fn cancel_during_prepare_is_deterministic_at_every_thread_count() {
             0,
             "threads={threads}: cancellation must release claims, not cache failures"
         );
-        // The per-call budget overrides the cancelled engine budget.
-        engine
-            .pforall_nn_with_budget(&ring_query(), 0.0, &QueryBudget::unlimited())
-            .unwrap_or_else(|e| {
-                panic!("threads={threads}: the engine stays usable with a fresh budget: {e:?}")
-            });
+        // A fresh budget replaces the cancelled one on the same engine.
+        engine.set_budget(QueryBudget::unlimited());
+        engine.pforall_nn(&ring_query(), 0.0).unwrap_or_else(|e| {
+            panic!("threads={threads}: the engine stays usable with a fresh budget: {e:?}")
+        });
     }
 }
 
 #[test]
 fn max_worlds_exactly_at_the_checkpoint_boundary() {
     let db = ring_db(64, 8);
-    let engine = QueryEngine::new(&db, EngineConfig::with_samples(128));
+    let mut engine = QueryEngine::new(&db, EngineConfig::with_samples(128));
     // Cap below the request — exactly at the 64-world checkpoint boundary:
     // the run degrades to precisely the cap, never one world more or less.
-    let capped = engine
-        .pforall_nn_with_budget(&ring_query(), 0.0, &QueryBudget::unlimited().with_max_worlds(64))
-        .expect("a world cap degrades, it does not error");
+    engine.set_budget(QueryBudget::unlimited().with_max_worlds(64));
+    let capped =
+        engine.pforall_nn(&ring_query(), 0.0).expect("a world cap degrades, it does not error");
     assert!(capped.stats.degraded);
     assert_eq!(capped.stats.worlds, 64);
     assert_eq!(capped.stats.worlds_requested, 128);
@@ -162,18 +162,16 @@ fn max_worlds_exactly_at_the_checkpoint_boundary() {
         assert!((0.0..=1.0).contains(&r.probability), "probabilities stay normalised");
     }
     // Cap equal to the request — not a degradation.
-    let exact = engine
-        .pforall_nn_with_budget(&ring_query(), 0.0, &QueryBudget::unlimited().with_max_worlds(128))
-        .expect("query succeeds");
+    engine.set_budget(QueryBudget::unlimited().with_max_worlds(128));
+    let exact = engine.pforall_nn(&ring_query(), 0.0).expect("query succeeds");
     assert!(!exact.stats.degraded);
     assert_eq!(exact.stats.worlds, 128);
     // Cap above the request — no effect at all.
-    let loose = engine
-        .pforall_nn_with_budget(&ring_query(), 0.0, &QueryBudget::unlimited().with_max_worlds(500))
-        .expect("query succeeds");
+    engine.set_budget(QueryBudget::unlimited().with_max_worlds(500));
+    let loose = engine.pforall_nn(&ring_query(), 0.0).expect("query succeeds");
     assert!(!loose.stats.degraded);
     assert_eq!(loose.stats.worlds, 128);
-    assert_reusable(&engine, &db);
+    assert_reusable(&mut engine, &db);
 }
 
 #[test]
@@ -181,9 +179,10 @@ fn degraded_estimate_equals_a_smaller_honest_run() {
     // Degrading to w worlds must produce the *same* estimate as asking for w
     // worlds up front: the world RNG stream is a prefix, not a reshuffle.
     let db = ring_db(64, 8);
-    let capped_engine = QueryEngine::new(&db, EngineConfig::with_samples(128));
+    let mut capped_engine = QueryEngine::new(&db, EngineConfig::with_samples(128));
+    capped_engine.set_budget(QueryBudget::unlimited().with_max_worlds(64));
     let capped = capped_engine
-        .pforall_nn_with_budget(&ring_query(), 0.0, &QueryBudget::unlimited().with_max_worlds(64))
+        .pforall_nn(&ring_query(), 0.0)
         .expect("a world cap degrades, it does not error");
     let honest_engine = QueryEngine::new(&db, EngineConfig::with_samples(64));
     let honest = honest_engine.pforall_nn(&ring_query(), 0.0).expect("query succeeds");
@@ -196,9 +195,10 @@ fn degraded_estimate_equals_a_smaller_honest_run() {
 #[test]
 fn max_diamonds_is_budget_exhausted_with_partial_stats() {
     let db = ring_db(64, 8);
-    let engine = QueryEngine::new(&db, EngineConfig::with_samples(50));
+    let mut engine = QueryEngine::new(&db, EngineConfig::with_samples(50));
+    engine.set_budget(QueryBudget::unlimited().with_max_diamonds(0));
     let err = engine
-        .pforall_nn_with_budget(&ring_query(), 0.0, &QueryBudget::unlimited().with_max_diamonds(0))
+        .pforall_nn(&ring_query(), 0.0)
         .expect_err("a zero diamond cap trips on the first streamed diamond");
     match &err {
         QueryError::BudgetExhausted { phase, resource, limit, stats } => {
@@ -210,34 +210,51 @@ fn max_diamonds_is_budget_exhausted_with_partial_stats() {
         other => panic!("expected BudgetExhausted, got {other:?}"),
     }
     assert!(err.is_transient(), "caps are budget errors: transient, never cached");
-    assert_reusable(&engine, &db);
+    assert_reusable(&mut engine, &db);
 }
 
 #[test]
 fn engine_level_budget_governs_plain_entry_points() {
     let db = ring_db(64, 8);
-    let config = EngineConfig::with_samples(50)
-        .with_budget(QueryBudget::unlimited().with_deadline(std::time::Duration::ZERO));
-    let engine = QueryEngine::new(&db, config);
-    // The plain entry points inherit the engine budget...
-    let err = engine.pforall_nn(&ring_query(), 0.0).expect_err("engine budget applies");
-    assert!(matches!(err, QueryError::DeadlineExceeded { .. }));
-    let err = engine.pexists_nn(&ring_query(), 0.0).expect_err("engine budget applies");
-    assert!(matches!(err, QueryError::DeadlineExceeded { .. }));
-    let err = engine.pcnn(&ring_query(), 0.1).expect_err("engine budget applies");
-    assert!(matches!(err, QueryError::DeadlineExceeded { .. }));
-    // ...and the `_with_budget` variants override it per call.
-    engine
-        .pforall_nn_with_budget(&ring_query(), 0.0, &QueryBudget::unlimited())
-        .expect("a per-call unlimited budget overrides the engine deadline");
+    let config = EngineConfig {
+        budget: QueryBudget::unlimited().with_deadline(std::time::Duration::ZERO),
+        ..EngineConfig::with_samples(50)
+    };
+    let mut engine = QueryEngine::new(&db, config);
+    let q = ring_query();
+    let deadline = |result: Result<(), QueryError>, entry: &str| {
+        let err = result.expect_err(entry);
+        assert!(matches!(err, QueryError::DeadlineExceeded { .. }), "{entry}: got {err:?}");
+    };
+    // Every entry point runs under the one engine budget: the six query
+    // methods...
+    deadline(engine.pforall_nn(&q, 0.0).map(drop), "pforall_nn");
+    deadline(engine.pexists_nn(&q, 0.0).map(drop), "pexists_nn");
+    deadline(engine.pcnn(&q, 0.1).map(drop), "pcnn");
+    deadline(engine.pforall_knn(&q, 2, 0.0).map(drop), "pforall_knn");
+    deadline(engine.pexists_knn(&q, 2, 0.0).map(drop), "pexists_knn");
+    deadline(engine.pcknn(&q, 2, 0.1).map(drop), "pcknn");
+    // ...the filter step...
+    deadline(engine.filter_knn(&q, 1).map(drop), "filter_knn");
+    // ...and the TS phase on cold objects.
+    let ids: Vec<u32> = (1..=8).collect();
+    let err = engine.prepare_objects(&ids).expect_err("prepare_objects");
+    assert!(
+        matches!(err, QueryError::DeadlineExceeded { phase: QueryPhase::Adaptation, .. }),
+        "prepare_objects: got {err:?}"
+    );
+    assert_eq!(engine.cached_models(), 0, "no cold object was adapted past the deadline");
+    // Lifting the budget on the same engine restores exact answers.
+    assert_reusable(&mut engine, &db);
 }
 
 #[test]
 fn pcknn_degrades_under_a_world_cap_and_stays_exact_on_retry() {
     let db = ring_db(64, 8);
-    let engine = QueryEngine::new(&db, EngineConfig::with_samples(128));
+    let mut engine = QueryEngine::new(&db, EngineConfig::with_samples(128));
+    engine.set_budget(QueryBudget::unlimited().with_max_worlds(64));
     let capped = engine
-        .pcknn_with_budget(&ring_query(), 2, 0.1, &QueryBudget::unlimited().with_max_worlds(64))
+        .pcknn(&ring_query(), 2, 0.1)
         .expect("a world cap degrades the PCNN estimate, it does not error");
     assert!(capped.stats.degraded);
     assert_eq!(capped.stats.worlds, 64);
@@ -249,6 +266,7 @@ fn pcknn_degrades_under_a_world_cap_and_stays_exact_on_retry() {
         }
     }
     // Re-running with the full budget on the same engine is exact again.
+    engine.set_budget(QueryBudget::unlimited());
     let full = engine.pcknn(&ring_query(), 2, 0.1).expect("query succeeds");
     assert!(!full.stats.degraded);
     assert_eq!(full.stats.worlds, 128);
@@ -268,7 +286,7 @@ fn budget_checkpoint_counts_are_thread_count_independent() {
     for threads in [1usize, 2, 4] {
         let engine = QueryEngine::new(
             &db,
-            EngineConfig::with_samples(128).with_adaptation_threads(threads),
+            EngineConfig { adaptation_threads: threads, ..EngineConfig::with_samples(128) },
         );
         let outcome = engine.pforall_nn(&ring_query(), 0.0).expect("query succeeds");
         counts.push(outcome.stats.budget_checkpoints);

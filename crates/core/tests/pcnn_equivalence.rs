@@ -45,7 +45,8 @@ fn vertical_miner_matches_reference_on_random_worldsets() {
             for maximal_only in [false, true] {
                 let cfg = PcnnConfig { tau, maximal_only };
                 let reference = apriori_timesets(&masks, num_times, &cfg);
-                let vertical = vertical_timesets(&worldset, &cfg);
+                let vertical =
+                    vertical_timesets(&worldset, &cfg, None).expect("no gauge, no error");
                 assert_eq!(
                     vertical.sets, reference.sets,
                     "sets diverged (trial {trial}, tau {tau}, maximal {maximal_only}, \
@@ -113,7 +114,7 @@ fn engine_sampling_matches_the_mask_based_reference() {
     let exists = engine.pexists_nn(&query, 0.0).expect("query succeeds");
 
     // Reference pass: identical seed, identical influencer order.
-    let (candidates, influencers) = engine.filter(&query).expect("filter succeeds");
+    let (candidates, influencers) = engine.filter_knn(&query, 1).expect("filter succeeds");
     let prepared = engine.prepare_objects(&influencers).expect("adaptation succeeds");
     let sampler = WorldSampler::from_models(prepared.models);
     let times = query.times();

@@ -296,7 +296,7 @@ fn worker_panic_releases_claims_and_the_engine_recovers() {
     let _guard = chaos_lock();
     let db = ring_db(48, 12);
     for threads in [1usize, 2] {
-        let config = EngineConfig::with_samples(20).with_adaptation_threads(threads);
+        let config = EngineConfig { adaptation_threads: threads, ..EngineConfig::with_samples(20) };
         let engine = QueryEngine::new(&db, config.clone());
         let armed = FaultPlan::once("core.adapt.worker").arm();
         let result = catch_unwind(AssertUnwindSafe(|| engine.pforall_nn(&ring_query(), 0.0)));

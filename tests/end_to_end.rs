@@ -206,7 +206,7 @@ fn sampling_agrees_with_exact_enumeration_on_a_restricted_instance() {
     );
     let spec = &workload.queries[0];
     let query = Query::at_point(spec.location, spec.times.iter().copied()).unwrap();
-    let (_, influencers) = engine.filter(&query).unwrap();
+    let (_, influencers) = engine.filter_knn(&query, 1).unwrap();
     let models: Vec<_> = influencers
         .iter()
         .map(|&id| (id, engine.adapted_model(id).unwrap()))
@@ -238,7 +238,7 @@ fn snapshot_competitor_is_biased_in_the_documented_direction_on_average() {
     let ds = dataset();
     let engine = QueryEngine::new(&ds.database, EngineConfig { num_samples: 4_000, seed: 10, ..Default::default() });
     let query = covered_query(&ds, 29, 6);
-    let (_, influencers) = engine.filter(&query).unwrap();
+    let (_, influencers) = engine.filter_knn(&query, 1).unwrap();
     let models: Vec<_> = influencers
         .iter()
         .map(|&id| (id, engine.adapted_model(id).unwrap()))
