@@ -6,6 +6,9 @@
 //! measures the full-database TS phase (`QueryEngine::prepare_all`) across the
 //! `adaptation_threads` axis — the speedup of the parallel fan-out over the
 //! serial loop on the fig06/quickstart scale (150 objects).
+//!
+//! What perfbench cannot show: it adapts with the sparse implementation on
+//! one thread only, so the dense reference and the thread sweep live here.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ust_bench::datasets::{build_synthetic, ScaleParams};

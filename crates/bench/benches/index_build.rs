@@ -7,6 +7,11 @@
 //! an [`ExperimentReport`] with the wall times in its meta — the same
 //! machine-readable shape as the figure binaries.
 //!
+//! What perfbench cannot show: its `index.build_ms` times builds of its own
+//! fixed-size database, so only this bench reaches the paper-scale sweep
+//! maxima and compares the sharded build and the no-memo baseline against
+//! the serial one.
+//!
 //! Measured configurations:
 //!
 //! * `build(serial)` — `build_threads = 1`, reach memo on: the deterministic
@@ -17,11 +22,12 @@
 //!   forward/backward BFS for every segment, measuring what the
 //!   commute-geometry memo saves (skipped at paper scale, where running the
 //!   un-memoized build twice would dominate the bench).
-//! * `filter` — the streamed `prune` over the query workload on the shared
-//!   build: the dense-bounds filter phase the engines actually run.
+//! * `filter` — the streamed `try_prune_knn` (k = 1) over the query workload
+//!   on the shared build: the dense-bounds filter phase the engines run.
 //!
 //! Usage: `cargo bench -p ust-bench --bench index_build -- --scale paper`.
 
+use std::convert::Infallible;
 use std::time::Instant;
 use ust_bench::datasets::{build_queries, build_synthetic, ScaleParams};
 use ust_bench::efficiency::{fnv_fold, FNV_OFFSET};
@@ -146,9 +152,12 @@ fn main() {
     for spec in &queries.queries {
         let query = Query::at_point(spec.location, spec.times.iter().copied())
             .expect("workload queries are well-formed");
-        let result = serial.prune(query.times(), |t| {
-            query.position_at(t).expect("query validated")
-        });
+        let Ok(result) = serial.try_prune_knn(
+            query.times(),
+            |t| query.position_at(t).expect("query validated"),
+            1,
+            |_| Ok::<(), Infallible>(()),
+        );
         candidates += result.num_candidates();
         influencers += result.num_influencers();
     }

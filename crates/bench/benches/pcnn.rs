@@ -7,6 +7,10 @@
 //! against the retained horizontal reference (`apriori_timesets`, one
 //! containment scan over all per-world masks per candidate) on identical
 //! world data.
+//!
+//! What perfbench cannot show: it mines with the production miner at one
+//! fixed τ, so the τ sweep and the miner-against-reference comparison live
+//! here.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;

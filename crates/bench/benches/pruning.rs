@@ -1,31 +1,23 @@
-//! Micro-benchmark: UST-tree construction and the dmin/dmax filter step.
+//! Micro-benchmark: the UST-tree filter's selectivity benefit — P∀NN query
+//! evaluation with and without the index (the pruning ablation called out in
+//! DESIGN.md).
 //!
-//! Also quantifies the filter's selectivity benefit: query evaluation with and
-//! without the index (the pruning ablation called out in DESIGN.md).
+//! What perfbench cannot show: its engines always run with the index
+//! (`use_index: true`), so only this bench measures the index-free
+//! baseline. The build and per-query prune costs are perfbench's
+//! `index.build_ms` and `index.prune_us`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ust_bench::args::RunScale;
 use ust_bench::datasets::{build_queries, build_synthetic, ScaleParams};
 use ust_core::{EngineConfig, Query, QueryEngine};
-use ust_index::UstTree;
 
 fn bench_pruning(c: &mut Criterion) {
     let mut params = ScaleParams::for_scale(RunScale::Quick);
     params.num_queries = 4;
     let dataset = build_synthetic(&params, 2_000, 8.0, 200, 7);
     let workload = build_queries(&dataset, &params, 7);
-
-    let mut group = c.benchmark_group("ust_tree");
-    group.sample_size(10);
-    group.bench_function("build_200_objects", |b| {
-        b.iter(|| UstTree::build(&dataset.database))
-    });
-    let tree = UstTree::build(&dataset.database);
     let spec = &workload.queries[0];
-    group.bench_function("prune_one_query", |b| {
-        b.iter(|| tree.prune(&spec.times, |_| spec.location))
-    });
-    group.finish();
 
     let mut group = c.benchmark_group("pruning_ablation");
     group.sample_size(10);

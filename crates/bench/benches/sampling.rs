@@ -3,6 +3,10 @@
 //! Measures the a-posteriori sampler (one attempt per trajectory) against the
 //! segment-wise rejection sampler on the same object, and the cost of drawing
 //! complete possible worlds.
+//!
+//! What perfbench cannot show: it draws worlds only through the alias kernel
+//! of the a-posteriori models, so the rejection sampler, the alias-against-CDF
+//! draw and the per-world-against-block comparison live here.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;

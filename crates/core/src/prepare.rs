@@ -19,10 +19,6 @@
 //!   fan-out degenerates to the exact serial loop the engine used before, so
 //!   results are bit-for-bit identical; any other thread count produces the
 //!   same models too (adaptation is deterministic per object), just faster.
-//!
-//! This module deliberately uses `std::sync::{Mutex, Condvar}` rather than the
-//! workspace's `parking_lot` shim: blocking waiters on the claimant's result
-//! needs a condition variable, which the shim does not provide.
 
 use crate::engine::AdaptedModels;
 use crate::govern::{BudgetGauge, QueryPhase};

@@ -89,7 +89,7 @@ impl Diamond {
         self.rect_at(t).map(|r| r.max_dist(q))
     }
 
-    /// The space-time box `(x, y, t)` stored in the R\*-tree.
+    /// The space-time box `(x, y, t)` stored in the R-tree.
     pub fn space_time_box(&self) -> Rect3 {
         self.mbr.with_time(self.t_start as f64, self.t_end as f64)
     }

@@ -7,8 +7,8 @@
 //! For every pair of consecutive observations of an object, the set of
 //! possible `(time, location)` pairs (the "diamond") is conservatively
 //! approximated by minimum bounding rectangles; the resulting space-time boxes
-//! are indexed in an R\*-tree. A probabilistic NN query then uses classic
-//! `dmin`/`dmax` reasoning:
+//! are indexed in an STR-packed R-tree. A probabilistic NN query then uses
+//! classic `dmin`/`dmax` reasoning:
 //!
 //! * an object can only be a ∀-nearest-neighbor **candidate** if, at *every*
 //!   query timestamp, its minimum possible distance does not exceed the

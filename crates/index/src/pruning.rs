@@ -65,7 +65,7 @@ const ABSENT: (f64, f64) = (f64::NEG_INFINITY, f64::INFINITY);
 /// indexed by a per-query object-slot interner, so the filter hot loop
 /// (one entry per diamond per covered timestamp) costs a vector write
 /// instead of a hash lookup. Slots are handed out in first-touch order —
-/// the deterministic R\*-tree streaming order — and the evaluated
+/// the deterministic R-tree walk order — and the evaluated
 /// candidate/influence sets are sorted by object id, so results are
 /// independent of the interning order.
 #[derive(Debug, Default)]

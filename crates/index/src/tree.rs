@@ -1,4 +1,4 @@
-//! The UST-tree: diamond approximations indexed in an R\*-tree.
+//! The UST-tree: diamond approximations indexed in an STR-packed R-tree.
 //!
 //! The build fans the per-object diamond construction out across scoped
 //! worker shards ([`UstTreeConfig::build_threads`]) and memoizes the
@@ -6,7 +6,7 @@
 //! (hundreds of thousands of states, tens of thousands of objects) index in
 //! parallel. Shards emit their diamond runs in object order and the runs are
 //! concatenated before one STR bulk load, so the resulting index — diamond
-//! order, R\*-tree shape, every pruning result — is byte-identical at every
+//! order, R-tree shape, every pruning result — is byte-identical at every
 //! thread count.
 //!
 //! Appends only grow the touched objects' runs, so [`UstTree::refresh`]
@@ -22,6 +22,7 @@ use crate::par::{parallel_map_ordered, resolve_threads};
 use crate::pruning::{BoundsTable, PruningResult};
 use crate::{ObjectId, StateId, Timestamp};
 use rustc_hash::FxHashMap;
+use std::convert::Infallible;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -38,7 +39,7 @@ pub struct UstTreeConfig {
     /// (the dashed rectangles of Figure 5). Costs memory proportional to the
     /// total number of covered timestamps.
     pub per_timestamp_mbrs: bool,
-    /// Node capacity of the underlying R\*-tree.
+    /// Node capacity of the underlying R-tree.
     pub rtree_capacity: usize,
     /// Number of worker threads the per-object diamond construction fans out
     /// across. `0` (the default) uses the machine's available parallelism;
@@ -262,7 +263,7 @@ impl UstTree {
     /// arena, every stale object's whole run is rebuilt, and the runs are
     /// spliced in database object order before one STR bulk load. The result
     /// therefore equals `build_with(db, cfg)` — same diamonds, same order,
-    /// same R\*-tree shape, same pruning results — where `cfg` keeps this
+    /// same R-tree shape, same pruning results — where `cfg` keeps this
     /// tree's granularity and node capacity and runs the rebuild on
     /// `build_threads` workers. Its cost is the stale objects' segments plus
     /// one re-pack, and its [`IndexBuildStats`] describe just that work.
@@ -398,7 +399,7 @@ impl UstTree {
     }
 
     /// Reassembles a tree from a stored diamond arena without re-running the
-    /// Markov-chain build. The R\*-tree is *not* part of the stored form: STR
+    /// Markov-chain build. The R-tree is *not* part of the stored form: STR
     /// bulk loading is deterministic, so rebuilding it here from the same
     /// diamonds with the same node capacity reproduces the original tree
     /// shape exactly.
@@ -419,13 +420,13 @@ impl UstTree {
             .enumerate()
             .map(|(i, d)| (d.space_time_box(), i))
             .collect();
-        let rtree = RTree::bulk_load_with_capacity(items, rtree_capacity);
+        let rtree = RTree::bulk_load(items, rtree_capacity);
         // An empty arena keeps the default granularity.
         let per_timestamp_mbrs = diamonds.iter().all(|d| d.per_time.is_some());
         UstTree { diamonds, rtree, num_objects, per_timestamp_mbrs, build_stats }
     }
 
-    /// Checks that the R\*-tree is well formed and indexes exactly the arena:
+    /// Checks that the R-tree is well formed and indexes exactly the arena:
     /// one entry per diamond, each under the diamond's own space-time box,
     /// and build stats that count the same diamonds. For tests and property
     /// checks.
@@ -441,7 +442,7 @@ impl UstTree {
         let mut seen = vec![false; self.diamonds.len()];
         for (rect, &i) in self.rtree.iter() {
             let Some(diamond) = self.diamonds.get(i) else {
-                return Err(format!("R*-tree entry {i} is past the arena"));
+                return Err(format!("R-tree entry {i} is past the arena"));
             };
             if std::mem::replace(&mut seen[i], true) {
                 return Err(format!("diamond {i} is indexed twice"));
@@ -456,7 +457,7 @@ impl UstTree {
         }
     }
 
-    /// Node capacity of the underlying R\*-tree (the bulk-load fan-out).
+    /// Node capacity of the underlying R-tree (the bulk-load fan-out).
     pub fn rtree_capacity(&self) -> usize {
         self.rtree.max_entries()
     }
@@ -483,93 +484,41 @@ impl UstTree {
     }
 
     /// Calls `f` for every diamond whose time interval overlaps
-    /// `[t_from, t_to]`, in deterministic R\*-tree traversal order.
-    ///
-    /// This is the streaming form the filter step uses — no intermediate
-    /// `Vec` of references is materialised per query.
+    /// `[t_from, t_to]` (`t_start <= t_to && t_end >= t_from`), in the
+    /// deterministic R-tree walk order.
     pub fn for_each_overlapping<'s>(
         &'s self,
         t_from: Timestamp,
         t_to: Timestamp,
         mut f: impl FnMut(&'s Diamond),
     ) {
-        match self.try_for_each_overlapping(t_from, t_to, |d| {
-            f(d);
-            Ok::<(), std::convert::Infallible>(())
-        }) {
-            Ok(()) => {}
-            Err(never) => match never {},
-        }
+        let Ok(()) = self.rtree.try_for_each_intersecting(&time_window(t_from, t_to), |_, &i| {
+            f(&self.diamonds[i]);
+            Ok::<(), Infallible>(())
+        });
     }
 
-    /// Fallible form of [`Self::for_each_overlapping`]: the stream stops at
-    /// the first `Err` the visitor returns and propagates it. The visit order
-    /// of the `Ok` prefix matches the infallible form, so budget checkpoints
-    /// placed in the visitor fire at deterministic stream positions.
-    pub fn try_for_each_overlapping<'s, E>(
-        &'s self,
-        t_from: Timestamp,
-        t_to: Timestamp,
-        mut f: impl FnMut(&'s Diamond) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let query = Rect3::new(
-            [f64::NEG_INFINITY, f64::NEG_INFINITY, t_from as f64],
-            [f64::INFINITY, f64::INFINITY, t_to as f64],
-        );
-        self.rtree.try_for_each_intersecting(&query, |_, &i| f(&self.diamonds[i]))
-    }
-
-    /// Diamonds whose time interval overlaps `[t_from, t_to]`, collected into
-    /// a `Vec` — a thin wrapper over [`Self::for_each_overlapping`] kept for
-    /// diagnostics and tests.
-    pub fn diamonds_overlapping(&self, t_from: Timestamp, t_to: Timestamp) -> Vec<&Diamond> {
-        let mut out = Vec::new();
-        self.for_each_overlapping(t_from, t_to, |d| out.push(d));
-        out
-    }
-
-    /// Runs the filter step of Section 6 for a query given by per-timestamp
-    /// positions: returns the ∀-candidates, the influence objects and the
-    /// per-timestamp pruning distances.
+    /// Runs the filter step of Section 6 for a k-NN query given by
+    /// per-timestamp positions: returns the ∀-candidates, the influence
+    /// objects and the per-timestamp pruning distances, the k-th smallest
+    /// `dmax` over all alive objects (`k = 1` is the plain NN filter).
     ///
-    /// `query_pos(t)` must be defined for every `t` in `times`.
-    pub fn prune(
-        &self,
-        times: &[Timestamp],
-        query_pos: impl Fn(Timestamp) -> Point,
-    ) -> PruningResult {
-        self.prune_knn(times, query_pos, 1)
-    }
-
-    /// The filter step for k-NN queries: the pruning distance at every
-    /// timestamp is the k-th smallest `dmax` over all alive objects.
+    /// `query_pos(t)` must be defined for every `t` in `times`, and `times`
+    /// must be ascending (as produced by `Query::times`): the streamed probe
+    /// below relies on the covered timestamps of each diamond forming a
+    /// contiguous subrange.
     ///
-    /// `times` must be ascending (as produced by `Query::times`); the
-    /// streamed probe below relies on the covered timestamps of each diamond
-    /// forming a contiguous subrange.
-    ///
-    /// Diamonds are streamed straight out of the R\*-tree into a dense
+    /// Diamonds are streamed straight out of the R-tree into a dense
     /// per-query bounds arena (the slot-interned `BoundsTable` of
     /// `pruning.rs`): the object slot is interned once per diamond, and only
     /// the query timestamps inside the diamond's time interval are probed.
-    pub fn prune_knn(
-        &self,
-        times: &[Timestamp],
-        query_pos: impl Fn(Timestamp) -> Point,
-        k: usize,
-    ) -> PruningResult {
-        match self.try_prune_knn(times, query_pos, k, |_| Ok::<(), std::convert::Infallible>(()))
-        {
-            Ok(result) => result,
-            Err(never) => match never {},
-        }
-    }
-
-    /// Governable form of [`Self::prune_knn`]: `guard` is called once per
-    /// streamed diamond with the running stream count (1-based) *before* the
-    /// diamond is probed; returning `Err` aborts the pruning pass and
-    /// propagates the error. Diamonds stream in deterministic R\*-tree order,
-    /// so a guard that trips at count `n` always trips on the same diamond.
+    ///
+    /// `guard` is called once per streamed diamond with the running stream
+    /// count (1-based) *before* the diamond is probed; returning `Err` aborts
+    /// the pruning pass and propagates the error. Diamonds stream in the
+    /// deterministic R-tree walk order, so a guard that trips at count `n`
+    /// always trips on the same diamond. A caller without a budget passes a
+    /// guard that returns `Result<(), Infallible>`.
     pub fn try_prune_knn<E>(
         &self,
         times: &[Timestamp],
@@ -591,7 +540,8 @@ impl UstTree {
         let positions: Vec<Point> = times.iter().map(|&t| query_pos(t)).collect();
         let mut table = BoundsTable::new(times.len());
         let mut streamed = 0usize;
-        self.try_for_each_overlapping(t_from, t_to, |diamond| {
+        self.rtree.try_for_each_intersecting(&time_window(t_from, t_to), |_, &index| {
+            let diamond = &self.diamonds[index];
             streamed += 1;
             guard(streamed)?;
             // Probe only the query timestamps the diamond actually covers
@@ -612,11 +562,15 @@ impl UstTree {
         })?;
         Ok(table.evaluate_knn(times, k))
     }
+}
 
-    /// Convenience wrapper for a static (constant-location) query point.
-    pub fn prune_point(&self, times: &[Timestamp], q: Point) -> PruningResult {
-        self.prune(times, |_| q)
-    }
+/// The space-time query box of the time window `[t_from, t_to]`: unbounded
+/// in space, so it selects diamonds by their time interval alone.
+fn time_window(t_from: Timestamp, t_to: Timestamp) -> Rect3 {
+    Rect3::new(
+        [f64::NEG_INFINITY, f64::NEG_INFINITY, t_from as f64],
+        [f64::INFINITY, f64::INFINITY, t_to as f64],
+    )
 }
 
 /// Builds the ordered diamond run of one object.
@@ -666,6 +620,13 @@ mod tests {
     use ust_markov::CsrMatrix;
     use ust_spatial::StateSpace;
     use ust_trajectory::UncertainObject;
+
+    /// The filter without a budget: [`UstTree::try_prune_knn`] for a static
+    /// query point, under a guard that never trips.
+    fn prune_at(tree: &UstTree, times: &[Timestamp], q: Point, k: usize) -> PruningResult {
+        let Ok(result) = tree.try_prune_knn(times, |_| q, k, |_| Ok::<(), Infallible>(()));
+        result
+    }
 
     /// Database over a 1-d line of 10 states at x = 0..9 where objects can
     /// stay or move one step left/right per tic.
@@ -761,23 +722,12 @@ mod tests {
     fn diamonds_overlapping_respects_time() {
         let db = example_db();
         let tree = UstTree::build(&db);
-        let early: Vec<ObjectId> =
-            tree.diamonds_overlapping(0, 3).iter().map(|d| d.object).collect();
+        let mut early: Vec<ObjectId> = Vec::new();
+        tree.for_each_overlapping(0, 3, |d| early.push(d.object));
         assert!(!early.contains(&4), "object 4 does not exist before t=6");
-        let late: Vec<ObjectId> =
-            tree.diamonds_overlapping(6, 8).iter().map(|d| d.object).collect();
+        let mut late: Vec<ObjectId> = Vec::new();
+        tree.for_each_overlapping(6, 8, |d| late.push(d.object));
         assert!(late.contains(&4));
-    }
-
-    #[test]
-    fn visitor_and_vec_overlap_queries_agree() {
-        let db = example_db();
-        let tree = UstTree::build(&db);
-        let collected: Vec<ObjectId> =
-            tree.diamonds_overlapping(2, 7).iter().map(|d| d.object).collect();
-        let mut streamed: Vec<ObjectId> = Vec::new();
-        tree.for_each_overlapping(2, 7, |d| streamed.push(d.object));
-        assert_eq!(collected, streamed, "wrapper and visitor must stream identically");
     }
 
     #[test]
@@ -788,7 +738,7 @@ mod tests {
         // 2 can drift at most 3 to x=2 > dmax(o1) bounds? o1 dmax <= 1+3=4,
         // o2 dmin >= 5-3=2 ... both may overlap; the important checks are that
         // the far object 3 is pruned and object 1 is a candidate.
-        let result = tree.prune_point(&[1, 2, 3], Point::new(1.0, 0.0));
+        let result = prune_at(&tree, &[1, 2, 3], Point::new(1.0, 0.0), 1);
         assert!(result.is_candidate(1));
         assert!(!result.is_influencer(3), "object 3 can never be within reach");
         assert!(!result.is_candidate(4), "object 4 does not exist in the interval");
@@ -801,11 +751,11 @@ mod tests {
         let tree = UstTree::build(&db);
         let q = Point::new(0.0, 0.0);
         // Interval [6,8]: object 4 sits exactly at the query, object 1 nearby.
-        let result = tree.prune_point(&[6, 7, 8], q);
+        let result = prune_at(&tree, &[6, 7, 8], q, 1);
         assert!(result.is_candidate(4));
         assert!(result.is_influencer(1));
         // Interval [2,3]: object 4 is not alive and must not appear at all.
-        let result = tree.prune_point(&[2, 3], q);
+        let result = prune_at(&tree, &[2, 3], q, 1);
         assert!(!result.is_influencer(4));
         assert!(result.is_candidate(1));
     }
@@ -818,7 +768,7 @@ mod tests {
         let tree = UstTree::build(&db);
         let times: Vec<Timestamp> = vec![1, 2, 3, 4, 5];
         let q = Point::new(4.0, 0.0);
-        let result = tree.prune(&times, |_| q);
+        let result = prune_at(&tree, &times, q, 1);
 
         // Brute force: per object per time min/max distance over reachable states.
         let reach = ReachabilityIndex::from_matrix(db.shared_model().matrix_at(0));
@@ -857,8 +807,8 @@ mod tests {
         let tree = UstTree::build(&db);
         let q = Point::new(1.0, 0.0);
         let times: Vec<Timestamp> = vec![1, 2, 3];
-        let k1 = tree.prune_knn(&times, |_| q, 1);
-        let k3 = tree.prune_knn(&times, |_| q, 3);
+        let k1 = prune_at(&tree, &times, q, 1);
+        let k3 = prune_at(&tree, &times, q, 3);
         assert!(k3.num_candidates() >= k1.num_candidates());
         assert!(k3.num_influencers() >= k1.num_influencers());
         // With k equal to the number of alive objects, every alive object is
@@ -870,7 +820,7 @@ mod tests {
     fn empty_time_set_returns_empty_result() {
         let db = example_db();
         let tree = UstTree::build(&db);
-        let result = tree.prune_point(&[], Point::new(0.0, 0.0));
+        let result = prune_at(&tree, &[], Point::new(0.0, 0.0), 1);
         assert!(result.candidates.is_empty());
         assert!(result.influencers.is_empty());
     }
@@ -883,7 +833,7 @@ mod tests {
         ]);
         let tree = UstTree::build(&db);
         assert_eq!(tree.num_diamonds(), 2);
-        let result = tree.prune_point(&[5], Point::new(3.0, 0.0));
+        let result = prune_at(&tree, &[5], Point::new(3.0, 0.0), 1);
         assert!(result.is_candidate(1));
     }
 

@@ -1,7 +1,16 @@
-//! Tree-identity assertions shared by the build-determinism and refresh
-//! suites.
+//! Tree-identity assertions and the budget-free filter shared by the
+//! build-determinism and refresh suites.
 
-use ust_index::{Diamond, UstTree};
+use std::convert::Infallible;
+use ust_index::{Diamond, PruningResult, Timestamp, UstTree};
+use ust_spatial::Point;
+
+/// The filter without a budget: `UstTree::try_prune_knn` for a static query
+/// point, under a guard that never trips.
+pub fn prune_at(tree: &UstTree, times: &[Timestamp], q: Point, k: usize) -> PruningResult {
+    let Ok(result) = tree.try_prune_knn(times, |_| q, k, |_| Ok::<(), Infallible>(()));
+    result
+}
 
 /// Field-by-field, bit-exact diamond equality: the f64 payloads must be the
 /// same computation in the same order, not merely close.
@@ -23,9 +32,8 @@ pub fn assert_same_diamond(a: &Diamond, b: &Diamond) {
     }
 }
 
-/// Same diamonds in the same order, and the same R\*-tree shape: identical
-/// overlap streams (traversal order included) for every window in
-/// `windows`.
+/// Same diamonds in the same order, and the same R-tree shape: identical
+/// overlap streams (walk order included) for every window in `windows`.
 pub fn assert_identical_trees(a: &UstTree, b: &UstTree, windows: &[(u32, u32)]) {
     assert_eq!(a.num_diamonds(), b.num_diamonds());
     assert_eq!(a.num_objects(), b.num_objects());
@@ -33,14 +41,11 @@ pub fn assert_identical_trees(a: &UstTree, b: &UstTree, windows: &[(u32, u32)]) 
         assert_same_diamond(x, y);
     }
     for &(from, to) in windows {
-        let key = |d: &Diamond| (d.object, d.t_start, d.t_end);
-        let xs: Vec<_> = a
-            .diamonds_overlapping(from, to)
-            .into_iter()
-            .map(key)
-            .collect();
-        let mut ys = Vec::new();
-        b.for_each_overlapping(from, to, |d| ys.push(key(d)));
-        assert_eq!(xs, ys, "traversal order differs for window [{from}, {to}]");
+        let stream = |tree: &UstTree| {
+            let mut keys = Vec::new();
+            tree.for_each_overlapping(from, to, |d| keys.push((d.object, d.t_start, d.t_end)));
+            keys
+        };
+        assert_eq!(stream(a), stream(b), "walk order differs for window [{from}, {to}]");
     }
 }

@@ -1,5 +1,5 @@
 //! A refreshed UST-tree must equal a from-scratch build over the grown
-//! database: same diamonds in the same order, same R\*-tree shape, same
+//! database: same diamonds in the same order, same R-tree shape, same
 //! pruning results — at every `build_threads` setting and at both diamond
 //! granularities.
 //!
@@ -14,7 +14,7 @@
 
 mod common;
 
-use common::assert_identical_trees;
+use common::{assert_identical_trees, prune_at};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -178,8 +178,8 @@ fn assert_same_pruning(a: &UstTree, b: &UstTree, rng: &mut StdRng) {
         let times: Vec<Timestamp> = (from..from + rng.gen_range(1..=8u32)).collect();
         let q = Point::new(rng.gen_range(0.0..f64::from(STATES)), 0.0);
         for k in [1usize, 2] {
-            let x = a.prune_knn(&times, |_| q, k);
-            let y = b.prune_knn(&times, |_| q, k);
+            let x = prune_at(a, &times, q, k);
+            let y = prune_at(b, &times, q, k);
             assert_eq!(x.candidates, y.candidates);
             assert_eq!(x.influencers, y.influencers);
             let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();

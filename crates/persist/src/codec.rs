@@ -558,7 +558,7 @@ pub(crate) fn decode_tree(
         };
         diamonds.push(Diamond { object, t_start, t_end, mbr, per_time });
     }
-    // The R*-tree itself is not stored: STR bulk loading is deterministic, so
+    // The R-tree itself is not stored: STR bulk loading is deterministic, so
     // rebuilding it from the validated diamond arena reproduces the original
     // tree shape exactly (see `UstTree::from_parts`).
     Ok(UstTree::from_parts(diamonds, num_objects, capacity, stats))

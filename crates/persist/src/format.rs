@@ -31,7 +31,7 @@ pub mod section {
     /// The trajectory database (state space, a-priori models, objects).
     /// Required — every store has one.
     pub const DATABASE: u32 = 1;
-    /// The built UST-tree (diamond arena + build stats; the R\*-tree is
+    /// The built UST-tree (diamond arena + build stats; the R-tree is
     /// rebuilt by a deterministic STR bulk load on decode). Optional.
     pub const TREE: u32 = 2;
     /// Adapted (a-posteriori) Markov models from the adaptation cache.

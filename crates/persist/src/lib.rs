@@ -18,7 +18,7 @@
 //!
 //! All integers are little-endian; floats travel as IEEE-754 bit patterns, so
 //! encode→decode→encode is byte-identical. Hash-map-backed structures are
-//! written in sorted key order for the same reason. The R\*-tree is *not*
+//! written in sorted key order for the same reason. The R-tree is *not*
 //! serialized: STR bulk loading is deterministic, so the tree section stores
 //! only the diamond arena plus the node capacity and rebuilds the rest.
 //!

@@ -4,8 +4,8 @@
 //! query timestamp. Sampling worlds one at a time stores each world as an
 //! array-of-structures (one [`ust_trajectory::Trajectory`] per object), so
 //! the per-timestamp evaluation strides across trajectories and the PCNN
-//! [`WorldSet`](https://en.wikipedia.org/wiki/Bit_array) columns are written
-//! one bit at a time.
+//! world set's columns (`ust_core::pcnn::WorldSet`) are written one bit at a
+//! time.
 //!
 //! A [`WorldBlock`] instead samples a *block* of worlds (typically
 //! [`WORLD_BLOCK_WIDTH`] = 64, one per bit of a `u64` word) into a

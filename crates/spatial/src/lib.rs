@@ -14,9 +14,11 @@
 //!   pruning rules of Section 6,
 //! * [`StateSpace`] — the finite alphabet of possible locations, mapping
 //!   [`StateId`]s to points,
-//! * [`rtree::RTree`] — a from-scratch R*-tree ([Beckmann et al., SIGMOD 1990],
-//!   reference \[31\] of the paper) used as the secondary index underneath the
-//!   UST-tree.
+//! * [`rtree::RTree`] — a from-scratch R-tree, the secondary index underneath
+//!   the UST-tree. The paper indexes diamonds in an R\*-tree (reference
+//!   \[31\]); here the index is static between refreshes, so the tree is
+//!   always bulk-loaded by STR packing [Leutenegger et al., ICDE 1997] and
+//!   never grown by R\* insertion.
 //!
 //! Everything in this crate is deterministic and purely geometric; all
 //! probabilistic machinery lives in `ust-markov` and above.

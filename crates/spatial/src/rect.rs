@@ -11,7 +11,7 @@
 //!
 //! [`Rect`] is generic over the dimension so the same type serves both the
 //! purely spatial 2-d MBRs (`Rect2`) and the spatio-temporal 3-d boxes
-//! (`Rect3`, axes `x`, `y`, `t`) stored in the R*-tree.
+//! (`Rect3`, axes `x`, `y`, `t`) stored in the R-tree.
 
 use crate::point::Point;
 
@@ -54,9 +54,9 @@ impl<const D: usize> Rect<D> {
         Rect { min: p, max: p }
     }
 
-    /// An "empty" rectangle suitable as the neutral element of [`Rect::union`].
+    /// An "empty" rectangle suitable as the neutral element of [`Rect::extend`].
     ///
-    /// Its bounds are inverted (`+inf`/`-inf`), so the union with any proper
+    /// Its bounds are inverted (`+inf`/`-inf`), so extending it by any proper
     /// rectangle yields that rectangle. Use [`Rect::is_empty`] to test for it.
     #[inline]
     pub fn empty() -> Self {
@@ -75,25 +75,6 @@ impl<const D: usize> Rect<D> {
         (self.max[i] - self.min[i]).max(0.0)
     }
 
-    /// The product of all extents (hyper-volume). Zero for degenerate boxes.
-    #[inline]
-    pub fn area(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        (0..D).map(|i| self.extent(i)).product()
-    }
-
-    /// The sum of all extents (the "margin" used by the R*-tree split
-    /// heuristic).
-    #[inline]
-    pub fn margin(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        (0..D).map(|i| self.extent(i)).sum()
-    }
-
     /// Center of the rectangle.
     #[inline]
     pub fn center(&self) -> [f64; D] {
@@ -102,18 +83,6 @@ impl<const D: usize> Rect<D> {
             *c = 0.5 * (lo + hi);
         }
         c
-    }
-
-    /// Smallest rectangle containing both `self` and `other`.
-    #[inline]
-    pub fn union(&self, other: &Rect<D>) -> Rect<D> {
-        let mut min = [0.0; D];
-        let mut max = [0.0; D];
-        for i in 0..D {
-            min[i] = self.min[i].min(other.min[i]);
-            max[i] = self.max[i].max(other.max[i]);
-        }
-        Rect { min, max }
     }
 
     /// Extends `self` in place to contain `other`.
@@ -132,28 +101,6 @@ impl<const D: usize> Rect<D> {
             *lo = lo.min(pi);
             *hi = hi.max(pi);
         }
-    }
-
-    /// Increase in area that would result from extending `self` to contain
-    /// `other` (the R-tree "enlargement" criterion).
-    #[inline]
-    pub fn enlargement(&self, other: &Rect<D>) -> f64 {
-        self.union(other).area() - self.area()
-    }
-
-    /// Area of the intersection of `self` and `other` (zero if disjoint).
-    #[inline]
-    pub fn overlap_area(&self, other: &Rect<D>) -> f64 {
-        let mut a = 1.0;
-        for i in 0..D {
-            let lo = self.min[i].max(other.min[i]);
-            let hi = self.max[i].min(other.max[i]);
-            if hi <= lo {
-                return 0.0;
-            }
-            a *= hi - lo;
-        }
-        a
     }
 
     /// Whether the two rectangles intersect (boundaries touching counts).
@@ -270,29 +217,35 @@ mod tests {
         Rect::new(min, max)
     }
 
+    /// `a` extended in place by `b`.
+    fn union(a: Rect2, b: &Rect2) -> Rect2 {
+        let mut u = a;
+        u.extend(b);
+        u
+    }
+
     #[test]
-    fn area_margin_center() {
+    fn center_is_the_midpoint() {
         let a = r([0.0, 0.0], [2.0, 3.0]);
-        assert_eq!(a.area(), 6.0);
-        assert_eq!(a.margin(), 5.0);
         assert_eq!(a.center(), [1.0, 1.5]);
+        assert_eq!(Rect::point([4.0, -1.0]).center(), [4.0, -1.0]);
     }
 
     #[test]
     fn empty_rectangle_is_union_identity() {
         let e = Rect2::empty();
         assert!(e.is_empty());
-        assert_eq!(e.area(), 0.0);
+        assert_eq!(e.extent(0), 0.0);
         let a = r([1.0, 1.0], [2.0, 2.0]);
-        assert_eq!(e.union(&a), a);
-        assert_eq!(a.union(&e), a);
+        assert_eq!(union(e, &a), a);
+        assert_eq!(union(a, &e), a);
     }
 
     #[test]
     fn union_contains_both() {
         let a = r([0.0, 0.0], [1.0, 1.0]);
         let b = r([2.0, -1.0], [3.0, 0.5]);
-        let u = a.union(&b);
+        let u = union(a, &b);
         assert!(u.contains(&a));
         assert!(u.contains(&b));
         assert_eq!(u, r([0.0, -1.0], [3.0, 1.0]));
@@ -303,27 +256,23 @@ mod tests {
         let a = r([0.0, 0.0], [2.0, 2.0]);
         let b = r([1.0, 1.0], [3.0, 3.0]);
         let c = r([5.0, 5.0], [6.0, 6.0]);
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&c));
-        assert_eq!(a.overlap_area(&b), 1.0);
-        assert_eq!(a.overlap_area(&c), 0.0);
+        assert!(a.intersects(&b) && b.intersects(&a));
+        assert!(!a.intersects(&c) && !c.intersects(&a));
+        // Overlapping on one axis only is not an intersection.
+        let d = r([1.0, 2.5], [3.0, 4.0]);
+        assert!(!a.intersects(&d));
     }
 
     #[test]
     fn touching_rectangles_intersect_with_zero_overlap() {
         let a = r([0.0, 0.0], [1.0, 1.0]);
         let b = r([1.0, 0.0], [2.0, 1.0]);
-        assert!(a.intersects(&b));
-        assert_eq!(a.overlap_area(&b), 0.0);
-    }
-
-    #[test]
-    fn enlargement() {
-        let a = r([0.0, 0.0], [1.0, 1.0]);
-        let b = r([0.25, 0.25], [0.75, 0.75]);
-        assert_eq!(a.enlargement(&b), 0.0);
-        let c = r([0.0, 0.0], [2.0, 1.0]);
-        assert_eq!(a.enlargement(&c), 1.0);
+        assert!(a.intersects(&b) && b.intersects(&a));
+        // A degenerate (zero-extent) box on the shared edge intersects both.
+        let edge = r([1.0, 0.25], [1.0, 0.75]);
+        assert!(a.intersects(&edge) && b.intersects(&edge));
+        let gap = r([1.0 + 1e-9, 0.0], [2.0, 1.0]);
+        assert!(!a.intersects(&gap));
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Sort-tile-recursive (STR) bulk loading.
 //!
-//! Building the UST-tree over a static trajectory database inserts one
-//! rectangle per observation segment per object — up to hundreds of thousands
-//! of boxes. STR packing [Leutenegger et al., ICDE 1997] produces a compact,
-//! well-clustered tree in `O(n log n)` and avoids the churn of one-by-one
-//! insertion.
+//! The UST-tree indexes one box per observation segment per object — up to
+//! hundreds of thousands of boxes — and packs them all at once. STR packing
+//! [Leutenegger et al., ICDE 1997] produces a compact, well-clustered tree in
+//! `O(n log n)`.
 
 use super::node::{Child, Entry, Node};
 use super::RTree;
@@ -15,11 +14,10 @@ pub(super) fn bulk_load<const D: usize, T>(
     items: Vec<(Rect<D>, T)>,
     max_entries: usize,
 ) -> RTree<D, T> {
-    assert!(max_entries >= 4, "R*-tree nodes need a capacity of at least 4");
-    let min_entries = (max_entries * 2 / 5).max(2);
+    assert!(max_entries >= 4, "R-tree nodes need a capacity of at least 4");
     let len = items.len();
     if len == 0 {
-        return RTree { root: Node::Leaf(Vec::new()), len: 0, max_entries, min_entries };
+        return RTree { root: Node::Leaf(Vec::new()), len: 0, max_entries };
     }
 
     // Pack leaf entries into leaves.
@@ -47,7 +45,7 @@ pub(super) fn bulk_load<const D: usize, T>(
     }
 
     let root = *level.pop().expect("at least one node").node;
-    RTree { root, len, max_entries, min_entries }
+    RTree { root, len, max_entries }
 }
 
 /// Groups `items` into chunks of at most `capacity` elements using the STR

@@ -1,65 +1,49 @@
-//! A from-scratch R*-tree.
+//! A from-scratch, STR-packed R-tree.
 //!
 //! The UST-tree (Section 6, reference \[25\] of the paper) indexes the
 //! rectangular approximations of uncertain trajectories "using an R*-tree
-//! \[31\]". This module implements that substrate: an in-memory R*-tree
-//! [Beckmann, Kriegel, Schneider, Seeger, SIGMOD 1990] with
+//! \[31\]". Here that index is static between refreshes: a build, an
+//! append-time refresh and a store load each pack the whole diamond arena at
+//! once. So the tree is always bulk-loaded by sort-tile-recursive (STR)
+//! packing [Leutenegger et al., ICDE 1997] and never grown by insertion, and
+//! the R\* insertion heuristics (choose-subtree, the topological split) would
+//! have nothing to do. The module keeps
 //!
-//! * recursive insertion with the R* *choose-subtree* rule (minimum overlap
-//!   enlargement at the leaf level, minimum area enlargement above),
-//! * the R* topological split (choose axis by minimum margin sum, choose
-//!   distribution by minimum overlap, ties broken by area),
-//! * sort-tile-recursive (STR) bulk loading for large static datasets, and
-//! * intersection queries plus a generic pruned traversal used by the
-//!   UST-tree's `dmin`/`dmax` filter step.
+//! * one constructor, [`RTree::bulk_load`], and
+//! * one walk, [`RTree::try_for_each_intersecting`], which the UST-tree's
+//!   time-window filter runs.
 //!
 //! The tree is generic over the dimension `D`, so the same code serves the
 //! 2-d spatial MBRs and the 3-d space-time boxes of the UST-tree.
 
 mod bulk;
 mod node;
-mod split;
 
 use crate::rect::Rect;
-pub use node::Entry;
 use node::Node;
 
-/// Default maximum number of entries per node.
-pub const DEFAULT_MAX_ENTRIES: usize = 32;
-
-/// An in-memory R*-tree storing items of type `T` under `D`-dimensional
-/// bounding boxes.
+/// An in-memory R-tree storing items of type `T` under `D`-dimensional
+/// bounding boxes, packed once by [`RTree::bulk_load`].
 #[derive(Debug, Clone)]
 pub struct RTree<const D: usize, T> {
     root: Node<D, T>,
     len: usize,
     max_entries: usize,
-    min_entries: usize,
-}
-
-impl<const D: usize, T> Default for RTree<D, T> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl<const D: usize, T> RTree<D, T> {
-    /// Creates an empty tree with the default node capacity.
-    pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_MAX_ENTRIES)
-    }
-
-    /// Creates an empty tree with at most `max_entries` entries per node.
+    /// Builds a tree from a collection of `(rect, item)` pairs using STR
+    /// (sort-tile-recursive) bulk loading, with at most `max_entries`
+    /// entries per node.
     ///
-    /// The minimum fill is set to 40 % of the maximum, as recommended for the
-    /// R*-tree.
+    /// This packs a well-clustered tree in `O(n log n)`. Packing is
+    /// deterministic: the same items in the same order at the same capacity
+    /// always give the same tree shape, and so the same walk order.
     ///
     /// # Panics
     /// Panics if `max_entries < 4`.
-    pub fn with_capacity(max_entries: usize) -> Self {
-        assert!(max_entries >= 4, "R*-tree nodes need a capacity of at least 4");
-        let min_entries = (max_entries * 2 / 5).max(2);
-        RTree { root: Node::Leaf(Vec::new()), len: 0, max_entries, min_entries }
+    pub fn bulk_load(items: Vec<(Rect<D>, T)>, max_entries: usize) -> Self {
+        bulk::bulk_load(items, max_entries)
     }
 
     /// Number of stored items.
@@ -74,7 +58,7 @@ impl<const D: usize, T> RTree<D, T> {
         self.len == 0
     }
 
-    /// Maximum node capacity this tree was configured with.
+    /// Maximum node capacity this tree was packed with.
     #[inline]
     pub fn max_entries(&self) -> usize {
         self.max_entries
@@ -94,86 +78,18 @@ impl<const D: usize, T> RTree<D, T> {
         }
     }
 
-    /// Inserts `item` with bounding box `rect`.
-    pub fn insert(&mut self, rect: Rect<D>, item: T) {
-        debug_assert!(!rect.is_empty(), "cannot insert an empty rectangle");
-        let (max, min) = (self.max_entries, self.min_entries);
-        if let Some((sibling_rect, sibling)) = self.root.insert(rect, item, max, min) {
-            // Root overflowed: grow the tree by one level.
-            let old_root = std::mem::replace(&mut self.root, Node::Internal(Vec::new()));
-            let old_rect = old_root.mbr();
-            if let Node::Internal(children) = &mut self.root {
-                children.push(node::Child { rect: old_rect, node: Box::new(old_root) });
-                children.push(node::Child { rect: sibling_rect, node: Box::new(sibling) });
-            }
-        }
-        self.len += 1;
-    }
-
-    /// Builds a tree from a collection of `(rect, item)` pairs using STR
-    /// (sort-tile-recursive) bulk loading.
-    ///
-    /// This produces a well-packed tree in `O(n log n)` and is the preferred
-    /// way to build the UST-tree over a static trajectory database.
-    pub fn bulk_load(items: Vec<(Rect<D>, T)>) -> Self {
-        Self::bulk_load_with_capacity(items, DEFAULT_MAX_ENTRIES)
-    }
-
-    /// [`RTree::bulk_load`] with an explicit node capacity.
-    pub fn bulk_load_with_capacity(items: Vec<(Rect<D>, T)>, max_entries: usize) -> Self {
-        bulk::bulk_load(items, max_entries)
-    }
-
-    /// Collects references to all items whose bounding box intersects `query`.
-    pub fn query_intersecting(&self, query: &Rect<D>) -> Vec<&T> {
-        let mut out = Vec::new();
-        self.for_each_intersecting(query, |_, item| out.push(item));
-        out
-    }
-
     /// Calls `f(rect, item)` for every stored item whose box intersects
-    /// `query`.
-    pub fn for_each_intersecting<'a>(
-        &'a self,
-        query: &Rect<D>,
-        mut f: impl FnMut(&'a Rect<D>, &'a T),
-    ) {
-        match self.root.try_for_each_intersecting(query, &mut |rect, item| {
-            f(rect, item);
-            Ok::<(), std::convert::Infallible>(())
-        }) {
-            Ok(()) => {}
-            Err(never) => match never {},
-        }
-    }
-
-    /// Fallible form of [`RTree::for_each_intersecting`]: the traversal stops
-    /// at the first `Err` the visitor returns and propagates it. The visit
-    /// order of the `Ok` prefix is identical to the infallible form (the
-    /// UST-tree filter step relies on this for deterministic budget
-    /// checkpoints).
+    /// `query` (touching boundaries count). The walk stops at the first `Err`
+    /// the visitor returns and propagates it. The visit order is a pure
+    /// function of the packed tree, so the UST-tree filter's budget
+    /// checkpoints fire on the same item every run. A visitor that cannot
+    /// fail returns `Result<(), Infallible>`.
     pub fn try_for_each_intersecting<'a, E>(
         &'a self,
         query: &Rect<D>,
         mut f: impl FnMut(&'a Rect<D>, &'a T) -> Result<(), E>,
     ) -> Result<(), E> {
         self.root.try_for_each_intersecting(query, &mut f)
-    }
-
-    /// Generic pruned traversal.
-    ///
-    /// `descend` is called on every directory rectangle (internal node MBRs
-    /// *and* leaf-entry rectangles); subtrees/items for which it returns
-    /// `false` are skipped. `on_item` receives every surviving item. This is
-    /// the hook used by the UST-tree's nearest-neighbor pruning, where the
-    /// decision involves `dmin`/`dmax` comparisons rather than plain
-    /// intersection.
-    pub fn search_with<'a>(
-        &'a self,
-        mut descend: impl FnMut(&Rect<D>) -> bool,
-        mut on_item: impl FnMut(&'a Rect<D>, &'a T),
-    ) {
-        self.root.search_with(&mut descend, &mut on_item);
     }
 
     /// Iterates over all `(rect, item)` pairs in unspecified order.
@@ -189,7 +105,7 @@ impl<const D: usize, T> RTree<D, T> {
         if self.len == 0 {
             return Ok(());
         }
-        self.root.check_invariants(true, self.max_entries, self.min_entries)?;
+        self.root.check_invariants(true, self.max_entries)?;
         let mut count = 0usize;
         self.root.collect_count(&mut count);
         if count != self.len {
@@ -203,9 +119,21 @@ impl<const D: usize, T> RTree<D, T> {
 mod tests {
     use super::*;
     use crate::rect::Rect2;
+    use std::convert::Infallible;
 
     fn unit_rect(x: f64, y: f64) -> Rect2 {
         Rect::new([x, y], [x + 0.5, y + 0.5])
+    }
+
+    /// Every item the walk visits for `q`, sorted.
+    fn intersecting<const D: usize, T: Copy + Ord>(t: &RTree<D, T>, q: &Rect<D>) -> Vec<T> {
+        let mut got = Vec::new();
+        let Ok(()) = t.try_for_each_intersecting(q, |_, &item| {
+            got.push(item);
+            Ok::<(), Infallible>(())
+        });
+        got.sort_unstable();
+        got
     }
 
     /// Brute-force reference used to validate query results.
@@ -230,123 +158,83 @@ mod tests {
 
     #[test]
     fn empty_tree_behaves() {
-        let t: RTree<2, usize> = RTree::new();
+        let t: RTree<2, usize> = RTree::bulk_load(Vec::new(), 4);
         assert!(t.is_empty());
         assert_eq!(t.len(), 0);
         assert!(t.bounds().is_none());
-        assert!(t.query_intersecting(&Rect::new([0.0, 0.0], [1.0, 1.0])).is_empty());
+        assert!(intersecting(&t, &Rect::new([0.0, 0.0], [1.0, 1.0])).is_empty());
         assert!(t.check_invariants().is_ok());
-    }
-
-    #[test]
-    fn insert_and_query_small() {
-        let mut t = RTree::with_capacity(4);
-        for (i, (r, _)) in pseudo_random_items(10).into_iter().enumerate() {
-            t.insert(r, i);
-        }
-        assert_eq!(t.len(), 10);
-        assert!(t.check_invariants().is_ok());
-        let all = t.query_intersecting(&t.bounds().unwrap());
-        assert_eq!(all.len(), 10);
-    }
-
-    #[test]
-    fn insert_matches_brute_force() {
-        let items = pseudo_random_items(500);
-        let mut t = RTree::with_capacity(8);
-        for (r, i) in &items {
-            t.insert(*r, *i);
-        }
-        assert!(t.check_invariants().is_ok());
-        for k in 0..20 {
-            let c = 5.0 * k as f64;
-            let q = Rect::new([c, c], [c + 20.0, c + 15.0]);
-            let mut got: Vec<usize> = t.query_intersecting(&q).into_iter().copied().collect();
-            got.sort_unstable();
-            assert_eq!(got, brute_force(&items, &q));
-        }
     }
 
     #[test]
     fn bulk_load_matches_brute_force() {
         let items = pseudo_random_items(2000);
-        let t = RTree::bulk_load_with_capacity(items.clone(), 16);
+        let t = RTree::bulk_load(items.clone(), 16);
         assert_eq!(t.len(), items.len());
         assert!(t.check_invariants().is_ok());
         for k in 0..20 {
             let c = 4.0 * k as f64;
             let q = Rect::new([c, 100.0 - c - 10.0], [c + 25.0, 100.0 - c]);
-            let mut got: Vec<usize> = t.query_intersecting(&q).into_iter().copied().collect();
-            got.sort_unstable();
-            assert_eq!(got, brute_force(&items, &q));
+            assert_eq!(intersecting(&t, &q), brute_force(&items, &q));
         }
     }
 
     #[test]
     fn bulk_load_small_and_empty() {
-        let t: RTree<2, usize> = RTree::bulk_load(Vec::new());
+        let t: RTree<2, usize> = RTree::bulk_load(Vec::new(), 32);
         assert!(t.is_empty());
-        let t = RTree::bulk_load(vec![(unit_rect(0.0, 0.0), 7usize)]);
+        let t = RTree::bulk_load(vec![(unit_rect(0.0, 0.0), 7usize)], 32);
         assert_eq!(t.len(), 1);
-        assert_eq!(t.query_intersecting(&unit_rect(0.0, 0.0)), vec![&7]);
+        assert_eq!(intersecting(&t, &unit_rect(0.0, 0.0)), vec![7]);
     }
 
     #[test]
     fn three_dimensional_boxes() {
         // Space-time boxes as used by the UST-tree: (x, y, t).
-        let mut t: RTree<3, &str> = RTree::with_capacity(4);
-        t.insert(Rect::new([0.0, 0.0, 0.0], [1.0, 1.0, 5.0]), "a");
-        t.insert(Rect::new([2.0, 2.0, 5.0], [3.0, 3.0, 10.0]), "b");
-        t.insert(Rect::new([0.0, 0.0, 8.0], [1.0, 1.0, 12.0]), "c");
+        let t: RTree<3, &str> = RTree::bulk_load(
+            vec![
+                (Rect::new([0.0, 0.0, 0.0], [1.0, 1.0, 5.0]), "a"),
+                (Rect::new([2.0, 2.0, 5.0], [3.0, 3.0, 10.0]), "b"),
+                (Rect::new([0.0, 0.0, 8.0], [1.0, 1.0, 12.0]), "c"),
+            ],
+            4,
+        );
         // Query: anything alive during time [6, 9] anywhere in space.
         let q = Rect::new([-10.0, -10.0, 6.0], [10.0, 10.0, 9.0]);
-        let mut got: Vec<&str> = t.query_intersecting(&q).into_iter().copied().collect();
-        got.sort_unstable();
-        assert_eq!(got, vec!["b", "c"]);
+        assert_eq!(intersecting(&t, &q), vec!["b", "c"]);
     }
 
     #[test]
-    fn search_with_prunes_subtrees() {
-        let items = pseudo_random_items(300);
-        let t = RTree::bulk_load_with_capacity(items.clone(), 8);
-        // Emulate a dmin-style filter: keep only items within distance 10 of a point.
-        let p = [50.0, 50.0];
-        let mut got: Vec<usize> = Vec::new();
-        t.search_with(
-            |r| r.min_dist2_point(&p) <= 100.0,
-            |_, item| got.push(*item),
-        );
-        got.sort_unstable();
-        let mut expected: Vec<usize> = items
-            .iter()
-            .filter(|(r, _)| r.min_dist2_point(&p) <= 100.0)
-            .map(|(_, i)| *i)
-            .collect();
-        expected.sort_unstable();
-        assert_eq!(got, expected);
+    fn walk_stops_at_the_first_error() {
+        let t = RTree::bulk_load(pseudo_random_items(300), 8);
+        let everything = t.bounds().unwrap();
+        let mut order = Vec::new();
+        let Ok(()) = t.try_for_each_intersecting(&everything, |_, &i| {
+            order.push(i);
+            Ok::<(), Infallible>(())
+        });
+        assert_eq!(order.len(), 300);
+        // A visitor that fails on its 100th item sees exactly the first 100
+        // items of the full walk, in the same order.
+        let mut prefix = Vec::new();
+        let stopped = t.try_for_each_intersecting(&everything, |_, &i| {
+            prefix.push(i);
+            if prefix.len() == 100 {
+                Err(i)
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(stopped, Err(order[99]));
+        assert_eq!(prefix, order[..100]);
     }
 
     #[test]
     fn iter_visits_everything_once() {
         let items = pseudo_random_items(128);
-        let mut t = RTree::with_capacity(6);
-        for (r, i) in &items {
-            t.insert(*r, *i);
-        }
+        let t = RTree::bulk_load(items.clone(), 6);
         let mut seen: Vec<usize> = t.iter().map(|(_, i)| *i).collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..items.len()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn large_insertion_keeps_invariants_and_height_logarithmic() {
-        let items = pseudo_random_items(3000);
-        let mut t = RTree::with_capacity(16);
-        for (r, i) in &items {
-            t.insert(*r, *i);
-        }
-        assert!(t.check_invariants().is_ok());
-        // With capacity 16 and 3000 entries the height must stay small.
-        assert!(t.height() <= 5, "height {} too large", t.height());
     }
 }

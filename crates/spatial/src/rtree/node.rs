@@ -1,15 +1,12 @@
-//! R*-tree node representation and recursive algorithms.
+//! R-tree node representation and recursive algorithms.
 
-use super::split;
 use crate::rect::Rect;
 
 /// A leaf entry: one stored item and its bounding box.
 #[derive(Debug, Clone)]
-pub struct Entry<const D: usize, T> {
-    /// Bounding box of the item.
-    pub rect: Rect<D>,
-    /// The stored item.
-    pub item: T,
+pub(super) struct Entry<const D: usize, T> {
+    pub(super) rect: Rect<D>,
+    pub(super) item: T,
 }
 
 /// An internal entry: a child node and the MBR of everything below it.
@@ -19,7 +16,7 @@ pub(super) struct Child<const D: usize, T> {
     pub(super) node: Box<Node<D, T>>,
 }
 
-/// A node of the R*-tree.
+/// A node of the R-tree.
 #[derive(Debug, Clone)]
 pub(super) enum Node<const D: usize, T> {
     Leaf(Vec<Entry<D, T>>),
@@ -55,58 +52,6 @@ impl<const D: usize, T> Node<D, T> {
         r
     }
 
-    /// Inserts an item into this subtree. Returns `Some((rect, sibling))` if
-    /// this node had to split, in which case the caller must install the new
-    /// sibling next to this node.
-    pub(super) fn insert(
-        &mut self,
-        rect: Rect<D>,
-        item: T,
-        max_entries: usize,
-        min_entries: usize,
-    ) -> Option<(Rect<D>, Node<D, T>)> {
-        match self {
-            Node::Leaf(entries) => {
-                entries.push(Entry { rect, item });
-                if entries.len() > max_entries {
-                    let (left, right) = split::split_entries(
-                        std::mem::take(entries),
-                        min_entries,
-                        |e: &Entry<D, T>| e.rect,
-                    );
-                    *entries = left;
-                    let sibling = Node::Leaf(right);
-                    Some((sibling.mbr(), sibling))
-                } else {
-                    None
-                }
-            }
-            Node::Internal(children) => {
-                let child_is_leaf = matches!(children[0].node.as_ref(), Node::Leaf(_));
-                let idx = choose_subtree(children, &rect, child_is_leaf);
-                children[idx].rect.extend(&rect);
-                let overflow = children[idx].node.insert(rect, item, max_entries, min_entries);
-                // Recompute the chosen child's MBR exactly after a split below
-                // (the split may have moved entries out of it).
-                if let Some((sib_rect, sibling)) = overflow {
-                    children[idx].rect = children[idx].node.mbr();
-                    children.push(Child { rect: sib_rect, node: Box::new(sibling) });
-                    if children.len() > max_entries {
-                        let (left, right) = split::split_entries(
-                            std::mem::take(children),
-                            min_entries,
-                            |c: &Child<D, T>| c.rect,
-                        );
-                        *children = left;
-                        let sibling = Node::Internal(right);
-                        return Some((sibling.mbr(), sibling));
-                    }
-                }
-                None
-            }
-        }
-    }
-
     /// Calls `f` for every item whose rectangle intersects `query`, stopping
     /// the traversal at the first `Err` and propagating it.
     pub(super) fn try_for_each_intersecting<'a, E>(
@@ -131,30 +76,6 @@ impl<const D: usize, T> Node<D, T> {
             }
         }
         Ok(())
-    }
-
-    /// Generic pruned traversal; see [`super::RTree::search_with`].
-    pub(super) fn search_with<'a>(
-        &'a self,
-        descend: &mut impl FnMut(&Rect<D>) -> bool,
-        on_item: &mut impl FnMut(&'a Rect<D>, &'a T),
-    ) {
-        match self {
-            Node::Leaf(entries) => {
-                for e in entries {
-                    if descend(&e.rect) {
-                        on_item(&e.rect, &e.item);
-                    }
-                }
-            }
-            Node::Internal(children) => {
-                for c in children {
-                    if descend(&c.rect) {
-                        c.node.search_with(descend, on_item);
-                    }
-                }
-            }
-        }
     }
 
     /// Collects references to all `(rect, item)` pairs in this subtree.
@@ -190,16 +111,14 @@ impl<const D: usize, T> Node<D, T> {
         &self,
         is_root: bool,
         max_entries: usize,
-        min_entries: usize,
     ) -> Result<usize, String> {
         match self {
             Node::Leaf(entries) => {
                 if entries.len() > max_entries {
                     return Err(format!("leaf overfull: {}", entries.len()));
                 }
-                // Note: STR bulk loading may leave a tail node with fewer than
-                // `min_entries` entries, so only emptiness is an error here.
-                let _ = min_entries;
+                // STR packing may leave a tail node nearly empty, so only
+                // emptiness is an error here.
                 if !is_root && entries.is_empty() {
                     return Err("empty non-root leaf".to_string());
                 }
@@ -218,7 +137,7 @@ impl<const D: usize, T> Node<D, T> {
                     if !c.rect.contains(&child_mbr) {
                         return Err("child MBR not contained in stored rect".to_string());
                     }
-                    let d = c.node.check_invariants(false, max_entries, min_entries)?;
+                    let d = c.node.check_invariants(false, max_entries)?;
                     match depth {
                         None => depth = Some(d),
                         Some(prev) if prev != d => {
@@ -230,54 +149,5 @@ impl<const D: usize, T> Node<D, T> {
                 Ok(depth.unwrap_or(0) + 1)
             }
         }
-    }
-}
-
-/// R* choose-subtree: at the level directly above the leaves, minimize overlap
-/// enlargement (ties: area enlargement, then area); higher up, minimize area
-/// enlargement (ties: area).
-fn choose_subtree<const D: usize, T>(
-    children: &[Child<D, T>],
-    rect: &Rect<D>,
-    child_is_leaf: bool,
-) -> usize {
-    debug_assert!(!children.is_empty());
-    if child_is_leaf {
-        let mut best = 0usize;
-        let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        for (i, cand) in children.iter().enumerate() {
-            let enlarged = cand.rect.union(rect);
-            // Overlap enlargement of candidate i with all other children.
-            let mut overlap_before = 0.0;
-            let mut overlap_after = 0.0;
-            for (j, other) in children.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                overlap_before += cand.rect.overlap_area(&other.rect);
-                overlap_after += enlarged.overlap_area(&other.rect);
-            }
-            let key = (
-                overlap_after - overlap_before,
-                cand.rect.enlargement(rect),
-                cand.rect.area(),
-            );
-            if key < best_key {
-                best_key = key;
-                best = i;
-            }
-        }
-        best
-    } else {
-        let mut best = 0usize;
-        let mut best_key = (f64::INFINITY, f64::INFINITY);
-        for (i, cand) in children.iter().enumerate() {
-            let key = (cand.rect.enlargement(rect), cand.rect.area());
-            if key < best_key {
-                best_key = key;
-                best = i;
-            }
-        }
-        best
     }
 }

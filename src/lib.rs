@@ -6,7 +6,8 @@
 //!
 //! This facade crate re-exports the full public API of the workspace:
 //!
-//! * [`spatial`] — geometry, discrete state spaces and the R\*-tree,
+//! * [`spatial`] — geometry, discrete state spaces and the STR-packed R-tree
+//!   (static between index refreshes, so always bulk-loaded),
 //! * [`markov`] — sparse Markov chains and the forward–backward model
 //!   adaptation (Algorithm 2),
 //! * [`trajectory`] — observations, uncertain objects, the trajectory

@@ -4,13 +4,14 @@
 //! geometric workloads; the properties encode the paper's structural
 //! guarantees: adapted models stay stochastic and agree with the dense
 //! reference implementation, sampled trajectories always honour the
-//! observations, the R*-tree returns exactly the brute-force answer, NN
+//! observations, the R-tree returns exactly the brute-force answer, NN
 //! probabilities respect the ∃/∀ ordering and anti-monotonicity, and pruning
 //! never loses a possible result.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::convert::Infallible;
 use std::sync::Arc;
 use ust_core::exact::exact_pnn;
 use ust_core::Query;
@@ -84,6 +85,17 @@ fn observations_for(
     times.into_iter().map(|t| (t, walk[t as usize])).collect()
 }
 
+/// Every item the R-tree walk visits for `q`, sorted.
+fn intersecting(tree: &RTree<2, usize>, q: &Rect2) -> Vec<usize> {
+    let mut got = Vec::new();
+    let Ok(()) = tree.try_for_each_intersecting(q, |_, &i| {
+        got.push(i);
+        Ok::<(), Infallible>(())
+    });
+    got.sort_unstable();
+    got
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -138,11 +150,11 @@ proptest! {
     }
 
     // -----------------------------------------------------------------
-    // R*-tree
+    // R-tree
     // -----------------------------------------------------------------
 
-    /// Intersection queries on the R*-tree return exactly the brute-force
-    /// answer, for both incremental insertion and bulk loading.
+    /// Intersection queries on the STR-packed R-tree return exactly the
+    /// brute-force answer.
     #[test]
     fn rtree_matches_brute_force(
         boxes in proptest::collection::vec(((0.0f64..100.0), (0.0f64..100.0), (0.1f64..8.0), (0.1f64..8.0)), 1..120),
@@ -157,20 +169,9 @@ proptest! {
         let mut expected: Vec<usize> = rects.iter().filter(|(r, _)| r.intersects(&q)).map(|&(_, i)| i).collect();
         expected.sort_unstable();
 
-        let mut incremental = RTree::with_capacity(8);
-        for (r, i) in &rects {
-            incremental.insert(*r, *i);
-        }
-        prop_assert!(incremental.check_invariants().is_ok());
-        let mut got: Vec<usize> = incremental.query_intersecting(&q).into_iter().copied().collect();
-        got.sort_unstable();
-        prop_assert_eq!(&got, &expected);
-
-        let bulk = RTree::bulk_load_with_capacity(rects, 8);
+        let bulk = RTree::bulk_load(rects, 8);
         prop_assert!(bulk.check_invariants().is_ok());
-        let mut got: Vec<usize> = bulk.query_intersecting(&q).into_iter().copied().collect();
-        got.sort_unstable();
-        prop_assert_eq!(&got, &expected);
+        prop_assert_eq!(intersecting(&bulk, &q), expected);
     }
 
     /// STR bulk loading keeps the structural invariants (node fill, MBR
@@ -203,7 +204,7 @@ proptest! {
                 (Rect2::new([x, y], [x + 0.5, y + 0.5]), i)
             })
             .collect();
-        let tree = RTree::bulk_load_with_capacity(rects, capacity);
+        let tree = RTree::bulk_load(rects, capacity);
         prop_assert_eq!(tree.len(), n);
         if let Err(violation) = tree.check_invariants() {
             return Err(TestCaseError::fail(format!(
@@ -212,9 +213,7 @@ proptest! {
         }
         // Every stored item is reachable through the directory.
         let bounds = tree.bounds().expect("non-empty tree has bounds");
-        let mut all: Vec<usize> = tree.query_intersecting(&bounds).into_iter().copied().collect();
-        all.sort_unstable();
-        prop_assert_eq!(all, (0..n).collect::<Vec<_>>());
+        prop_assert_eq!(intersecting(&tree, &bounds), (0..n).collect::<Vec<_>>());
     }
 
     // -----------------------------------------------------------------
@@ -335,7 +334,8 @@ proptest! {
         let q_state = (seed % 250) as StateId;
         let q_point = ds.network.position(q_state);
         let times: Vec<Timestamp> = vec![1, 2, 3];
-        let pruning = tree.prune(&times, |_| q_point);
+        let Ok(pruning) =
+            tree.try_prune_knn(&times, |_| q_point, 1, |_| Ok::<(), Infallible>(()));
 
         // Exact evaluation over all objects overlapping the interval.
         let overlapping = ds.database.objects_overlapping(1, 3);
