@@ -16,7 +16,8 @@
 //!   O(1) vs. O(support) shows up as a speedup that grows with the support.
 //! * **worlds/sec** — end-to-end possible-world sampling over adapted models
 //!   of a synthetic workload: the block (SoA, [`WorldBlock`]) path the engine
-//!   uses vs. per-world [`WorldSampler::sample_world_prefix_into`] draws.
+//!   uses vs. per-world [`WorldSampler::sample_world_into`] draws, both
+//!   walking every object from its first observation to its last.
 //!
 //! Per-phase wall times (adaptation incl. alias construction, the draw
 //! micro-bench, both world loops) land in the report `meta`.
@@ -189,7 +190,7 @@ pub fn measure_sampling_perf(cfg: &SamplingPerfConfig) -> ExperimentReport {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut world = PossibleWorld::empty();
     for _ in 0..cfg.worlds {
-        sampler.sample_world_prefix_into(&mut rng, &mut world, horizon);
+        sampler.sample_world_into(&mut rng, &mut world);
         black_box(world.len());
     }
     let per_world_elapsed = per_world_start.elapsed();

@@ -34,7 +34,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ust_index::{IndexBuildStats, UstTree, UstTreeConfig};
 use ust_markov::{AdaptedModel, ModelAdaptation};
-use ust_sampling::{WorldBlock, WorldSampler, WORLD_BLOCK_WIDTH};
+use ust_sampling::{block_seed, WorldBlock, WorldSampler, WORLD_BLOCK_WIDTH};
 use ust_spatial::Point;
 use ust_trajectory::TrajectoryDatabase;
 
@@ -418,27 +418,32 @@ impl<'a> QueryEngine<'a> {
     // ------------------------------------------------------------------
 
     /// Samples possible worlds over the influence set and collects, for every
-    /// candidate, its transposed [`WorldSet`] (per query timestamp, the bitset
-    /// of worlds in which the candidate is a NN there) and, for every
+    /// `tracked` object, its transposed [`WorldSet`] (per query timestamp, the
+    /// bitset of worlds in which the object is a NN there) and, for every
     /// influence object, the number of worlds with at least one NN timestamp.
     ///
     /// Worlds are drawn in blocks of [`WORLD_BLOCK_WIDTH`] = 64 into a
-    /// structure-of-arrays [`WorldBlock`]: each transition is an O(1)
-    /// alias-table draw (`ust-markov`), and for every `(object, timestamp)`
-    /// the 64 worlds of a block sit in one contiguous row. The NN evaluation
-    /// accumulates one `u64` of hit bits per candidate per timestamp per
-    /// block and lands it with a single [`WorldSet::or_word`], and per-object
-    /// ∃-membership is one `count_ones` per block instead of per-world
-    /// bookkeeping. The block width equals [`WORLD_CHECK_INTERVAL`], so
-    /// budget checkpoints fire at exactly the world indices the per-world
-    /// loop probed at, and degraded runs stop at the same block boundaries.
+    /// structure-of-arrays [`WorldBlock`] over the query window
+    /// `[query.start(), query.end()]`: each object's walk starts at the
+    /// window (or its first observation) with a state drawn from the
+    /// a-posteriori marginal there, then takes O(1) alias-table steps
+    /// (`ust-markov`) to the window's end; for every `(object, timestamp)`
+    /// the 64 worlds of a block sit in one contiguous row. Block `b` draws
+    /// from its own generator, seeded with
+    /// [`block_seed`]`(config.seed, b)`, so a capped or degraded run holds
+    /// exactly the first worlds of the uncapped one. The NN evaluation
+    /// accumulates one `u64` of hit bits per tracked object per timestamp
+    /// per block and lands it with a single [`WorldSet::or_word`], and
+    /// per-object ∃-membership is one `count_ones` per block instead of
+    /// per-world bookkeeping. The block width equals
+    /// [`WORLD_CHECK_INTERVAL`], so the budget is probed once per block.
     ///
     /// The adaptation and sampling fields of `stats` are filled in as the
     /// phases finish.
     fn sample(
         &self,
         query: &Query,
-        candidates: &[ObjectId],
+        tracked: &[ObjectId],
         influencers: &[ObjectId],
         k: usize,
         gauge: &BudgetGauge,
@@ -451,15 +456,15 @@ impl<'a> QueryEngine<'a> {
         let sampler = WorldSampler::from_models(prepared.models);
         let times = query.times();
         let space = self.db.state_space();
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
 
         // lint: allow(T001) sampling_time is QueryStats observability; it never feeds results
         let start = Instant::now();
         let requested = self.config.num_samples;
-        // A `max_worlds` cap truncates the run up front: the first `cap`
-        // worlds of the capped run are bit-identical to the first `cap`
-        // worlds of an uncapped one, so the estimate is unbiased — just
-        // coarser, which the `degraded` flag reports.
+        // A `max_worlds` cap truncates the run up front: blocks are seeded
+        // by index and filled world-major, so the first `cap` worlds of the
+        // capped run are bit-identical to the first `cap` worlds of an
+        // uncapped one, and the estimate is unbiased — just coarser, which
+        // the `degraded` flag reports.
         let mut degraded = false;
         let mut num_worlds = requested;
         if let Some(cap) = gauge.max_worlds() {
@@ -468,22 +473,22 @@ impl<'a> QueryEngine<'a> {
                 degraded = true;
             }
         }
-        // One vertical world-set per candidate, in ascending object order (the
-        // order PCNN results are reported in).
-        let mut sorted_candidates = candidates.to_vec();
-        sorted_candidates.sort_unstable();
-        let mut candidate_worlds: Vec<(ObjectId, WorldSet)> = sorted_candidates
+        // One vertical world-set per tracked object, in ascending object order
+        // (the order PCNN results are reported in).
+        let mut sorted_tracked = tracked.to_vec();
+        sorted_tracked.sort_unstable();
+        let mut tracked_worlds: Vec<(ObjectId, WorldSet)> = sorted_tracked
             .iter()
             .map(|&id| (id, WorldSet::new(times.len(), num_worlds)))
             .collect();
-        let candidate_slot: FxHashMap<ObjectId, usize> =
-            sorted_candidates.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+        let tracked_slot: FxHashMap<ObjectId, usize> =
+            sorted_tracked.iter().enumerate().map(|(i, &id)| (id, i)).collect();
         // Per world-position bookkeeping (world positions = sampler order =
         // `influencers` order), so the hot loop indexes flat vectors instead
         // of hashing object ids.
         let world_ids: Vec<ObjectId> = sampler.object_ids().collect();
         let slot_of: Vec<Option<usize>> =
-            world_ids.iter().map(|id| candidate_slot.get(id).copied()).collect();
+            world_ids.iter().map(|id| tracked_slot.get(id).copied()).collect();
         let mut exists_counts: Vec<usize> = vec![0; world_ids.len()];
         let query_positions: Vec<Point> = times
             .iter()
@@ -493,18 +498,15 @@ impl<'a> QueryEngine<'a> {
         // as (distance², world position) pairs.
         let mut alive: Vec<(f64, usize)> = Vec::with_capacity(world_ids.len());
 
-        // States past the last query timestamp are never read, so only the
-        // walk prefixes up to `query.end()` are materialised (the tail steps
-        // still burn their RNG draws, keeping worlds bit-identical).
-        let horizon = query.end();
-        // One 64-world SoA block, refilled per iteration; its width matching
-        // the budget-probe interval keeps checkpoint placement identical to
-        // the retired per-world loop.
+        // One 64-world SoA block over the query window, refilled per
+        // iteration; its width matches the budget-probe interval.
         const _: () = assert!(WORLD_BLOCK_WIDTH == WORLD_CHECK_INTERVAL);
-        let mut block = WorldBlock::for_sampler(&sampler, horizon, WORLD_BLOCK_WIDTH);
-        // Per block: one word of candidate hits per (candidate, timestamp)
-        // and one word of ∃-membership per influence object.
-        let mut hit_words: Vec<u64> = vec![0; sorted_candidates.len()];
+        let mut block =
+            WorldBlock::for_window(&sampler, query.start()..=query.end(), WORLD_BLOCK_WIDTH);
+        let mut world_generation_time = Duration::ZERO;
+        // Per block: one word of hits per (tracked object, timestamp) and one
+        // word of ∃-membership per influence object.
+        let mut hit_words: Vec<u64> = vec![0; sorted_tracked.len()];
         let mut exists_words: Vec<u64> = vec![0; world_ids.len()];
         let mut worlds_done = 0usize;
         while worlds_done < num_worlds {
@@ -520,8 +522,13 @@ impl<'a> QueryEngine<'a> {
                 }
             }
             let count = WORLD_BLOCK_WIDTH.min(num_worlds - worlds_done);
+            // Block `b` is word `b` of every world set.
+            let word_index = worlds_done / WORLD_BLOCK_WIDTH;
+            let mut rng = StdRng::seed_from_u64(block_seed(self.config.seed, word_index));
+            // lint: allow(T001) world_generation_time is QueryStats observability; it never feeds results
+            let fill_start = Instant::now();
             block.fill(&mut rng, count);
-            let word_index = worlds_done / 64;
+            world_generation_time += fill_start.elapsed();
             // Per-object world rows of the current timestamp, hoisted out of
             // the 64-world scan.
             let mut rows: Vec<Option<&[u32]>> = Vec::with_capacity(world_ids.len());
@@ -566,7 +573,7 @@ impl<'a> QueryEngine<'a> {
                 }
                 for (slot, &bits) in hit_words.iter().enumerate() {
                     if bits != 0 {
-                        candidate_worlds[slot].1.or_word(i, word_index, bits);
+                        tracked_worlds[slot].1.or_word(i, word_index, bits);
                     }
                 }
             }
@@ -577,19 +584,20 @@ impl<'a> QueryEngine<'a> {
             worlds_done += count;
         }
         stats.sampling_time = start.elapsed();
+        stats.world_generation_time = world_generation_time;
         stats.worlds = worlds_done;
         stats.worlds_requested = requested;
         stats.degraded = degraded;
         if worlds_done < num_worlds {
-            // Shrink every candidate's world-set to the worlds actually
-            // sampled, so supports and probability denominators agree.
-            for (_, worlds) in &mut candidate_worlds {
+            // Shrink every tracked world-set to the worlds actually sampled,
+            // so supports and probability denominators agree.
+            for (_, worlds) in &mut tracked_worlds {
                 worlds.truncate_worlds(worlds_done);
             }
         }
 
         Ok(SamplingOutput {
-            candidate_worlds,
+            tracked_worlds,
             exists_counts: world_ids.into_iter().zip(exists_counts).collect(),
         })
     }
@@ -600,9 +608,16 @@ impl<'a> QueryEngine<'a> {
 
     /// The steps every query semantics opens with, run once under
     /// [`EngineConfig::budget`]: validate `tau`, start the gauge, time the
-    /// filter, then adapt and sample. A budget error from these phases
-    /// carries the filter's counts and time in its partial stats.
-    fn evaluate(&self, query: &Query, k: usize, tau: f64) -> Result<Evaluation, QueryError> {
+    /// filter, then adapt and sample, keeping a world set for each of the
+    /// `tracked` objects. A budget error from these phases carries the
+    /// filter's counts and time in its partial stats.
+    fn evaluate(
+        &self,
+        query: &Query,
+        k: usize,
+        tau: f64,
+        tracked: Tracked,
+    ) -> Result<Evaluation, QueryError> {
         Query::validate_threshold(tau)?;
         let gauge = self.config.budget.start();
         // lint: allow(T001) filter_time is QueryStats observability; it never feeds results
@@ -614,7 +629,11 @@ impl<'a> QueryEngine<'a> {
             filter_time: filter_start.elapsed(),
             ..Default::default()
         };
-        match self.sample(query, &candidates, &influencers, k, &gauge, &mut stats) {
+        let tracked = match tracked {
+            Tracked::Candidates => &candidates,
+            Tracked::Influencers => &influencers,
+        };
+        match self.sample(query, tracked, &influencers, k, &gauge, &mut stats) {
             Ok(sampling) => Ok(Evaluation { gauge, stats, sampling }),
             Err(error) => Err(enrich_partial(error, &stats)),
         }
@@ -640,10 +659,10 @@ impl<'a> QueryEngine<'a> {
         k: usize,
         tau: f64,
     ) -> Result<QueryOutcome, QueryError> {
-        let run = self.evaluate(query, k, tau)?;
+        let run = self.evaluate(query, k, tau, Tracked::Candidates)?;
         // The ∀ event is one AND-reduction over the candidate's world-set
         // columns — no per-world mask is ever materialised.
-        let hits = run.sampling.candidate_worlds.iter().map(|(o, w)| (*o, w.forall_support()));
+        let hits = run.sampling.tracked_worlds.iter().map(|(o, w)| (*o, w.forall_support()));
         Ok(run.answer(hits, tau))
     }
 
@@ -655,7 +674,7 @@ impl<'a> QueryEngine<'a> {
         k: usize,
         tau: f64,
     ) -> Result<QueryOutcome, QueryError> {
-        let run = self.evaluate(query, k, tau)?;
+        let run = self.evaluate(query, k, tau, Tracked::Candidates)?;
         Ok(run.answer(run.sampling.exists_counts.iter().copied(), tau))
     }
 
@@ -667,7 +686,14 @@ impl<'a> QueryEngine<'a> {
 
     /// PCkNNQ (Section 8): the continuous query under k-NN semantics.
     ///
-    /// Each candidate's lattice is mined vertically ([`vertical_timesets`])
+    /// Definition 3 admits every object with a qualifying timestamp subset,
+    /// not only the ∀-candidates: an object pruned or absent at some
+    /// `t ∉ T_i` can still be the NN on all of `T_i`. So every influence
+    /// object's lattice is mined; at a timestamp where the object is pruned
+    /// or absent its support is 0, and the lattice's first level drops it.
+    /// `stats.candidates` still counts `C∀(q)`.
+    ///
+    /// Each object's lattice is mined vertically ([`vertical_timesets`])
     /// and the per-object runs are fanned out across
     /// [`pcnn_threads`](EngineConfig::pcnn_threads) scoped workers. Results
     /// are merged back in ascending object order, so the outcome is
@@ -676,7 +702,7 @@ impl<'a> QueryEngine<'a> {
     /// (an exact under-approximation of the full answer) are returned with
     /// `stats.degraded` set; cancellation is always a typed error.
     pub fn pcknn(&self, query: &Query, k: usize, tau: f64) -> Result<PcnnOutcome, QueryError> {
-        let run = self.evaluate(query, k, tau)?;
+        let run = self.evaluate(query, k, tau, Tracked::Influencers)?;
         let cfg = if self.config.maximal_pcnn_sets {
             PcnnConfig::maximal(tau)
         } else {
@@ -686,7 +712,7 @@ impl<'a> QueryEngine<'a> {
         // lint: allow(T001) mining_time is QueryStats observability; it never feeds results
         let mine_start = Instant::now();
         let lattices: Vec<Result<PcnnResult, QueryError>> = parallel_map_ordered(
-            &run.sampling.candidate_worlds,
+            &run.sampling.tracked_worlds,
             self.config.pcnn_threads,
             |(_, worlds)| vertical_timesets(worlds, &cfg, Some(&run.gauge)),
         );
@@ -696,7 +722,7 @@ impl<'a> QueryEngine<'a> {
         let mut frontier_peak = 0usize;
         let mut mining_degraded = false;
         let mut results: Vec<PcnnObjectResult> = Vec::new();
-        for ((object, _), lattice) in run.sampling.candidate_worlds.iter().zip(lattices) {
+        for ((object, _), lattice) in run.sampling.tracked_worlds.iter().zip(lattices) {
             let lattice = lattice.map_err(|e| enrich_partial(e, &run.stats))?;
             candidate_sets_evaluated += lattice.candidate_sets_evaluated;
             max_level = max_level.max(lattice.max_level);
@@ -739,11 +765,21 @@ fn enrich_partial(mut error: QueryError, filtered: &QueryStats) -> QueryError {
     error
 }
 
+/// The objects an evaluation keeps a [`WorldSet`] for.
+#[derive(Debug, Clone, Copy)]
+enum Tracked {
+    /// The ∀-candidates `C∀(q)`, whose world sets P∀NN reads.
+    Candidates,
+    /// Every influence object: PCNN's qualifying subsets may omit the
+    /// timestamps where an object is pruned or absent.
+    Influencers,
+}
+
 /// Output of the internal sampling pass.
 struct SamplingOutput {
-    /// Per candidate (ascending object order), the transposed world-set: one
-    /// bitset over worlds per query timestamp.
-    candidate_worlds: Vec<(ObjectId, WorldSet)>,
+    /// Per tracked object (ascending object order), the transposed
+    /// world-set: one bitset over worlds per query timestamp.
+    tracked_worlds: Vec<(ObjectId, WorldSet)>,
     /// Per influence object (sampler order), the number of worlds with at
     /// least one NN timestamp (the ∃ event of Definition 1).
     exists_counts: Vec<(ObjectId, usize)>,
@@ -927,6 +963,38 @@ mod tests {
         assert!(outcome.sets_of(2).is_none());
         assert!(outcome.candidate_sets_evaluated >= 3);
         assert!(outcome.total_result_sets() >= 7, "all subsets of {{1,2,3}} qualify");
+    }
+
+    #[test]
+    fn pcnn_reports_an_object_that_is_alive_on_part_of_the_query_window() {
+        // T = {1, 2, 3, 4}. Object 1 stands on s1, the state nearest q, at
+        // t = 1 and 2 and is gone after; object 2 stands on s4 throughout.
+        // Object 1 is no ∀-candidate, yet it is the certain NN on {1, 2}.
+        let space = StdArc::new(StateSpace::from_points(
+            (1..=4).map(|x| Point::new(f64::from(x), 0.0)).collect(),
+        ));
+        let objects = vec![
+            UncertainObject::from_pairs(1, vec![(1, 0), (2, 0)]).unwrap(),
+            UncertainObject::from_pairs(2, vec![(1, 3), (4, 3)]).unwrap(),
+        ];
+        let model = StdArc::new(MarkovModel::homogeneous(CsrMatrix::identity(4)));
+        let db = TrajectoryDatabase::with_objects(space, model, objects);
+        let q = Query::at_point(Point::new(0.0, 0.0), vec![1, 2, 3, 4]).unwrap();
+        for use_index in [true, false] {
+            let engine = QueryEngine::new(
+                &db,
+                EngineConfig { num_samples: 200, use_index, ..Default::default() },
+            );
+            let outcome = engine.pcnn(&q, 0.5).unwrap();
+            let first = outcome.sets_of(1).expect("object 1 is the NN on {1, 2}");
+            assert!(first.contains(&(vec![1, 2], 1.0)), "index {use_index}: {first:?}");
+            assert!(first.iter().all(|(ts, _)| ts.iter().all(|&t| t <= 2)));
+            let second = outcome.sets_of(2).expect("object 2 is the NN on {3, 4}");
+            assert!(second.contains(&(vec![3, 4], 1.0)), "index {use_index}: {second:?}");
+            // Without the index object 2 covers T and counts as a
+            // candidate; the index prunes it at t = 1 and 2.
+            assert_eq!(outcome.stats.candidates, usize::from(!use_index));
+        }
     }
 
     #[test]

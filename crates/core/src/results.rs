@@ -36,8 +36,14 @@ pub struct QueryStats {
     /// this query (`cache_hits + cold_adaptations == influencers`).
     pub cold_adaptations: usize,
     /// Wall-clock time spent sampling possible worlds and evaluating them
-    /// (the "FA"/"EX"/"SA" phase).
+    /// (the "FA"/"EX"/"SA" phase): the sum of
+    /// [`world_generation_time`](Self::world_generation_time) and the NN
+    /// evaluation of the sampled worlds.
     pub sampling_time: Duration,
+    /// The world-generation part of [`sampling_time`](Self::sampling_time):
+    /// the block fills that draw the possible worlds. The rest is NN
+    /// evaluation.
+    pub world_generation_time: Duration,
     /// Number of possible worlds sampled.
     pub worlds: usize,
     /// Deepest lattice level reached by a PCNN query, i.e. the size of the

@@ -378,8 +378,10 @@ impl AdaptedModel {
     /// counterpart of [`AdaptedModel::build`]). The covered interval is
     /// derived from the first and last observation; `forward` and `posterior`
     /// must hold one marginal per covered timestamp and `kernel` one step per
-    /// covered step, and every walk from the first observed state must find
-    /// a non-empty row at every step. No
+    /// covered step. Every walk from the first observed state must find a
+    /// non-empty row at every step, and so must a walk started anywhere in
+    /// the window: every posterior marginal is non-empty, and each of its
+    /// states before the last step has a non-empty row at its step. No
     /// probabilistic post-processing happens here — the parts are adopted
     /// bit-for-bit.
     pub fn from_parts(
@@ -410,6 +412,13 @@ impl AdaptedModel {
             None => {}
             Some(0) => return Err("first observed state has no transition row at the first step"),
             Some(_) => return Err("a transition target has no row at the next step"),
+        }
+        // A window walk starts on any state of a posterior marginal.
+        if posterior.iter().any(SparseDist::is_empty) {
+            return Err("an a-posteriori marginal is empty");
+        }
+        if (0..horizon).any(|k| !rows_cover(&kernel, k, &posterior[k])) {
+            return Err("an a-posteriori state has no transition row at its step");
         }
         Ok(AdaptedModel { start, end, forward, posterior, kernel, observations })
     }
@@ -520,6 +529,8 @@ impl AdaptedModel {
     /// * every transition row is a probability distribution,
     /// * the support of each transition row at time `t` is contained in the
     ///   posterior support at `t+1`,
+    /// * every posterior state at `t < end` has a non-empty transition row at
+    ///   `t`, so a walk can start on it,
     /// * posteriors at observation times are point masses on the observation.
     ///
     /// Intended for tests and debugging; returns a human-readable description
@@ -536,6 +547,9 @@ impl AdaptedModel {
             }
         }
         for k in 0..self.horizon() {
+            if !rows_cover(&self.kernel, k, &self.posterior[k]) {
+                return Err(format!("a posterior state at offset {k} has no transition row"));
+            }
             let next_support: Vec<StateId> = self.posterior[k + 1].support().collect();
             for (src, row) in self.kernel.step_rows(k) {
                 let mass: f64 = row.probs().iter().sum();
@@ -562,6 +576,16 @@ impl AdaptedModel {
         }
         Ok(())
     }
+}
+
+/// Whether every state of `marginal` has a non-empty row at `step` of
+/// `kernel`: one linear merge of the two sorted state lists.
+fn rows_cover(kernel: &AliasKernel, step: usize, marginal: &SparseDist) -> bool {
+    let mut rows = kernel.step_rows(step);
+    marginal.support().all(|state| {
+        rows.find(|&(source, _)| source >= state)
+            .is_some_and(|(source, row)| source == state && !row.is_empty())
+    })
 }
 
 // The query engine shares adapted models across its TS-phase worker threads

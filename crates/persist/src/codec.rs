@@ -464,13 +464,17 @@ pub(crate) fn encode_tree(w: &mut ByteWriter, tree: &UstTree) {
     w.u64(tree.rtree_capacity() as u64);
     w.u64(tree.num_objects() as u64);
     let stats = tree.build_stats();
-    w.u64(u64::try_from(stats.build_time.as_nanos()).unwrap_or(u64::MAX));
+    // The wall-clock build time and the reach-memo hit/miss counts (raced
+    // between build threads) are written as 0, so saving one database twice
+    // gives the same bytes; a decoded tree reports no build work. The
+    // decoder still accepts the non-zero values older stores hold.
+    w.u64(0);
     w.u64(stats.build_threads as u64);
     w.u64(stats.objects as u64);
     w.u64(stats.segments as u64);
     w.u64(stats.diamonds as u64);
-    w.u64(stats.reach_memo_hits as u64);
-    w.u64(stats.reach_memo_misses as u64);
+    w.u64(0);
+    w.u64(0);
     w.u64(stats.peak_frontier as u64);
     w.u64(tree.num_diamonds() as u64);
     for d in tree.diamonds() {

@@ -69,6 +69,25 @@ proptest! {
 }
 
 #[test]
+fn two_builds_of_one_database_save_identical_bytes() {
+    // Each workload build runs its own serial UST-tree build, so the two
+    // trees differ in their wall-clock build time and nothing else.
+    let encode = |w: &common::Workload| {
+        encode_store(&StoreContents { database: &w.db, index: Some(&w.tree), models: &w.models })
+    };
+    let first = common::build_workload(25, 4, 8, 42);
+    let second = common::build_workload(25, 4, 8, 42);
+    assert_eq!(encode(&first), encode(&second));
+    let loaded = decode_store(&encode(&first)).expect("a fresh encode must decode");
+    let stats = *loaded.index.expect("tree section present").build_stats();
+    assert_eq!(
+        (stats.build_time, stats.reach_memo_hits, stats.reach_memo_misses),
+        (std::time::Duration::ZERO, 0, 0),
+        "a decoded tree reports no build work"
+    );
+}
+
+#[test]
 fn decoded_observations_match_the_originals_exactly() {
     let w = common::build_workload(25, 4, 8, 42);
     let loaded = assert_canonical_roundtrip(&w, true);

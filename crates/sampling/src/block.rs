@@ -1,4 +1,4 @@
-//! Block (structure-of-arrays) possible-world sampling.
+//! Block (structure-of-arrays) possible-world sampling over a time window.
 //!
 //! The query engine's Monte-Carlo loop evaluates every sampled world at every
 //! query timestamp. Sampling worlds one at a time stores each world as an
@@ -9,22 +9,35 @@
 //!
 //! A [`WorldBlock`] instead samples a *block* of worlds (typically
 //! [`WORLD_BLOCK_WIDTH`] = 64, one per bit of a `u64` word) into a
-//! structure-of-arrays arena: for each object and each covered timestamp, the
+//! structure-of-arrays arena: for each object and each stored timestamp, the
 //! states of all worlds in the block sit contiguously. The engine then scans
 //! `states_at(object, t)` — one cache-friendly 64-wide row — to build a whole
 //! `u64` of world-hit bits at once and feed it to the world set word-wise.
 //!
-//! **Bit-identity.** `fill` draws worlds in world-major order (world 0's
-//! objects in sampler order, then world 1's, …) and walks each object's chain
-//! with the same one-`u`-per-transition discipline as
-//! [`PosteriorSampler::sample_prefix_into`](crate::posterior::PosteriorSampler::sample_prefix_into).
-//! Filling a block therefore consumes the RNG exactly like the same number of
-//! consecutive [`WorldSampler::sample_world_prefix_into`] calls, and every
-//! stored state is bit-identical to the per-world path — only the memory
-//! layout changes. The tests pin this.
+//! **The window walk.** A block covers a time window `[from, to]`; the
+//! engine passes the query's first and last timestamps. Per object it stores
+//! only `[t0, t1]`, with `t0 = max(first observation, from)` and
+//! `t1 = min(last observation, to)`; an object that does not overlap the
+//! window stores nothing. [`WorldBlock::fill`] draws `o(t0)` from the
+//! a-posteriori marginal `posterior_at(t0)` and then walks the a-posteriori
+//! chain `F(t)` to `t1`. `F(t)` is a Markov chain whose marginals are the
+//! a-posteriori marginals (Algorithm 2, Lemma 5 of the paper), so the walk
+//! has exactly the joint law of a full walk from the first observation,
+//! restricted to the window. States outside the window, which no query
+//! reads, are neither drawn nor stored. A marginal that is a point mass
+//! (always so at an observation) gives its state without spending a draw.
+//!
+//! **RNG streams.** `fill` draws world-major (world 0's objects in sampler
+//! order, then world 1's, …) with one draw per random start and one per
+//! chain step, so the first `n` worlds of a fill do not depend on how many
+//! follow. The engine seeds each block's generator with
+//! [`block_seed`]`(seed, block index)`: blocks are independent of each other,
+//! and a run stopped after any number of worlds (a world cap, a deadline)
+//! holds exactly the first worlds of the uncapped run.
 
 use crate::world::WorldSampler;
 use rand::Rng;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 use ust_markov::{AdaptedModel, Timestamp};
 use ust_spatial::StateId;
@@ -34,16 +47,31 @@ use ust_trajectory::ObjectId;
 /// PCNN world set and the engine's budget-probe interval.
 pub const WORLD_BLOCK_WIDTH: usize = 64;
 
+/// The RNG seed of world block `block` in a run seeded with `seed`:
+/// `mix(seed ^ mix(block))`, where `mix` is the SplitMix64 output function
+/// (add `0x9E37_79B9_7F4A_7C15`, then the two xor-shift-multiply rounds and
+/// the final xor-shift). The query engine seeds block `b` of every query
+/// with `StdRng::seed_from_u64(block_seed(config.seed, b))`.
+pub fn block_seed(seed: u64, block: usize) -> u64 {
+    fn mix(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+    mix(seed ^ mix(block as u64))
+}
+
 /// Per-object layout and model of a block: the arena window of one object.
 #[derive(Debug, Clone)]
 struct BlockObject {
     id: ObjectId,
     model: Arc<AdaptedModel>,
-    /// First covered timestamp (= the model's first observation time).
-    start: Timestamp,
-    /// Last *materialised* timestamp: `max(start, min(end, horizon))`. Chain
-    /// steps past it burn their RNG draw without storing a state.
-    prefix_end: Timestamp,
+    /// First stored timestamp `t0`.
+    from: Timestamp,
+    /// Last stored timestamp `t1`; below `from` when the object does not
+    /// overlap the window.
+    to: Timestamp,
     /// Start of this object's rows in the state arena.
     offset: usize,
 }
@@ -52,72 +80,78 @@ struct BlockObject {
 ///
 /// Layout: object-major, then timestamp-major, then world-minor —
 /// `states[offset(obj) + k · capacity + w]` holds the state of world `w` for
-/// object `obj` at its `k`-th covered timestamp, so for a fixed `(obj, t)`
+/// object `obj` at its `k`-th stored timestamp, so for a fixed `(obj, t)`
 /// the worlds of the block are one contiguous slice.
 #[derive(Debug, Clone)]
 pub struct WorldBlock {
     capacity: usize,
     count: usize,
-    horizon: Timestamp,
     objects: Vec<BlockObject>,
     states: Vec<StateId>,
 }
 
 impl WorldBlock {
-    /// Builds an (empty) block over the sampler's objects, materialising
-    /// states up to `horizon` (the engine passes its last query timestamp)
-    /// and holding up to `capacity` worlds per fill.
-    pub fn for_sampler(sampler: &WorldSampler, horizon: Timestamp, capacity: usize) -> Self {
+    /// Builds an (empty) block over the sampler's objects that stores each
+    /// object's states in `window` and holds up to `capacity` worlds per
+    /// fill. The query engine passes `query.start()..=query.end()`.
+    pub fn for_window(
+        sampler: &WorldSampler,
+        window: RangeInclusive<Timestamp>,
+        capacity: usize,
+    ) -> Self {
+        let (lo, hi) = window.into_inner();
         let mut objects = Vec::with_capacity(sampler.len());
         let mut offset = 0usize;
         for (id, model) in sampler.models() {
-            let start = model.start();
-            let keep_until = horizon.min(model.end());
-            let kept_steps = keep_until.saturating_sub(start) as usize;
-            objects.push(BlockObject {
-                id: *id,
-                model: Arc::clone(model),
-                start,
-                prefix_end: start + kept_steps as Timestamp,
-                offset,
-            });
-            offset += (kept_steps + 1) * capacity;
+            let from = model.start().max(lo);
+            let to = model.end().min(hi);
+            objects.push(BlockObject { id: *id, model: Arc::clone(model), from, to, offset });
+            if from <= to {
+                offset += ((to - from) as usize + 1) * capacity;
+            }
         }
-        WorldBlock { capacity, count: 0, horizon, objects, states: vec![0; offset] }
+        WorldBlock { capacity, count: 0, objects, states: vec![0; offset] }
+    }
+
+    /// The block over the window `[0, horizon]`: each object is stored from
+    /// its first observation to `min(last observation, horizon)`.
+    pub fn for_sampler(sampler: &WorldSampler, horizon: Timestamp, capacity: usize) -> Self {
+        Self::for_window(sampler, 0..=horizon, capacity)
     }
 
     /// Samples `count ≤ capacity` fresh worlds into the block, replacing its
-    /// previous contents. Worlds are drawn in world-major order with one RNG
-    /// draw per chain step, so the RNG stream — and every stored state — is
-    /// bit-identical to `count` consecutive
-    /// [`WorldSampler::sample_world_prefix_into`] calls at this horizon.
+    /// previous contents: world-major, per object one draw for `o(t0)` from
+    /// `posterior_at(t0)` (none for a point mass) and one per step of `F(t)`
+    /// up to `t1`. The first `n` worlds are the same whatever `count ≥ n`.
     pub fn fill<R: Rng>(&mut self, rng: &mut R, count: usize) {
         assert!(count <= self.capacity, "block fill of {count} exceeds capacity {}", self.capacity);
         self.count = count;
         let capacity = self.capacity;
-        let horizon = self.horizon;
         let states = &mut self.states;
         for w in 0..count {
             for obj in &self.objects {
-                let start = obj.start;
-                let end = obj.model.end();
-                let keep_until = horizon.min(end);
-                let first = obj.model.observations()[0].1;
-                states[obj.offset + w] = first;
-                let mut current = first;
-                for t in start..end {
-                    let u = rng.gen::<f64>();
-                    if t >= keep_until {
-                        // Draw consumed, state not materialised — same
-                        // prefix discipline as the per-world sampler.
-                        continue;
-                    }
-                    let next = obj
-                        .model
-                        .sample_transition(t, current, u)
-                        .expect("reachable states always have an adapted transition row");
-                    states[obj.offset + (t + 1 - start) as usize * capacity + w] = next;
-                    current = next;
+                if obj.from > obj.to {
+                    continue;
+                }
+                let model = &obj.model;
+                let marginal =
+                    model.posterior_at(obj.from).expect("t0 lies in the model's interval");
+                let mut current = match marginal.entries() {
+                    [(only, _)] => *only,
+                    _ => marginal
+                        .sample_with(rng.gen::<f64>())
+                        .expect("every a-posteriori marginal is non-empty"),
+                };
+                let mut at = obj.offset + w;
+                states[at] = current;
+                for t in obj.from..obj.to {
+                    // `rng.gen::<f64>()` yields u ∈ [0, 1), the alias
+                    // kernel's contract.
+                    current = model
+                        .sample_transition(t, current, rng.gen::<f64>())
+                        .expect("every a-posteriori state has a transition row at its step");
+                    at += capacity;
+                    states[at] = current;
                 }
             }
         }
@@ -148,16 +182,15 @@ impl WorldBlock {
 
     /// The states of all held worlds for object index `obj` at timestamp `t`:
     /// a contiguous slice of length [`count`](Self::count), world `w` at
-    /// position `w`. `None` if `t` is outside the object's materialised
-    /// interval `[start, prefix_end]` (exactly when the per-world trajectory
-    /// would not cover `t` either).
+    /// position `w`. `None` if `t` is outside the object's stored interval
+    /// `[t0, t1]`, and always for an object that does not overlap the window.
     #[inline]
     pub fn states_at(&self, obj: usize, t: Timestamp) -> Option<&[StateId]> {
         let o = self.objects.get(obj)?;
-        if t < o.start || t > o.prefix_end {
+        if t < o.from || t > o.to {
             return None;
         }
-        let base = o.offset + (t - o.start) as usize * self.capacity;
+        let base = o.offset + (t - o.from) as usize * self.capacity;
         Some(&self.states[base..base + self.count])
     }
 
@@ -170,7 +203,6 @@ impl WorldBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::PossibleWorld;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use ust_markov::{CsrMatrix, MarkovModel};
@@ -188,42 +220,94 @@ mod tests {
         WorldSampler::from_models(vec![(1, o1), (2, o2), (3, o3)])
     }
 
+    /// One world drawn the way the module doc specifies, object by object:
+    /// per object its stored interval and states, `None` if it does not
+    /// overlap `[from, to]`.
+    fn scalar_window_walk(
+        sampler: &WorldSampler,
+        from: Timestamp,
+        to: Timestamp,
+        rng: &mut StdRng,
+    ) -> Vec<Option<(Timestamp, Vec<StateId>)>> {
+        sampler
+            .models()
+            .iter()
+            .map(|(_, model)| {
+                let (t0, t1) = (model.start().max(from), model.end().min(to));
+                if t0 > t1 {
+                    return None;
+                }
+                let marginal = model.posterior_at(t0).unwrap();
+                let mut state = match marginal.entries() {
+                    [(only, _)] => *only,
+                    _ => marginal.sample_with(rng.gen::<f64>()).unwrap(),
+                };
+                let mut states = vec![state];
+                for t in t0..t1 {
+                    state = model.sample_transition(t, state, rng.gen::<f64>()).unwrap();
+                    states.push(state);
+                }
+                Some((t0, states))
+            })
+            .collect()
+    }
+
     #[test]
-    fn block_fill_is_bit_identical_to_per_world_prefix_sampling() {
+    fn block_fill_matches_a_scalar_window_walk() {
         let sampler = sampler();
-        for horizon in [0u32, 2, 4, 100] {
+        // Windows before, inside, across and after the objects' lifetimes;
+        // [2, 4] starts o2 off its first observation, [3, 9] misses o1 and o3.
+        for (from, to) in [(0u32, 0u32), (0, 4), (1, 3), (2, 4), (3, 9), (5, 9)] {
             let mut rng_block = StdRng::seed_from_u64(42);
-            let mut rng_world = StdRng::seed_from_u64(42);
-            let mut block = WorldBlock::for_sampler(&sampler, horizon, WORLD_BLOCK_WIDTH);
-            let mut world = PossibleWorld::empty();
+            let mut rng_scalar = StdRng::seed_from_u64(42);
+            let mut block = WorldBlock::for_window(&sampler, from..=to, WORLD_BLOCK_WIDTH);
             // Two full blocks and one partial block.
             for count in [WORLD_BLOCK_WIDTH, WORLD_BLOCK_WIDTH, 13] {
                 block.fill(&mut rng_block, count);
                 assert_eq!(block.count(), count);
                 for w in 0..count {
-                    sampler.sample_world_prefix_into(&mut rng_world, &mut world, horizon);
-                    for (obj, (id, tr)) in world.trajectories().iter().enumerate() {
-                        assert_eq!(block.object_id(obj), Some(*id));
-                        for t in tr.start()..=tr.end() {
-                            assert_eq!(
-                                block.state(obj, t, w),
-                                tr.state_at(t),
-                                "horizon={horizon} w={w} obj={obj} t={t}"
-                            );
+                    let world = scalar_window_walk(&sampler, from, to, &mut rng_scalar);
+                    for (obj, walk) in world.iter().enumerate() {
+                        for t in 0..=10u32 {
+                            let expected = walk.as_ref().and_then(|(t0, states)| {
+                                t.checked_sub(*t0).and_then(|k| states.get(k as usize)).copied()
+                            });
+                            let at = format!("[{from}, {to}] w={w} obj={obj} t={t}");
+                            assert_eq!(block.state(obj, t, w), expected, "{at}");
                         }
-                        // And nothing outside the trajectory's coverage.
-                        assert_eq!(block.states_at(obj, tr.end() + 1), None);
-                        assert_eq!(
-                            block.states_at(obj, tr.start().wrapping_sub(1)),
-                            None,
-                            "before start"
-                        );
                     }
                 }
             }
-            // Both paths consumed the same number of RNG draws.
-            use rand::Rng as _;
-            assert_eq!(rng_block.gen::<u64>(), rng_world.gen::<u64>(), "horizon={horizon}");
+            // Both walks consumed the same number of draws.
+            assert_eq!(rng_block.gen::<u64>(), rng_scalar.gen::<u64>(), "[{from}, {to}]");
+        }
+    }
+
+    #[test]
+    fn a_partial_fill_is_a_prefix_of_a_full_one() {
+        let sampler = sampler();
+        let mut full = WorldBlock::for_window(&sampler, 2..=4, WORLD_BLOCK_WIDTH);
+        let mut partial = full.clone();
+        full.fill(&mut StdRng::seed_from_u64(block_seed(5, 3)), WORLD_BLOCK_WIDTH);
+        partial.fill(&mut StdRng::seed_from_u64(block_seed(5, 3)), 13);
+        for obj in 0..sampler.len() {
+            for t in 2..=4 {
+                assert_eq!(
+                    partial.states_at(obj, t),
+                    full.states_at(obj, t).map(|row| &row[..13]),
+                    "obj={obj} t={t}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn block_seeds_differ_across_seeds_and_blocks() {
+        let mut seen = std::collections::HashSet::new();
+        for seed in 0..64u64 {
+            for block in 0..64usize {
+                assert!(seen.insert(block_seed(seed, block)), "seed={seed} block={block}");
+            }
         }
     }
 

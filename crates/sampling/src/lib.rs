@@ -33,7 +33,7 @@ pub mod posterior;
 pub mod rejection;
 pub mod world;
 
-pub use block::{WorldBlock, WORLD_BLOCK_WIDTH};
+pub use block::{block_seed, WorldBlock, WORLD_BLOCK_WIDTH};
 pub use hoeffding::{confidence_radius, required_samples};
 pub use posterior::PosteriorSampler;
 pub use rejection::{RejectionOutcome, RejectionSampler, SegmentedSampler};

@@ -43,49 +43,11 @@ impl<'a> PosteriorSampler<'a> {
     /// a loop of `sample_into` calls produces bit-identical worlds to a loop
     /// of `sample` calls — just without one heap allocation per draw.
     pub fn sample_into<R: Rng>(&self, rng: &mut R, out: &mut Trajectory) {
-        self.sample_prefix_into(rng, out, self.model.end());
+        out.refill(self.model.start(), |states| self.walk(rng, states));
     }
 
-    /// Draws the trajectory prefix covering `[start, min(horizon, end)]` into
-    /// an existing buffer.
-    ///
-    /// Every step of the chain consumes exactly one RNG draw *whether or not
-    /// its transition is materialised*, so this method burns the draws of the
-    /// steps past `horizon` without paying their row lookup and alias draw:
-    /// the RNG stream — and therefore every subsequent
-    /// object and world — stays bit-identical to a full
-    /// [`sample_into`](Self::sample_into). A query engine whose last query
-    /// timestamp is `horizon` reads identical states either way; the
-    /// Monte-Carlo loop saves the tail of every walk.
-    pub fn sample_prefix_into<R: Rng>(&self, rng: &mut R, out: &mut Trajectory, horizon: u32) {
-        let start = self.model.start();
-        let end = self.model.end();
-        let keep_until = horizon.min(end);
-        out.refill(start, |states| {
-            states.reserve((keep_until.saturating_sub(start)) as usize + 1);
-            let first = self.model.observations()[0].1;
-            states.push(first);
-            let mut current = first;
-            for t in start..end {
-                let u = rng.gen::<f64>();
-                if t >= keep_until {
-                    // Draw consumed, transition skipped: states past the
-                    // horizon are never read.
-                    continue;
-                }
-                // `rng.gen::<f64>()` yields u ∈ [0, 1) (53-bit mantissa over
-                // 2⁻⁵³ steps), satisfying the alias kernel's contract.
-                let next = self
-                    .model
-                    .sample_transition(t, current, u)
-                    .expect("reachable states always have an adapted transition row");
-                states.push(next);
-                current = next;
-            }
-        });
-    }
-
-    /// The random walk of [`sample`](Self::sample).
+    /// The random walk of [`sample`](Self::sample): one RNG draw per chain
+    /// step from the first observation to the last.
     fn walk<R: Rng>(&self, rng: &mut R, states: &mut Vec<u32>) {
         let start = self.model.start();
         let end = self.model.end();
@@ -94,6 +56,8 @@ impl<'a> PosteriorSampler<'a> {
         states.push(first);
         let mut current = first;
         for t in start..end {
+            // `rng.gen::<f64>()` yields u ∈ [0, 1) (53-bit mantissa over
+            // 2⁻⁵³ steps), satisfying the alias kernel's contract.
             let next = self
                 .model
                 .sample_transition(t, current, rng.gen::<f64>())
@@ -188,26 +152,20 @@ mod tests {
     }
 
     #[test]
-    fn prefix_sampling_keeps_the_rng_stream_and_prefix_states_identical() {
+    fn sample_into_reuses_the_buffer_and_matches_sample() {
         let model = o1_model();
         let adapted = AdaptedModel::build(&model, &[(0, 1), (2, 2), (6, 0)]).unwrap();
         let sampler = PosteriorSampler::new(&adapted);
-        for horizon in [0u32, 1, 3, 6, 100] {
-            let mut rng_full = StdRng::seed_from_u64(31);
-            let mut rng_prefix = StdRng::seed_from_u64(31);
-            let mut prefix = Trajectory::new(0, vec![0]);
-            for _ in 0..50 {
-                let full = sampler.sample(&mut rng_full);
-                sampler.sample_prefix_into(&mut rng_prefix, &mut prefix, horizon);
-                assert_eq!(prefix.start(), full.start());
-                assert_eq!(prefix.end(), full.end().min(horizon.max(full.start())));
-                for t in prefix.start()..=prefix.end() {
-                    assert_eq!(prefix.state_at(t), full.state_at(t), "t={t} horizon={horizon}");
-                }
-            }
-            // Both streams must have consumed the same number of draws.
-            assert_eq!(rng_full.gen::<u64>(), rng_prefix.gen::<u64>());
+        let mut rng_fresh = StdRng::seed_from_u64(31);
+        let mut rng_reused = StdRng::seed_from_u64(31);
+        let mut reused = Trajectory::new(9, vec![3]);
+        for _ in 0..50 {
+            let fresh = sampler.sample(&mut rng_fresh);
+            sampler.sample_into(&mut rng_reused, &mut reused);
+            assert_eq!(reused, fresh);
         }
+        // Both streams consumed the same number of draws.
+        assert_eq!(rng_fresh.gen::<u64>(), rng_reused.gen::<u64>());
     }
 
     #[test]

@@ -123,37 +123,21 @@ impl WorldSampler {
 
     /// Draws one possible world *into* an existing buffer, reusing each
     /// trajectory's state allocation across draws. Consumes the RNG exactly
-    /// like [`sample_world`](Self::sample_world), so a Monte-Carlo loop that
-    /// switches to this method observes bit-identical worlds — the engine's
-    /// hot loop used to pay one trajectory allocation per object per world.
+    /// like [`sample_world`](Self::sample_world), so a loop that switches to
+    /// this method observes bit-identical worlds without one trajectory
+    /// allocation per object per world.
     pub fn sample_world_into<R: Rng>(&self, rng: &mut R, world: &mut PossibleWorld) {
-        self.sample_world_prefix_into(rng, world, u32::MAX);
-    }
-
-    /// Like [`sample_world_into`](Self::sample_world_into), but only the
-    /// trajectory prefixes up to `horizon` are materialised
-    /// ([`PosteriorSampler::sample_prefix_into`]). RNG consumption — and
-    /// hence every sampled state at timestamps `≤ horizon` — is bit-identical
-    /// to the full draw; the walk tails past the horizon only burn their RNG
-    /// draws. This is the query engine's hot call: its NN evaluation never
-    /// reads states after the last query timestamp.
-    pub fn sample_world_prefix_into<R: Rng>(
-        &self,
-        rng: &mut R,
-        world: &mut PossibleWorld,
-        horizon: u32,
-    ) {
         world.trajectories.truncate(self.models.len());
         for (i, (id, model)) in self.models.iter().enumerate() {
             let sampler = PosteriorSampler::new(model);
             match world.trajectories.get_mut(i) {
                 Some((slot_id, trajectory)) => {
                     *slot_id = *id;
-                    sampler.sample_prefix_into(rng, trajectory, horizon);
+                    sampler.sample_into(rng, trajectory);
                 }
                 None => {
                     let mut trajectory = Trajectory::new(model.start(), vec![0]);
-                    sampler.sample_prefix_into(rng, &mut trajectory, horizon);
+                    sampler.sample_into(rng, &mut trajectory);
                     world.trajectories.push((*id, trajectory));
                 }
             }
