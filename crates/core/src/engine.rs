@@ -629,7 +629,8 @@ impl<'a> QueryEngine<'a> {
             filter_time: filter_start.elapsed(),
             ..Default::default()
         };
-        let tracked = match tracked {
+        let tracked: &[ObjectId] = match tracked {
+            Tracked::Nothing => &[],
             Tracked::Candidates => &candidates,
             Tracked::Influencers => &influencers,
         };
@@ -674,7 +675,7 @@ impl<'a> QueryEngine<'a> {
         k: usize,
         tau: f64,
     ) -> Result<QueryOutcome, QueryError> {
-        let run = self.evaluate(query, k, tau, Tracked::Candidates)?;
+        let run = self.evaluate(query, k, tau, Tracked::Nothing)?;
         Ok(run.answer(run.sampling.exists_counts.iter().copied(), tau))
     }
 
@@ -768,6 +769,8 @@ fn enrich_partial(mut error: QueryError, filtered: &QueryStats) -> QueryError {
 /// The objects an evaluation keeps a [`WorldSet`] for.
 #[derive(Debug, Clone, Copy)]
 enum Tracked {
+    /// No object: P∃NN reads only the per-object ∃ counts.
+    Nothing,
     /// The ∀-candidates `C∀(q)`, whose world sets P∀NN reads.
     Candidates,
     /// Every influence object: PCNN's qualifying subsets may omit the

@@ -487,7 +487,9 @@ impl AdaptedModel {
 
     /// Draws the next state for the step `t → t+1` out of `state` with one
     /// uniform `u ∈ [0, 1)`, answered in O(1) by the precomputed alias
-    /// kernel after a binary row search.
+    /// kernel after a binary row search. A walk of many steps searches once
+    /// instead: [`AliasKernel::row_of`] at its start, then
+    /// [`AliasKernel::draw`] along the successor links.
     ///
     /// Returns `None` under exactly the conditions where
     /// [`AdaptedModel::transition_row`] does (step outside `[start, end)` or

@@ -17,26 +17,35 @@
 //!   row itself, read through [`TransitionRow`] by the exact oracles and the
 //!   store encoder,
 //! * `threshold` / `alias` — per slot, the Vose acceptance threshold and the
-//!   aliased target.
+//!   in-row slot offset of its alias,
+//! * `next_row` — per slot, the successor link: the row of the slot's target
+//!   at step `k + 1`, or [`AliasKernel::NO_ROW`] at the last step and where
+//!   that target has no non-empty row.
 //!
 //! The first five arrays are a [`StepRows`] arena; the adaptation fills one
 //! with `F(t)` and the store decoder fills one with the stored rows, and
-//! [`AliasKernel::from_rows`] adds the alias tables on top. The kernel is the
-//! only copy of `F(t)` a model keeps.
+//! [`AliasKernel::from_rows`] adds the alias tables and the links on top, so
+//! fresh and decoded models get the same kernel and the store format holds
+//! no kernel bytes. The kernel is the only copy of `F(t)` a model keeps. The
+//! links cost 4 bytes per slot.
 //!
-//! A draw is then O(1) after one binary search over the step's sources:
-//! `u · n` selects a slot, its fractional part is compared against the slot's
-//! threshold, and either the slot's own column or its alias wins. Exactly one
-//! uniform `u ∈ [0, 1)` is consumed per transition — the same RNG-draw
-//! discipline as the inverse-CDF path, so prefix sampling and draw-burning
-//! keep working unchanged on top of either kernel.
+//! **A walk searches once.** [`AliasKernel::row_of`] finds the row of a
+//! walk's first state by one binary search over the step's sources; every
+//! later step is one O(1) [`AliasKernel::draw`], which returns the drawn
+//! target together with its row at the next step. A draw uses exactly one
+//! uniform `u ∈ [0, 1)`: `u · n` selects a slot, its fractional part is
+//! compared against the slot's threshold, and either the slot itself or its
+//! alias wins. [`AliasKernel::sample`] is `row_of` followed by `draw`, so
+//! every path picks a target from `u` the same way, and one uniform per
+//! transition is the same RNG-draw discipline as the inverse-CDF path.
 //!
 //! Alias draws consume `u` differently from inverse-CDF draws, so the two
 //! paths are *not* bit-identical per world; they are distributionally
 //! identical (each target is selected with exactly its row probability, up to
 //! f64 rounding of `p·n/mass`), which the equivalence suite in
 //! `tests/alias_equivalence.rs` pins by construction checks and frequency
-//! comparison on shared `u` streams.
+//! comparison on shared `u` streams; it also checks every link against a
+//! fresh row search.
 //!
 //! Construction is deterministic: rows are laid out in (step, source-id)
 //! order, each row's mass is the left-to-right fold of its probabilities, and
@@ -45,6 +54,7 @@
 //! and thread count.
 
 use crate::StateId;
+use std::cell::Cell;
 use std::ops::Range;
 
 /// Per-step transition rows in CSR arenas, filled row by row.
@@ -148,14 +158,19 @@ impl StepRows {
         self.row_starts[rows.start] as usize..self.row_starts[rows.end] as usize
     }
 
-    /// The slot window of `(step, source)`, found by binary search over the
+    /// The row index of `(step, source)`, found by binary search over the
     /// step's sorted sources. `None` if the step is out of range or the
     /// source has no row there.
     #[inline]
-    fn row_slots(&self, step: usize, source: StateId) -> Option<Range<usize>> {
+    fn row_index(&self, step: usize, source: StateId) -> Option<usize> {
         let rows = self.step_range(step)?;
-        let r = rows.start + self.sources[rows].binary_search(&source).ok()?;
-        Some(self.slots(r))
+        Some(rows.start + self.sources[rows].binary_search(&source).ok()?)
+    }
+
+    /// The slot window of `(step, source)`, if it has a row.
+    #[inline]
+    fn row_slots(&self, step: usize, source: StateId) -> Option<Range<usize>> {
+        self.row_index(step, source).map(|r| self.slots(r))
     }
 
     /// The row view over a slot window.
@@ -259,8 +274,8 @@ impl<'a> TransitionRow<'a> {
 }
 
 /// Precomputed O(1) sampling kernel of an adapted model: per chain step, the
-/// rows of every reachable state with their Walker/Vose alias tables, in flat
-/// CSR arenas.
+/// rows of every reachable state with their Walker/Vose alias tables and
+/// successor links, in flat CSR arenas.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AliasKernel {
     /// The rows themselves (`step_starts`, `sources`, `row_starts`, `cols`,
@@ -268,9 +283,12 @@ pub struct AliasKernel {
     rows: StepRows,
     /// Vose acceptance threshold of each slot, in `[0, 1]`.
     threshold: Vec<f64>,
-    /// Aliased target state of each slot (drawn when the fractional part of
-    /// `u·n` lands at or above the threshold).
-    alias: Vec<StateId>,
+    /// In-row offset of each slot's alias: the slot drawn when the fractional
+    /// part of `u·n` lands at or above the threshold.
+    alias: Vec<u32>,
+    /// Row of each slot's target at the next step, or
+    /// [`NO_ROW`](Self::NO_ROW).
+    next_row: Vec<u32>,
 }
 
 impl Default for AliasKernel {
@@ -279,23 +297,37 @@ impl Default for AliasKernel {
     }
 }
 
+thread_local! {
+    /// Per state, its non-empty row at the step being linked to, else
+    /// `NO_ROW`; all `NO_ROW` between uses and grown once per thread, so a
+    /// kernel build neither allocates nor clears an array as long as the
+    /// state space (up to 500 000 states at paper scale).
+    static ROW_OF_STATE: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
+}
+
 impl AliasKernel {
+    /// The successor link of a slot a walk cannot go on from: every slot of
+    /// the last step, and a slot whose target has no non-empty row at the
+    /// next step.
+    pub const NO_ROW: u32 = u32::MAX;
+
     /// Builds the kernel over `rows`: runs Vose's O(n) alias construction on
-    /// every row, in arena order.
+    /// every row, in arena order, and links every slot to its target's row
+    /// at the next step.
     pub fn from_rows(rows: StepRows) -> Self {
         let mut threshold = vec![1.0; rows.cols.len()];
-        let mut alias = rows.cols.clone();
+        let mut alias = vec![0; rows.cols.len()];
         let mut vose = Vose::default();
         for r in 0..rows.sources.len() {
             let slots = rows.slots(r);
             vose.build(
-                &rows.cols[slots.clone()],
                 &rows.probs[slots.clone()],
                 &mut threshold[slots.clone()],
                 &mut alias[slots],
             );
         }
-        AliasKernel { rows, threshold, alias }
+        let next_row = successor_links(&rows);
+        AliasKernel { rows, threshold, alias, next_row }
     }
 
     /// Builds the kernel from per-step `(source, entries)` lists, each row's
@@ -303,7 +335,7 @@ impl AliasKernel {
     /// [`SparseDist::entries`](crate::SparseDist::entries).
     ///
     /// Each step's rows must be sorted by strictly increasing source state,
-    /// so the per-draw binary search and the deterministic layout hold.
+    /// so the row search and the deterministic layout hold.
     pub fn from_steps<'a, I, R>(steps: I) -> Self
     where
         I: IntoIterator<Item = R>,
@@ -360,53 +392,66 @@ impl AliasKernel {
     /// `Some(0)` when `first` has none at step 0, `Some(k + 1)` when a target
     /// of some step-`k` row has none at step `k + 1`, and `None` when every
     /// walk can always move on. Rows of states no walk reaches are checked
-    /// too.
+    /// too. One scan of the links: before the last step, a
+    /// [`NO_ROW`](Self::NO_ROW) link is exactly such a target.
     pub(crate) fn uncovered_step(&self, first: StateId) -> Option<usize> {
         let rows = &self.rows;
         if rows.num_steps() == 0 {
             return None;
         }
-        if rows.row_slots(0, first).is_none_or(|slots| slots.is_empty()) {
+        if self.row_of(0, first).is_none() {
             return Some(0);
         }
         (1..rows.num_steps()).find(|&next| {
             let here = rows.step_range(next - 1).expect("step in range");
-            let there = rows.step_range(next).expect("step in range");
-            let sources = &rows.sources[there.clone()];
-            let starts = &rows.row_starts[there.start..=there.end];
-            rows.cols[rows.slots_of(&here)].iter().any(|target| {
-                match sources.binary_search(target) {
-                    Ok(i) => starts[i + 1] == starts[i],
-                    Err(_) => true,
-                }
-            })
+            self.next_row[rows.slots_of(&here)].contains(&Self::NO_ROW)
         })
     }
 
-    /// Draws from the row of `(step, source)` with one uniform `u ∈ [0, 1)`:
-    /// one binary search for the row, then an O(1) alias pick. Returns `None`
-    /// if the row does not exist or is empty.
+    /// The row a walk standing on `source` at `step` draws from: one binary
+    /// search over the step's sources. `None` if the step is out of range or
+    /// the source has no row there, or only an empty one.
+    #[inline]
+    pub fn row_of(&self, step: usize, source: StateId) -> Option<u32> {
+        let r = self.rows.row_index(step, source)?;
+        (!self.rows.slots(r).is_empty()).then_some(r as u32)
+    }
+
+    /// Draws from `row` with one uniform `u ∈ [0, 1)`: an O(1) alias pick.
+    /// Returns the drawn target and its row at the next step, which is the
+    /// next draw's `row`, or [`NO_ROW`](Self::NO_ROW) when no walk goes on
+    /// from the target.
     ///
+    /// `row` must come from [`row_of`](Self::row_of) or from an earlier
+    /// draw's link; another value may panic or draw from an unrelated row.
     /// `u` obeys the same `[0, 1)` contract as
     /// [`SparseDist::sample_with`](crate::SparseDist::sample_with).
     #[inline]
-    pub fn sample(&self, step: usize, source: StateId, u: f64) -> Option<StateId> {
+    pub fn draw(&self, row: u32, u: f64) -> (StateId, u32) {
         debug_assert!(
             u.is_finite() && (0.0..1.0).contains(&u),
-            "alias sample requires u in [0, 1), got {u}"
+            "alias draw requires u in [0, 1), got {u}"
         );
-        let range = self.rows.row_slots(step, source)?;
-        let n = range.end - range.start;
-        if n == 0 {
-            return None;
-        }
+        let row = row as usize;
+        let lo = self.rows.row_starts[row] as usize;
+        let n = self.rows.row_starts[row + 1] as usize - lo;
+        debug_assert!(n > 0, "draw from an empty row");
         let scaled = u * n as f64;
         // `u` close to 1 can round `u·n` up to `n` for large rows; clamp to
         // the last slot (the standard guard of the alias method).
         let idx = (scaled as usize).min(n - 1);
         let frac = scaled - idx as f64;
-        let slot = range.start + idx;
-        Some(if frac < self.threshold[slot] { self.rows.cols[slot] } else { self.alias[slot] })
+        let slot = lo + idx;
+        let pick = if frac < self.threshold[slot] { slot } else { lo + self.alias[slot] as usize };
+        (self.rows.cols[pick], self.next_row[pick])
+    }
+
+    /// Draws from the row of `(step, source)` with one uniform `u ∈ [0, 1)`:
+    /// [`row_of`](Self::row_of), then [`draw`](Self::draw). Returns `None`
+    /// if the row does not exist or is empty.
+    #[inline]
+    pub fn sample(&self, step: usize, source: StateId, u: f64) -> Option<StateId> {
+        Some(self.draw(self.row_of(step, source)?, u).0)
     }
 
     /// The exact probability the alias table assigns to `target` in the row
@@ -420,16 +465,49 @@ impl AliasKernel {
             return 0.0;
         }
         let mut measure = 0.0;
-        for slot in range {
+        for slot in range.clone() {
             if self.rows.cols[slot] == target {
                 measure += self.threshold[slot];
             }
-            if self.alias[slot] == target {
+            if self.rows.cols[range.start + self.alias[slot] as usize] == target {
                 measure += 1.0 - self.threshold[slot];
             }
         }
         measure / n as f64
     }
+}
+
+/// The successor link of every slot of `rows`: per step, the non-empty rows
+/// of the next step go into a dense state → row scratch, every slot of the
+/// step reads its target's entry, and the entries are reset.
+fn successor_links(rows: &StepRows) -> Vec<u32> {
+    let mut next_row = vec![AliasKernel::NO_ROW; rows.cols.len()];
+    // The scratch leaves its slot for the call: a panic drops it rather than
+    // leaving entries set.
+    let mut row_of = ROW_OF_STATE.take();
+    // A step's sources are sorted, so its last is its largest.
+    let states = (1..rows.num_steps())
+        .filter_map(|k| rows.sources[rows.step_range(k).expect("step in range")].last())
+        .max()
+        .map_or(0, |&s| s as usize + 1);
+    if row_of.len() < states {
+        row_of.resize(states, AliasKernel::NO_ROW);
+    }
+    for next in 1..rows.num_steps() {
+        let there = rows.step_range(next).expect("step in range");
+        for r in there.clone().filter(|&r| !rows.slots(r).is_empty()) {
+            row_of[rows.sources[r] as usize] = r as u32;
+        }
+        let here = rows.slots_of(&rows.step_range(next - 1).expect("step in range"));
+        for (link, &target) in next_row[here.clone()].iter_mut().zip(&rows.cols[here]) {
+            *link = row_of.get(target as usize).copied().unwrap_or(AliasKernel::NO_ROW);
+        }
+        for &source in &rows.sources[there] {
+            row_of[source as usize] = AliasKernel::NO_ROW;
+        }
+    }
+    ROW_OF_STATE.set(row_of);
+    next_row
 }
 
 /// Worklists of Vose's construction, reused across the rows of one kernel.
@@ -442,22 +520,19 @@ struct Vose {
 
 impl Vose {
     /// Fills one row's `threshold`/`alias` slots, which arrive initialised to
-    /// 1.0 and the slot's own target. Vose: scale each probability by
-    /// n/mass, split slots into "small" (< 1) and "large" (≥ 1), and
-    /// repeatedly pair one of each — the small slot keeps its own target
-    /// below its threshold and borrows the large slot's target above it.
-    /// Worklists are filled in slot order and drained from the back, so the
+    /// 1.0 and 0; every slot starts as its own alias. Vose: scale each
+    /// probability by n/mass, split slots into "small" (< 1) and "large"
+    /// (≥ 1), and repeatedly pair one of each — the small slot keeps itself
+    /// below its threshold and borrows the large slot above it. Worklists
+    /// are filled in slot order and drained from the back, so the
     /// construction is deterministic.
-    fn build(
-        &mut self,
-        cols: &[StateId],
-        probs: &[f64],
-        threshold: &mut [f64],
-        alias: &mut [StateId],
-    ) {
+    fn build(&mut self, probs: &[f64], threshold: &mut [f64], alias: &mut [u32]) {
         let n = probs.len();
         if n == 0 {
             return;
+        }
+        for (i, slot) in alias.iter_mut().enumerate() {
+            *slot = i as u32;
         }
         let mass: f64 = probs.iter().sum();
         let Vose { scaled, small, large } = self;
@@ -475,7 +550,7 @@ impl Vose {
         while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
             small.pop();
             threshold[s] = scaled[s];
-            alias[s] = cols[l];
+            alias[s] = l as u32;
             // The large slot donated `1 - scaled[s]` of its mass.
             scaled[l] = (scaled[l] + scaled[s]) - 1.0;
             if scaled[l] < 1.0 {
@@ -484,7 +559,7 @@ impl Vose {
             }
         }
         // Leftovers (all ≈ 1 up to rounding) keep threshold 1.0 / self-alias
-        // from the initialisation: they always accept their own target.
+        // from the initialisation: they always accept themselves.
     }
 }
 
@@ -585,6 +660,27 @@ mod tests {
         let step: Vec<StateId> = k.step_rows(0).map(|(s, _)| s).collect();
         assert_eq!(step, vec![0, 2]);
         assert_eq!(k.step_rows(2).len(), 0, "past the last step");
+    }
+
+    #[test]
+    fn links_lead_to_the_next_steps_row_or_nowhere() {
+        let (d1, d2, d3) = (SparseDist::delta(1), SparseDist::delta(2), SparseDist::delta(3));
+        let empty: &[(StateId, f64)] = &[];
+        // Step 0: 0 → 1, 2 → 3, 4 → 2; step 1: 1 → 2, 2 → nothing (empty row).
+        let k = AliasKernel::from_steps(vec![
+            vec![(0u32, d1.entries()), (2, d3.entries()), (4, d2.entries())],
+            vec![(1u32, d2.entries()), (2, empty)],
+        ]);
+        let at = |step, source| k.row_of(step, source);
+        assert_eq!(k.draw(at(0, 0).unwrap(), 0.5), (1, at(1, 1).unwrap()));
+        assert_eq!(k.draw(at(0, 2).unwrap(), 0.5), (3, AliasKernel::NO_ROW), "3 has no row");
+        assert_eq!(k.draw(at(0, 4).unwrap(), 0.5), (2, AliasKernel::NO_ROW), "2's row is empty");
+        assert_eq!(k.draw(at(1, 1).unwrap(), 0.5), (2, AliasKernel::NO_ROW), "last step");
+        assert_eq!(at(1, 2), None, "an empty row is no row to draw from");
+        assert_eq!((at(1, 0), at(2, 1)), (None, None));
+        // A walk from 0 always moves on, but the rows out of 2 and 4 are
+        // checked too.
+        assert_eq!(k.uncovered_step(0), Some(1));
     }
 
     #[test]

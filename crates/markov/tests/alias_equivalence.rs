@@ -13,6 +13,12 @@
 //!    shapes (empty / delta / single-entry / heavy-tail);
 //! 2. empirically: on one shared seeded `u` stream, both samplers' frequency
 //!    vectors pass a chi-square-style goodness-of-fit check against the row.
+//!
+//! A walk searches a row once, at its start ([`AliasKernel::row_of`]), and
+//! then follows the successor link every [`AliasKernel::draw`] returns. On
+//! random multi-step chains the suite checks that a draw picks what
+//! [`AliasKernel::sample`] picks and that its link is the row a fresh search
+//! finds at the next step ([`AliasKernel::NO_ROW`] at the last step).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -175,5 +181,80 @@ proptest! {
         let stat_cdf = chi_square(&row, counts.iter().map(|&(s, _, c)| (s, c)), n);
         prop_assert!(stat_alias < 45.0, "alias chi-square {}", stat_alias);
         prop_assert!(stat_cdf < 45.0, "inverse-CDF chi-square {}", stat_cdf);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Successor links on random chains
+// ---------------------------------------------------------------------------
+
+/// A `u` grid over `[0, 1)` that includes the values just below 1, where
+/// `u·n` can round up to `n`.
+fn u_grid() -> Vec<f64> {
+    let mut grid: Vec<f64> = (0..64).map(|i| i as f64 / 64.0).collect();
+    grid.extend([1.0 / 3.0, 0.999_999, 1.0 - f64::EPSILON, 1.0 - f64::EPSILON / 2.0]);
+    grid
+}
+
+/// Per step, `(source, raw (target, weight) pairs)`, sources in any order.
+type RawChain = [Vec<(StateId, Vec<(StateId, f64)>)>];
+
+/// Per step, rows keyed by strictly increasing source; rows may be empty.
+fn chain_of(raw: &RawChain) -> Vec<Vec<(StateId, SparseDist)>> {
+    raw.iter()
+        .map(|step| {
+            let mut rows: Vec<(StateId, SparseDist)> = step
+                .iter()
+                .map(|(source, pairs)| (*source, SparseDist::from_pairs(pairs.iter().copied())))
+                .collect();
+            rows.sort_by_key(|(source, _)| *source);
+            rows.dedup_by_key(|(source, _)| *source);
+            rows
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Every row of a random chain: `draw(row_of(k, s), u)` returns the
+    /// target `sample(k, s, u)` returns, inside the row, and the link to
+    /// that target's row at step `k + 1` — `NO_ROW` at the last step and
+    /// where the target has no row or an empty one there.
+    #[test]
+    fn draws_follow_links_to_the_rows_a_search_finds(
+        raw in proptest::collection::vec(
+            proptest::collection::vec(
+                (0u32..12, proptest::collection::vec((0u32..12, 0.0f64..1.0), 0..6)),
+                0..10,
+            ),
+            1..6,
+        ),
+    ) {
+        let chain = chain_of(&raw);
+        let kernel = AliasKernel::from_steps(
+            chain.iter().map(|step| step.iter().map(|(source, row)| (*source, row.entries()))),
+        );
+        let last = chain.len() - 1;
+        for (k, step) in chain.iter().enumerate() {
+            for (source, dist) in step {
+                let Some(row) = kernel.row_of(k, *source) else {
+                    prop_assert!(dist.is_empty(), "step {} source {} has a row", k, source);
+                    prop_assert_eq!(kernel.sample(k, *source, 0.5), None);
+                    continue;
+                };
+                for u in u_grid() {
+                    let (target, next) = kernel.draw(row, u);
+                    prop_assert_eq!(Some(target), kernel.sample(k, *source, u));
+                    prop_assert!(dist.prob(target) > 0.0, "target {} outside the row", target);
+                    let searched = kernel.row_of(k + 1, target).unwrap_or(AliasKernel::NO_ROW);
+                    prop_assert!(next == searched, "step {} source {} u {}: link {} vs {}",
+                        k, source, u, next, searched);
+                    if k == last {
+                        prop_assert_eq!(next, AliasKernel::NO_ROW);
+                    }
+                }
+            }
+        }
     }
 }

@@ -105,11 +105,12 @@ fn decoded_observations_match_the_originals_exactly() {
 
 #[test]
 fn loaded_models_rebuild_an_identical_sampling_kernel() {
-    // The alias-table kernel is not serialized; `AdaptedModel::from_parts`
+    // The alias-table kernel is not serialized; `AliasKernel::from_rows`
     // rebuilds it from the decoded transition rows. Since the rows round-trip
     // bit-identically and the kernel construction is deterministic, the
-    // loaded kernel must equal the fresh one slot for slot — every draw a
-    // store-loaded model answers is bit-identical to the original model's.
+    // loaded kernel must equal the fresh one slot for slot — thresholds,
+    // alias offsets and the successor links a walk follows — so every draw
+    // a store-loaded model answers is bit-identical to the original model's.
     let w = common::build_workload(20, 3, 6, 99);
     let loaded = assert_canonical_roundtrip(&w, true);
     for ((_, fresh), (_, back)) in w.models.iter().zip(&loaded.models) {

@@ -27,19 +27,35 @@
 //! reads, are neither drawn nor stored. A marginal that is a point mass
 //! (always so at an observation) gives its state without spending a draw.
 //!
-//! **RNG streams.** `fill` draws world-major (world 0's objects in sampler
-//! order, then world 1's, …) with one draw per random start and one per
-//! chain step, so the first `n` worlds of a fill do not depend on how many
+//! **RNG streams.** A world spends one uniform per random start and one per
+//! chain step, world-major: world 0's objects in sampler order, then world
+//! 1's, …, so the first `n` worlds of a fill do not depend on how many
 //! follow. The engine seeds each block's generator with
 //! [`block_seed`]`(seed, block index)`: blocks are independent of each other,
 //! and a run stopped after any number of worlds (a world cap, a deadline)
 //! holds exactly the first worlds of the uncapped run.
+//!
+//! **Object-major fill.** `fill` first draws the block's uniforms into a
+//! buffer the block owns, in that world-major order, and then walks object by
+//! object and, within an object, step by step across the block's worlds: one
+//! model's kernel stays hot, and each world carries its row id from one step
+//! to the next through the kernel's successor links ([`AliasKernel::draw`]).
+//! Rows are searched only when the block is built: per object, the row of
+//! each state its walks can start on ([`AliasKernel::row_of`]), next to the
+//! running masses of `posterior_at(t0)`, so a random start is one binary
+//! search for the state [`SparseDist::sample_with`] picks. Each world reads
+//! the uniform the world-major order gives it, so the worlds are bit for bit
+//! those of a scalar walk drawing world by world with `sample_with` and
+//! [`AdaptedModel::sample_transition`]
+//! (`block_fill_matches_a_scalar_window_walk`).
+//!
+//! [`SparseDist::sample_with`]: ust_markov::SparseDist::sample_with
 
 use crate::world::WorldSampler;
 use rand::Rng;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
-use ust_markov::{AdaptedModel, Timestamp};
+use ust_markov::{AdaptedModel, AliasKernel, Timestamp};
 use ust_spatial::StateId;
 use ust_trajectory::ObjectId;
 
@@ -74,6 +90,58 @@ struct BlockObject {
     to: Timestamp,
     /// Start of this object's rows in the state arena.
     offset: usize,
+    /// How each world's walk starts at `t0`; `None` when the object does not
+    /// overlap the window.
+    start: Option<Start>,
+    /// Position of this object's first uniform among one world's draws.
+    first_draw: usize,
+}
+
+/// The start of an object's walks: `o(t0)` with its kernel row at `t0`'s
+/// step ([`AliasKernel::NO_ROW`] when the walk takes no step).
+#[derive(Debug, Clone)]
+enum Start {
+    /// `posterior_at(t0)` is a point mass: every world starts on it without
+    /// spending a draw.
+    Fixed((StateId, u32)),
+    /// One draw `u` per world, inverted exactly as
+    /// [`SparseDist::sample_with`](ust_markov::SparseDist::sample_with)
+    /// inverts it: the first state whose running mass exceeds
+    /// `u · total_mass`, else the last one.
+    Drawn {
+        /// `posterior_at(t0).total_mass()`.
+        mass: f64,
+        /// Per state, the left-to-right fold of the probabilities up to it.
+        running: Vec<f64>,
+        /// The marginal's states with their rows.
+        support: Vec<(StateId, u32)>,
+    },
+}
+
+impl Start {
+    /// The start of the walks of `model` over `[from, to]`.
+    fn of(model: &AdaptedModel, from: Timestamp, to: Timestamp) -> Start {
+        let marginal = model.posterior_at(from).expect("t0 lies in the model's interval");
+        let (kernel, step) = (model.alias_kernel(), (from - model.start()) as usize);
+        let with_row = |state| {
+            let row =
+                if from < to { kernel.row_of(step, state) } else { Some(AliasKernel::NO_ROW) };
+            (state, row.expect("every a-posteriori state has a transition row at its step"))
+        };
+        if let [(only, _)] = marginal.entries() {
+            return Start::Fixed(with_row(*only));
+        }
+        let mut acc = 0.0;
+        let running = marginal.iter().map(|(_, p)| {
+            acc += p;
+            acc
+        });
+        Start::Drawn {
+            mass: marginal.total_mass(),
+            running: running.collect(),
+            support: marginal.support().map(with_row).collect(),
+        }
+    }
 }
 
 /// A structure-of-arrays block of sampled possible worlds.
@@ -88,6 +156,15 @@ pub struct WorldBlock {
     count: usize,
     objects: Vec<BlockObject>,
     states: Vec<StateId>,
+    /// Uniforms one world spends: a random start plus the chain steps, over
+    /// every object.
+    draws_per_world: usize,
+    /// The last fill's uniforms, world-major: world `w`'s `d`-th draw at
+    /// `w · draws_per_world + d`.
+    uniforms: Vec<f64>,
+    /// Per world, the kernel row its walk of the current object draws from
+    /// next.
+    rows: Vec<u32>,
 }
 
 impl WorldBlock {
@@ -102,15 +179,40 @@ impl WorldBlock {
         let (lo, hi) = window.into_inner();
         let mut objects = Vec::with_capacity(sampler.len());
         let mut offset = 0usize;
+        let mut draws_per_world = 0usize;
         for (id, model) in sampler.models() {
             let from = model.start().max(lo);
             let to = model.end().min(hi);
-            objects.push(BlockObject { id: *id, model: Arc::clone(model), from, to, offset });
-            if from <= to {
-                offset += ((to - from) as usize + 1) * capacity;
-            }
+            let start = (from <= to).then(|| Start::of(model, from, to));
+            // Per world: a random start spends one draw, each step one more.
+            let (stored, draws) = match &start {
+                Some(start) => (
+                    ((to - from) as usize + 1) * capacity,
+                    (to - from) as usize + usize::from(matches!(start, Start::Drawn { .. })),
+                ),
+                None => (0, 0),
+            };
+            objects.push(BlockObject {
+                id: *id,
+                model: Arc::clone(model),
+                from,
+                to,
+                offset,
+                start,
+                first_draw: draws_per_world,
+            });
+            offset += stored;
+            draws_per_world += draws;
         }
-        WorldBlock { capacity, count: 0, objects, states: vec![0; offset] }
+        WorldBlock {
+            capacity,
+            count: 0,
+            objects,
+            states: vec![0; offset],
+            draws_per_world,
+            uniforms: Vec::new(),
+            rows: vec![0; capacity],
+        }
     }
 
     /// The block over the window `[0, horizon]`: each object is stored from
@@ -120,39 +222,53 @@ impl WorldBlock {
     }
 
     /// Samples `count ≤ capacity` fresh worlds into the block, replacing its
-    /// previous contents: world-major, per object one draw for `o(t0)` from
+    /// previous contents: per world and object one draw for `o(t0)` from
     /// `posterior_at(t0)` (none for a point mass) and one per step of `F(t)`
-    /// up to `t1`. The first `n` worlds are the same whatever `count ≥ n`.
+    /// up to `t1`, spent world-major (module doc). The first `n` worlds are
+    /// the same whatever `count ≥ n`.
     pub fn fill<R: Rng>(&mut self, rng: &mut R, count: usize) {
         assert!(count <= self.capacity, "block fill of {count} exceeds capacity {}", self.capacity);
         self.count = count;
-        let capacity = self.capacity;
-        let states = &mut self.states;
-        for w in 0..count {
-            for obj in &self.objects {
-                if obj.from > obj.to {
-                    continue;
+        if count == 0 {
+            return;
+        }
+        let draws = self.draws_per_world;
+        self.uniforms.clear();
+        // `rng.gen::<f64>()` yields u ∈ [0, 1), the alias kernel's contract.
+        self.uniforms.extend((0..count * draws).map(|_| rng.gen::<f64>()));
+        let WorldBlock { capacity, objects, states, uniforms, rows, .. } = self;
+        let rows = &mut rows[..count];
+        for obj in objects.iter() {
+            let Some(start) = &obj.start else { continue };
+            let kernel = obj.model.alias_kernel();
+            // World `w`'s `d`-th uniform of this object.
+            let column = |d: usize| uniforms[obj.first_draw + d..].iter().step_by(draws);
+            let mut d = 0;
+            let starts = &mut states[obj.offset..obj.offset + count];
+            match start {
+                Start::Fixed((state, row)) => {
+                    starts.fill(*state);
+                    rows.fill(*row);
                 }
-                let model = &obj.model;
-                let marginal =
-                    model.posterior_at(obj.from).expect("t0 lies in the model's interval");
-                let mut current = match marginal.entries() {
-                    [(only, _)] => *only,
-                    _ => marginal
-                        .sample_with(rng.gen::<f64>())
-                        .expect("every a-posteriori marginal is non-empty"),
-                };
-                let mut at = obj.offset + w;
-                states[at] = current;
-                for t in obj.from..obj.to {
-                    // `rng.gen::<f64>()` yields u ∈ [0, 1), the alias
-                    // kernel's contract.
-                    current = model
-                        .sample_transition(t, current, rng.gen::<f64>())
-                        .expect("every a-posteriori state has a transition row at its step");
-                    at += capacity;
-                    states[at] = current;
+                Start::Drawn { mass, running, support } => {
+                    for ((start, row), &u) in starts.iter_mut().zip(rows.iter_mut()).zip(column(d))
+                    {
+                        let target = u * mass;
+                        let i = running.partition_point(|&m| m <= target).min(support.len() - 1);
+                        (*start, *row) = support[i];
+                    }
+                    d += 1;
                 }
+            }
+            let mut at = obj.offset;
+            for _ in obj.from..obj.to {
+                at += *capacity;
+                let step_states = &mut states[at..at + count];
+                for ((state, row), &u) in step_states.iter_mut().zip(rows.iter_mut()).zip(column(d))
+                {
+                    (*state, *row) = kernel.draw(*row, u);
+                }
+                d += 1;
             }
         }
     }
@@ -279,6 +395,58 @@ mod tests {
                 }
             }
             // Both walks consumed the same number of draws.
+            assert_eq!(rng_block.gen::<u64>(), rng_scalar.gen::<u64>(), "[{from}, {to}]");
+        }
+    }
+
+    /// Five objects on a six-state ring (stay 1/2, step either way 1/4) whose
+    /// lifetimes start, end and hold observations at different times, so one
+    /// window mixes point-mass and random starts, walks that end at an
+    /// object's last observation and walks that stop short of it.
+    fn mixed_sampler() -> WorldSampler {
+        let ring = MarkovModel::homogeneous(CsrMatrix::from_rows(
+            (0..6u32).map(|s| vec![((s + 5) % 6, 0.25), (s, 0.5), ((s + 1) % 6, 0.25)]).collect(),
+        ));
+        let observed: [&[(Timestamp, StateId)]; 5] = [
+            &[(0, 0), (6, 0)],
+            &[(2, 3), (9, 1)],
+            &[(4, 5)],
+            &[(1, 2), (3, 2), (12, 4)],
+            &[(7, 1), (8, 2)],
+        ];
+        let models = observed.iter().enumerate().map(|(i, obs)| {
+            (i as ObjectId + 10, Arc::new(AdaptedModel::build(&ring, obs).unwrap()))
+        });
+        WorldSampler::from_models(models.collect())
+    }
+
+    #[test]
+    fn object_major_fill_matches_the_scalar_walk_on_mixed_windows() {
+        let sampler = mixed_sampler();
+        // [3, 7] starts objects 10 and 11 on random states and 12, 13 and 14
+        // on point masses (one draw each for 10 and 11, then 3 + 4 + 4 chain
+        // steps), ends past 10's last observation and short of 11's and
+        // 13's; [0, 20] runs every lifetime to its end.
+        assert_eq!(WorldBlock::for_window(&sampler, 3..=7, 1).draws_per_world, 13);
+        for (from, to) in [(3u32, 7u32), (2, 10), (5, 5), (8, 20), (0, 20)] {
+            let mut rng_block = StdRng::seed_from_u64(block_seed(from.into(), to as usize));
+            let mut rng_scalar = rng_block.clone();
+            let mut block = WorldBlock::for_window(&sampler, from..=to, WORLD_BLOCK_WIDTH);
+            for count in [WORLD_BLOCK_WIDTH, 13] {
+                block.fill(&mut rng_block, count);
+                for w in 0..count {
+                    let world = scalar_window_walk(&sampler, from, to, &mut rng_scalar);
+                    for (obj, walk) in world.iter().enumerate() {
+                        for t in 0..=21u32 {
+                            let expected = walk.as_ref().and_then(|(t0, states)| {
+                                t.checked_sub(*t0).and_then(|k| states.get(k as usize)).copied()
+                            });
+                            let at = format!("[{from}, {to}] count={count} w={w} obj={obj} t={t}");
+                            assert_eq!(block.state(obj, t, w), expected, "{at}");
+                        }
+                    }
+                }
+            }
             assert_eq!(rng_block.gen::<u64>(), rng_scalar.gen::<u64>(), "[{from}, {to}]");
         }
     }
