@@ -2,11 +2,11 @@
 //!
 //! Measures the a-posteriori sampler (one attempt per trajectory) against the
 //! segment-wise rejection sampler on the same object, and the cost of drawing
-//! complete possible worlds.
+//! a block of 64 complete possible worlds.
 //!
 //! What perfbench cannot show: it draws worlds only through the alias kernel
-//! of the a-posteriori models, so the rejection sampler, the alias-against-CDF
-//! draw and the per-world-against-block comparison live here.
+//! of the a-posteriori models, so the rejection sampler and the
+//! alias-against-CDF draw live here.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -86,10 +86,6 @@ fn bench_world_sampler(c: &mut Criterion) {
         .collect();
     let sampler = WorldSampler::from_models(models);
     let mut group = c.benchmark_group("sampling");
-    group.bench_function("sample_world_16_objects", |b| {
-        let mut rng = StdRng::seed_from_u64(1);
-        b.iter(|| sampler.sample_world(&mut rng))
-    });
     let horizon = sampler.models().iter().map(|(_, m)| m.end()).max().unwrap_or(0);
     group.bench_function("sample_block_64_worlds_16_objects", |b| {
         let mut rng = StdRng::seed_from_u64(1);

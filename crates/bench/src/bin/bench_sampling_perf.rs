@@ -1,9 +1,11 @@
 //! Emits the sampling-kernel performance snapshot (`BENCH_sampling.json`).
 //!
 //! Measures alias-table vs inverse-CDF draw throughput per row support and
-//! block (SoA) vs per-world world-sampling throughput over adapted models of
-//! a synthetic workload, then prints the report table and optionally writes
-//! the JSON snapshot.
+//! the block (SoA) world-sampling throughput over adapted models of a
+//! synthetic workload — `WorldBlock::for_window` fills over a window that
+//! opens between most objects' observations, one `block_seed` stream per
+//! 64-world block, as the query engine samples — then prints the report
+//! table and optionally writes the JSON snapshot.
 //!
 //! CI runs `--quick --json BENCH_sampling.current.json` and diffs the output
 //! against the committed `BENCH_sampling.json` baseline with `bench_diff`;

@@ -14,13 +14,15 @@
 //!   inverse-CDF scan ([`SparseDist::sample_with`]), both fed the identical
 //!   pre-drawn `u` buffer. The `alias_speedup` column is the headline number:
 //!   O(1) vs. O(support) shows up as a speedup that grows with the support.
-//! * **worlds/sec** — end-to-end possible-world sampling over adapted models
-//!   of a synthetic workload: the block (SoA, [`WorldBlock`]) path the engine
-//!   uses vs. per-world [`WorldSampler::sample_world_into`] draws, both
-//!   walking every object from its first observation to its last.
+//! * **worlds/sec** — possible-world sampling over adapted models of a
+//!   synthetic workload, timed the way the query engine walks: a
+//!   [`WorldBlock::for_window`] block over a window that opens between most
+//!   objects' observations (so most walks start on a state drawn from the
+//!   a-posteriori marginal), refilled with one [`block_seed`] stream per
+//!   64-world block.
 //!
 //! Per-phase wall times (adaptation incl. alias construction, the draw
-//! micro-bench, both world loops) land in the report `meta`.
+//! micro-bench, the block fills) land in the report `meta`.
 //!
 //! [`diff_reports`] implements the CI gate: throughputs may wobble by the
 //! configured factors across runner generations, but a drop beyond them — or
@@ -35,7 +37,7 @@ use std::hint::black_box;
 use std::time::Instant;
 use ust_generator::{ObjectWorkloadConfig, SyntheticNetworkConfig};
 use ust_markov::{AdaptedModel, AliasKernel, SparseDist};
-use ust_sampling::{PossibleWorld, WorldBlock, WorldSampler, WORLD_BLOCK_WIDTH};
+use ust_sampling::{block_seed, WorldBlock, WorldSampler, WORLD_BLOCK_WIDTH};
 
 /// Configuration of the sampling-kernel performance snapshot.
 #[derive(Debug, Clone)]
@@ -48,7 +50,7 @@ pub struct SamplingPerfConfig {
     pub num_states: usize,
     /// Objects per possible world.
     pub num_objects: usize,
-    /// Possible worlds sampled per world-bench path.
+    /// Possible worlds sampled by the world bench.
     pub worlds: usize,
     /// RNG seed for workload generation and the `u` buffers.
     pub seed: u64,
@@ -107,7 +109,7 @@ pub fn measure_sampling_perf(cfg: &SamplingPerfConfig) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "sampling_perf",
         "Monte-Carlo sampling kernel trajectory: alias vs inverse-CDF draws/sec per row \
-         support, and block (SoA) vs per-world worlds/sec over adapted models",
+         support, and block (SoA) worlds/sec of window walks over adapted models",
     );
     report.set_meta("seed", cfg.seed as f64);
     report.set_meta("draws_per_support", cfg.draws as f64);
@@ -135,7 +137,7 @@ pub fn measure_sampling_perf(cfg: &SamplingPerfConfig) -> ExperimentReport {
     report.set_meta("draw_bench_ms", draw_bench_start.elapsed().as_secs_f64() * 1e3);
 
     // ------------------------------------------------------------------
-    // World bench: block (SoA) vs per-world sampling over adapted models.
+    // World bench: block (SoA) window walks over adapted models.
     // ------------------------------------------------------------------
     let network = SyntheticNetworkConfig {
         num_states: cfg.num_states,
@@ -171,38 +173,22 @@ pub fn measure_sampling_perf(cfg: &SamplingPerfConfig) -> ExperimentReport {
     let horizon = models.iter().map(|(_, m)| m.end()).max().unwrap_or(0);
     let sampler = WorldSampler::from_models(models);
 
+    // Objects live 48 of 64 ticks and are observed every 12, so a window
+    // opening at a quarter of the horizon starts most walks between two
+    // observations, on a drawn state, as the engine's query windows do.
+    let window = horizon / 4..=horizon;
     let block_start = Instant::now();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut block = WorldBlock::for_sampler(&sampler, horizon, WORLD_BLOCK_WIDTH);
-    let mut remaining = cfg.worlds;
-    let mut checksum = 0u64;
-    while remaining > 0 {
-        let count = WORLD_BLOCK_WIDTH.min(remaining);
-        block.fill(&mut rng, count);
-        checksum = checksum.wrapping_add(block.state(0, horizon.min(1), 0).unwrap_or(0) as u64);
-        remaining -= count;
+    let mut block = WorldBlock::for_window(&sampler, window, WORLD_BLOCK_WIDTH);
+    for (b, first) in (0..cfg.worlds).step_by(WORLD_BLOCK_WIDTH).enumerate() {
+        let count = WORLD_BLOCK_WIDTH.min(cfg.worlds - first);
+        block.fill(&mut StdRng::seed_from_u64(block_seed(cfg.seed, b)), count);
+        black_box(&block);
     }
-    black_box(checksum);
     let block_elapsed = block_start.elapsed();
     report.set_meta("block_sample_ms", block_elapsed.as_secs_f64() * 1e3);
 
-    let per_world_start = Instant::now();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut world = PossibleWorld::empty();
-    for _ in 0..cfg.worlds {
-        sampler.sample_world_into(&mut rng, &mut world);
-        black_box(world.len());
-    }
-    let per_world_elapsed = per_world_start.elapsed();
-    report.set_meta("perworld_sample_ms", per_world_elapsed.as_secs_f64() * 1e3);
-
     let block_wps = cfg.worlds as f64 / block_elapsed.as_secs_f64().max(1e-9);
-    let per_world_wps = cfg.worlds as f64 / per_world_elapsed.as_secs_f64().max(1e-9);
-    report.push(
-        Row::new("worlds")
-            .with("block_worlds_per_sec", block_wps)
-            .with("perworld_worlds_per_sec", per_world_wps),
-    );
+    report.push(Row::new("worlds").with("block_worlds_per_sec", block_wps));
     report
 }
 
@@ -331,8 +317,7 @@ mod tests {
         }
         let worlds = &report.rows[2];
         assert!(worlds.value("block_worlds_per_sec").unwrap() > 0.0);
-        assert!(worlds.value("perworld_worlds_per_sec").unwrap() > 0.0);
-        for key in ["adapt_ms", "draw_bench_ms", "block_sample_ms", "perworld_sample_ms"] {
+        for key in ["adapt_ms", "draw_bench_ms", "block_sample_ms"] {
             assert!(
                 report.meta.iter().any(|(n, v)| n == key && *v >= 0.0),
                 "meta key {key} present"

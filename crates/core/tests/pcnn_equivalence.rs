@@ -1,18 +1,22 @@
 //! Equivalence and determinism tests for the vertical PCNN miner.
 //!
 //! The vertical bitset miner (`vertical_timesets` over a `WorldSet`) must be
-//! indistinguishable from the retained reference implementation
-//! (`apriori_timesets` over horizontal per-world masks): byte-identical
-//! qualifying sets, probabilities and lattice counters, across random world
-//! distributions, thresholds and the maximal-only switch. On top of that, the
-//! engine's block sampling loop must reproduce exactly what a plain
-//! `NnTimeProfile`-based loop computes on the same worlds, and
+//! indistinguishable from the horizontal Apriori oracle (`apriori_timesets`
+//! over per-world masks, in `common/`): byte-identical qualifying sets,
+//! probabilities and lattice counters, on hand-built lattices and across
+//! random world distributions, thresholds, the maximal-only switch and
+//! timestamp counts on both sides of the 64-timestamp word boundary. On top
+//! of that, the engine's block sampling loop must reproduce exactly what a
+//! plain `NnTimeProfile`-based loop computes on the same worlds, and
 //! `pcnn_threads` must never change query output.
 
+mod common;
+
+use common::{apriori_timesets, masks, subset_probability, world_set};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use ust_core::pcnn::{apriori_timesets, vertical_timesets, PcnnConfig, WorldSet};
+use ust_core::pcnn::{vertical_timesets, PcnnConfig, PcnnResult, WorldSet};
 use ust_core::{EngineConfig, PcnnOutcome, Query, QueryEngine};
 use ust_markov::{CsrMatrix, MarkovModel, StateId};
 use ust_sampling::{block_seed, WorldBlock, WorldSampler, WORLD_BLOCK_WIDTH};
@@ -23,9 +27,23 @@ use ust_trajectory::{NnTimeProfile, TimeMask, Trajectory, TrajectoryDatabase};
 /// with small world counts sits exactly on (or numerically near) an integer.
 const TAUS: [f64; 4] = [0.1, 0.3, 0.5, 0.9];
 
+/// Runs both miners and asserts they agree byte for byte; returns the
+/// vertical result.
+fn both(world_masks: &[TimeMask], num_times: usize, cfg: &PcnnConfig) -> PcnnResult {
+    let reference = apriori_timesets(world_masks, num_times, cfg);
+    let ws = world_set(num_times, world_masks);
+    let vertical = vertical_timesets(&ws, cfg, None).unwrap();
+    assert_eq!(vertical.sets, reference.sets, "qualifying sets must match the reference");
+    assert_eq!(vertical.candidate_sets_evaluated, reference.candidate_sets_evaluated);
+    assert_eq!(vertical.max_level, reference.max_level);
+    assert_eq!(vertical.frontier_peak, reference.frontier_peak);
+    vertical
+}
+
 #[test]
 fn vertical_miner_matches_reference_on_random_worldsets() {
     let mut rng = StdRng::seed_from_u64(0x5eed_ca11);
+    let mut trials: Vec<(usize, Vec<TimeMask>)> = Vec::new();
     for trial in 0..60 {
         let num_times = rng.gen_range(1usize..=8);
         let num_worlds = rng.gen_range(1usize..=130);
@@ -40,11 +58,35 @@ fn vertical_miner_matches_reference_on_random_worldsets() {
                 )
             })
             .collect();
-        let worldset = WorldSet::from_world_masks(num_times, &masks);
+        trials.push((num_times, masks));
+    }
+    // Lattices over 60 to 140 timestamps: a few dense columns around the
+    // word boundary among sparse ones, so qualifying sets hold timestamps on
+    // both sides of bit 63/64. In "good" worlds the dense columns are almost
+    // always NN, which carries the lattice several levels deep.
+    for _ in 0..80 {
+        let num_times = rng.gen_range(60usize..=140);
+        let num_worlds = rng.gen_range(40usize..=130);
+        let dense: Vec<usize> =
+            (0..rng.gen_range(4..=8)).map(|_| rng.gen_range(56..num_times.min(72))).collect();
+        let masks: Vec<TimeMask> = (0..num_worlds)
+            .map(|_| {
+                let dense_density = if rng.gen::<f64>() < 0.6 { 0.95 } else { 0.3 };
+                let hits = (0..num_times).filter(|t| {
+                    rng.gen::<f64>() < if dense.contains(t) { dense_density } else { 0.05 }
+                });
+                TimeMask::from_indices(num_times, hits)
+            })
+            .collect();
+        trials.push((num_times, masks));
+    }
+    for (trial, (num_times, masks)) in trials.iter().enumerate() {
+        let (num_times, num_worlds) = (*num_times, masks.len());
+        let worldset = world_set(num_times, masks);
         for tau in TAUS {
             for maximal_only in [false, true] {
                 let cfg = PcnnConfig { tau, maximal_only };
-                let reference = apriori_timesets(&masks, num_times, &cfg);
+                let reference = apriori_timesets(masks, num_times, &cfg);
                 let vertical =
                     vertical_timesets(&worldset, &cfg, None).expect("no gauge, no error");
                 assert_eq!(
@@ -245,4 +287,141 @@ fn pcnn_output_is_identical_at_every_thread_count() {
     );
     assert_same_outcome(&outcomes[0], &outcomes[1]);
     assert_same_outcome(&outcomes[0], &outcomes[2]);
+}
+
+#[test]
+fn subset_probability_counts_containing_worlds() {
+    let m = masks(3, &[&[0, 1, 2], &[0, 1], &[2], &[]]);
+    assert_eq!(subset_probability(&m, &[0]), 0.5);
+    assert_eq!(subset_probability(&m, &[0, 1]), 0.5);
+    assert_eq!(subset_probability(&m, &[0, 1, 2]), 0.25);
+    assert_eq!(subset_probability(&m, &[]), 1.0, "empty set is contained everywhere");
+    assert_eq!(subset_probability(&[], &[0]), 0.0);
+}
+
+#[test]
+fn nan_threshold_rejects_everything_like_the_reference() {
+    // The engine validates τ, but direct calls can pass NaN; both miners
+    // must then agree that nothing qualifies (`p >= NaN` is false).
+    let m = masks(3, &[&[0, 1, 2], &[0, 1, 2]]);
+    let result = both(&m, 3, &PcnnConfig::new(f64::NAN));
+    assert!(result.sets.is_empty());
+    assert_eq!(ust_core::pcnn::support_threshold(f64::NAN, 10), 11);
+    assert_eq!(ust_core::pcnn::support_threshold(f64::NAN, 0), 1);
+}
+
+#[test]
+fn lattice_finds_all_qualifying_sets() {
+    // Object is NN at {0,1} in 60% of worlds, at {2} in 40%, at all three
+    // in 20%.
+    let m = masks(
+        3,
+        &[
+            &[0, 1, 2],
+            &[0, 1, 2],
+            &[0, 1],
+            &[0, 1],
+            &[0, 1],
+            &[0, 1],
+            &[2],
+            &[2],
+            &[],
+            &[],
+        ],
+    );
+    let result = both(&m, 3, &PcnnConfig::new(0.5));
+    let sets: Vec<Vec<usize>> = result.sets.iter().map(|(s, _)| s.clone()).collect();
+    assert!(sets.contains(&vec![0]));
+    assert!(sets.contains(&vec![1]));
+    assert!(sets.contains(&vec![0, 1]));
+    assert!(!sets.contains(&vec![2]), "{{2}} has probability 0.4 < 0.5");
+    assert!(!sets.contains(&vec![0, 1, 2]));
+    // Probabilities attached to the sets are the world fractions.
+    let p01 = result.sets.iter().find(|(s, _)| s == &vec![0, 1]).unwrap().1;
+    assert!((p01 - 0.6).abs() < 1e-12);
+    assert_eq!(result.max_level, 2);
+    assert_eq!(result.frontier_peak, 2, "both levels hold two qualifying sets");
+}
+
+#[test]
+fn anti_monotonicity_prunes_supersets_without_evaluation() {
+    // Only timestamp 0 ever qualifies; the lattice must stop after level 1
+    // and evaluate exactly num_times candidate sets.
+    let m = masks(4, &[&[0], &[0], &[0], &[1]]);
+    let result = both(&m, 4, &PcnnConfig::new(0.5));
+    assert_eq!(result.sets.len(), 1);
+    assert_eq!(result.candidate_sets_evaluated, 4);
+    assert_eq!(result.max_level, 1);
+    assert_eq!(result.frontier_peak, 1);
+}
+
+#[test]
+fn low_threshold_reaches_the_full_set() {
+    let m = masks(3, &[&[0, 1, 2], &[0, 1, 2], &[0, 2]]);
+    let result = both(&m, 3, &PcnnConfig::new(0.1));
+    let sets: Vec<Vec<usize>> = result.sets.iter().map(|(s, _)| s.clone()).collect();
+    assert!(sets.contains(&vec![0, 1, 2]));
+    // All 7 non-empty subsets qualify at tau = 0.1.
+    assert_eq!(sets.len(), 7);
+    assert_eq!(result.max_level, 3);
+    assert_eq!(result.frontier_peak, 3, "levels 1 and 2 both hold three sets");
+}
+
+#[test]
+fn maximal_only_removes_subsumed_sets() {
+    let m = masks(3, &[&[0, 1, 2], &[0, 1, 2], &[0, 1, 2]]);
+    let all = both(&m, 3, &PcnnConfig::new(0.5));
+    assert_eq!(all.sets.len(), 7);
+    let maximal = both(&m, 3, &PcnnConfig::maximal(0.5));
+    assert_eq!(maximal.sets.len(), 1);
+    assert_eq!(maximal.sets[0].0, vec![0, 1, 2]);
+    assert_eq!(maximal.max_level, 3, "observability reflects the unfiltered lattice");
+    assert_eq!(maximal.frontier_peak, 3);
+}
+
+#[test]
+fn maximal_only_keeps_incomparable_sets_across_levels() {
+    // {0,1} qualifies as a pair; {2} qualifies alone and is in no
+    // qualifying pair, so both must survive the maximality filter.
+    let m = masks(3, &[&[0, 1], &[0, 1], &[0, 1, 2], &[2], &[2]]);
+    let result = both(&m, 3, &PcnnConfig::maximal(0.5));
+    let sets: Vec<Vec<usize>> = result.sets.iter().map(|(s, _)| s.clone()).collect();
+    assert_eq!(sets, vec![vec![2], vec![0, 1]]);
+}
+
+#[test]
+fn qualifying_sets_need_not_be_contiguous() {
+    // NN at times 0 and 2 but never at 1: the qualifying pair is {0, 2}.
+    let m = masks(3, &[&[0, 2], &[0, 2], &[0, 1]]);
+    let result = both(&m, 3, &PcnnConfig::new(0.6));
+    let sets: Vec<Vec<usize>> = result.sets.iter().map(|(s, _)| s.clone()).collect();
+    assert!(sets.contains(&vec![0, 2]));
+    assert!(!sets.contains(&vec![0, 1]));
+}
+
+#[test]
+fn sets_beyond_64_timestamps_match_the_reference() {
+    // A 70-column input: candidate sets take two words, and the qualifying
+    // ones join timestamps on both sides of the word boundary.
+    let m = masks(70, &[&[0, 1, 65, 69], &[0, 1, 65], &[1, 65, 69], &[0, 1, 65, 69]]);
+    let result = both(&m, 70, &PcnnConfig::new(0.5));
+    let sets: Vec<Vec<usize>> = result.sets.iter().map(|(s, _)| s.clone()).collect();
+    assert!(sets.contains(&vec![0, 1, 65]));
+    assert!(sets.contains(&vec![1, 65, 69]));
+    assert!(sets.contains(&vec![0, 1, 65, 69]), "holds in exactly half the worlds");
+    assert_eq!(result.max_level, 4);
+}
+
+#[test]
+fn empty_or_degenerate_inputs() {
+    let result = apriori_timesets(&[], 3, &PcnnConfig::new(0.5));
+    assert!(result.sets.is_empty());
+    assert_eq!(result.max_level, 0);
+    assert_eq!(result.frontier_peak, 0);
+    let empty = vertical_timesets(&WorldSet::new(3, 0), &PcnnConfig::new(0.5), None).unwrap();
+    assert!(empty.sets.is_empty());
+    assert_eq!(empty.candidate_sets_evaluated, result.candidate_sets_evaluated);
+    let m = masks(1, &[&[0], &[]]);
+    let result = both(&m, 1, &PcnnConfig::new(0.5));
+    assert_eq!(result.sets.len(), 1);
 }

@@ -23,9 +23,10 @@
 //!   which needs exactly **one** attempt per sample and still draws each
 //!   possible trajectory with its correct conditional probability.
 //!
-//! [`world::WorldSampler`] combines per-object samplers into possible worlds,
-//! and [`hoeffding`] provides the sample-size / confidence bounds the paper
-//! refers to (\[29\]).
+//! [`world::WorldSampler`] collects the adapted models of a query's objects,
+//! [`block::WorldBlock`] draws possible worlds from them 64 at a time over
+//! the query window, and [`hoeffding`] provides the sample-size / confidence
+//! bounds the paper refers to (\[29\]).
 
 pub mod block;
 pub mod hoeffding;
@@ -37,7 +38,7 @@ pub use block::{block_seed, WorldBlock, WORLD_BLOCK_WIDTH};
 pub use hoeffding::{confidence_radius, required_samples};
 pub use posterior::PosteriorSampler;
 pub use rejection::{RejectionOutcome, RejectionSampler, SegmentedSampler};
-pub use world::{PossibleWorld, WorldSampler};
+pub use world::WorldSampler;
 
 pub use ust_markov::Timestamp;
 pub use ust_spatial::StateId;

@@ -30,41 +30,24 @@ impl<'a> PosteriorSampler<'a> {
         self.model
     }
 
-    /// Draws one trajectory covering `[start, end]` of the adapted model.
+    /// Draws one trajectory covering `[start, end]` of the adapted model: one
+    /// RNG draw per chain step from the first observation to the last.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> Trajectory {
         let start = self.model.start();
-        let mut states = Vec::with_capacity((self.model.end() - start) as usize + 1);
-        self.walk(rng, &mut states);
-        Trajectory::new(start, states)
-    }
-
-    /// Draws one trajectory *into* an existing buffer, reusing its state
-    /// allocation. Consumes the RNG exactly like [`sample`](Self::sample), so
-    /// a loop of `sample_into` calls produces bit-identical worlds to a loop
-    /// of `sample` calls — just without one heap allocation per draw.
-    pub fn sample_into<R: Rng>(&self, rng: &mut R, out: &mut Trajectory) {
-        out.refill(self.model.start(), |states| self.walk(rng, states));
-    }
-
-    /// The random walk of [`sample`](Self::sample): one RNG draw per chain
-    /// step from the first observation to the last.
-    fn walk<R: Rng>(&self, rng: &mut R, states: &mut Vec<u32>) {
-        let start = self.model.start();
         let end = self.model.end();
-        let first = self.model.observations()[0].1;
-        states.reserve((end - start) as usize + 1);
-        states.push(first);
-        let mut current = first;
+        let mut current = self.model.observations()[0].1;
+        let mut states = Vec::with_capacity((end - start) as usize + 1);
+        states.push(current);
         for t in start..end {
             // `rng.gen::<f64>()` yields u ∈ [0, 1) (53-bit mantissa over
             // 2⁻⁵³ steps), satisfying the alias kernel's contract.
-            let next = self
+            current = self
                 .model
                 .sample_transition(t, current, rng.gen::<f64>())
                 .expect("reachable states always have an adapted transition row");
-            states.push(next);
-            current = next;
+            states.push(current);
         }
+        Trajectory::new(start, states)
     }
 
     /// Draws `n` independent trajectories.
@@ -149,23 +132,6 @@ mod tests {
         let p_detour = counts.get(&vec![1, 2, 0]).copied().unwrap_or(0) as f64 / n as f64;
         assert!((p_direct - 2.0 / 3.0).abs() < 0.02, "p_direct = {p_direct}");
         assert!((p_detour - 1.0 / 3.0).abs() < 0.02, "p_detour = {p_detour}");
-    }
-
-    #[test]
-    fn sample_into_reuses_the_buffer_and_matches_sample() {
-        let model = o1_model();
-        let adapted = AdaptedModel::build(&model, &[(0, 1), (2, 2), (6, 0)]).unwrap();
-        let sampler = PosteriorSampler::new(&adapted);
-        let mut rng_fresh = StdRng::seed_from_u64(31);
-        let mut rng_reused = StdRng::seed_from_u64(31);
-        let mut reused = Trajectory::new(9, vec![3]);
-        for _ in 0..50 {
-            let fresh = sampler.sample(&mut rng_fresh);
-            sampler.sample_into(&mut rng_reused, &mut reused);
-            assert_eq!(reused, fresh);
-        }
-        // Both streams consumed the same number of draws.
-        assert_eq!(rng_fresh.gen::<u64>(), rng_reused.gen::<u64>());
     }
 
     #[test]

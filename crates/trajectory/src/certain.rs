@@ -79,20 +79,6 @@ impl Trajectory {
         &self.states
     }
 
-    /// Replaces the trajectory in place: clears the state buffer (keeping its
-    /// allocation), lets `fill` push the new states, and re-anchors the
-    /// trajectory at `start`. This is the reuse hook of the Monte-Carlo world
-    /// loop, which previously allocated one state vector per object per world.
-    ///
-    /// # Panics
-    /// Panics if `fill` leaves the state buffer empty.
-    pub fn refill(&mut self, start: Timestamp, fill: impl FnOnce(&mut Vec<StateId>)) {
-        self.states.clear();
-        fill(&mut self.states);
-        assert!(!self.states.is_empty(), "a trajectory needs at least one state");
-        self.start = start;
-    }
-
     /// Iterator over `(timestamp, state)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (Timestamp, StateId)> + '_ {
         self.states.iter().enumerate().map(move |(k, &s)| (self.start + k as Timestamp, s))
