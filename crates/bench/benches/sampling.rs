@@ -1,8 +1,9 @@
 //! Micro-benchmark: trajectory sampling throughput.
 //!
 //! Measures the a-posteriori sampler (one attempt per trajectory) against the
-//! segment-wise rejection sampler on the same object, and the cost of drawing
-//! a block of 64 complete possible worlds.
+//! segment-wise rejection sampler on the same object, and the engine's world
+//! fill: a block of 64 possible worlds over a query window that opens between
+//! observations, one RNG stream per fill.
 //!
 //! What perfbench cannot show: it draws worlds only through the alias kernel
 //! of the a-posteriori models, so the rejection sampler and the
@@ -15,7 +16,7 @@ use std::sync::Arc;
 use ust_generator::{ObjectWorkloadConfig, SyntheticNetworkConfig};
 use ust_markov::{AdaptedModel, AliasKernel, SparseDist};
 use ust_sampling::{
-    PosteriorSampler, SegmentedSampler, WorldBlock, WorldSampler, WORLD_BLOCK_WIDTH,
+    block_seed, PosteriorSampler, SegmentedSampler, WorldBlock, WorldSampler, WORLD_BLOCK_WIDTH,
 };
 
 fn setup() -> (ust_markov::MarkovModel, Vec<Vec<(u32, u32)>>) {
@@ -87,10 +88,18 @@ fn bench_world_sampler(c: &mut Criterion) {
     let sampler = WorldSampler::from_models(models);
     let mut group = c.benchmark_group("sampling");
     let horizon = sampler.models().iter().map(|(_, m)| m.end()).max().unwrap_or(0);
-    group.bench_function("sample_block_64_worlds_16_objects", |b| {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut block = WorldBlock::for_sampler(&sampler, horizon, WORLD_BLOCK_WIDTH);
-        b.iter(|| block.fill(&mut rng, WORLD_BLOCK_WIDTH))
+    // Objects live 60 of 100 ticks, are born at ticks 0-40 and are observed
+    // every 10, so a window opening at a quarter of the horizon starts more
+    // than half of the walks between two observations, on a drawn state, as
+    // the engine's query windows do.
+    let window = horizon / 4..=horizon;
+    group.bench_function("window_block_64_worlds_16_objects", |b| {
+        let mut block = WorldBlock::for_window(&sampler, window.clone(), WORLD_BLOCK_WIDTH);
+        let mut next = 0usize;
+        b.iter(|| {
+            block.fill(&mut StdRng::seed_from_u64(block_seed(1, next)), WORLD_BLOCK_WIDTH);
+            next += 1;
+        })
     });
     group.finish();
 }

@@ -696,9 +696,11 @@ impl<'a> QueryEngine<'a> {
     ///
     /// Each object's lattice is mined vertically ([`vertical_timesets`])
     /// and the per-object runs are fanned out across
-    /// [`pcnn_threads`](EngineConfig::pcnn_threads) scoped workers. Results
-    /// are merged back in ascending object order, so the outcome is
-    /// byte-identical at every thread count. A deadline breach during mining
+    /// [`pcnn_threads`](EngineConfig::pcnn_threads) scoped workers. Each
+    /// worker maps its object's set indices to timestamps in place, so
+    /// `stats.mining_time` covers the whole answer. Results are merged back
+    /// in ascending object order, so the outcome is byte-identical at every
+    /// thread count. A deadline breach during mining
     /// degrades — the lattice stops expanding and the sets validated so far
     /// (an exact under-approximation of the full answer) are returned with
     /// `stats.degraded` set; cancellation is always a typed error.
@@ -715,7 +717,11 @@ impl<'a> QueryEngine<'a> {
         let lattices: Vec<Result<PcnnResult, QueryError>> = parallel_map_ordered(
             &run.sampling.tracked_worlds,
             self.config.pcnn_threads,
-            |(_, worlds)| vertical_timesets(worlds, &cfg, Some(&run.gauge)),
+            |(_, worlds)| {
+                let mut lattice = vertical_timesets(worlds, &cfg, Some(&run.gauge))?;
+                lattice.sets.map_timestamps(|i| times[i as usize]);
+                Ok(lattice)
+            },
         );
         let mining_time = mine_start.elapsed();
         let mut candidate_sets_evaluated = 0usize;
@@ -732,16 +738,9 @@ impl<'a> QueryEngine<'a> {
             if lattice.sets.is_empty() {
                 continue;
             }
-            let sets = lattice
-                .sets
-                .into_iter()
-                .map(|(indices, p)| {
-                    (indices.into_iter().map(|i| times[i]).collect::<Vec<_>>(), p)
-                })
-                .collect();
             results.push(PcnnObjectResult {
                 object: *object,
-                sets,
+                sets: lattice.sets,
                 candidate_sets_evaluated: lattice.candidate_sets_evaluated,
             });
         }
@@ -962,7 +961,7 @@ mod tests {
         let q = query();
         let outcome = engine.pcnn(&q, 0.5).unwrap();
         let sets = outcome.sets_of(1).expect("object 1 qualifies");
-        assert!(sets.iter().any(|(ts, p)| ts == &vec![1, 2, 3] && *p > 0.99));
+        assert!(sets.iter().any(|(ts, p)| ts == [1, 2, 3] && *p > 0.99));
         assert!(outcome.sets_of(2).is_none());
         assert!(outcome.candidate_sets_evaluated >= 3);
         assert!(outcome.total_result_sets() >= 7, "all subsets of {{1,2,3}} qualify");
@@ -990,10 +989,16 @@ mod tests {
             );
             let outcome = engine.pcnn(&q, 0.5).unwrap();
             let first = outcome.sets_of(1).expect("object 1 is the NN on {1, 2}");
-            assert!(first.contains(&(vec![1, 2], 1.0)), "index {use_index}: {first:?}");
+            assert!(
+                first.iter().any(|(ts, &p)| ts == [1, 2] && p == 1.0),
+                "index {use_index}: {first:?}"
+            );
             assert!(first.iter().all(|(ts, _)| ts.iter().all(|&t| t <= 2)));
             let second = outcome.sets_of(2).expect("object 2 is the NN on {3, 4}");
-            assert!(second.contains(&(vec![3, 4], 1.0)), "index {use_index}: {second:?}");
+            assert!(
+                second.iter().any(|(ts, &p)| ts == [3, 4] && p == 1.0),
+                "index {use_index}: {second:?}"
+            );
             // Without the index object 2 covers T and counts as a
             // candidate; the index prunes it at t = 1 and 2.
             assert_eq!(outcome.stats.candidates, usize::from(!use_index));
@@ -1011,7 +1016,7 @@ mod tests {
         let outcome = engine.pcnn(&q, 0.5).unwrap();
         let sets = outcome.sets_of(1).unwrap();
         assert_eq!(sets.len(), 1);
-        assert_eq!(sets[0].0, vec![1, 2, 3]);
+        assert_eq!(sets.iter().next().map(|(ts, _)| ts), Some(&[1, 2, 3][..]));
     }
 
     #[test]

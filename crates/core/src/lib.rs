@@ -26,8 +26,9 @@
 //!   batched and parallelised by the stampede-free [`prepare`] subsystem),
 //!   Monte-Carlo sampling of possible worlds (`ust-sampling`) and
 //!   certain-world NN evaluation (`ust-trajectory`). PCNN uses the
-//!   Apriori-style lattice of Algorithm 1, mined vertically over per-timestamp
-//!   world bitsets ([`pcnn`], [`pcnn::WorldSet`]).
+//!   Apriori-style lattice of Algorithm 1, mined vertically over classes of
+//!   identical per-timestamp world bitsets ([`pcnn`], [`pcnn::WorldSet`]),
+//!   with each object's sets in one flat [`TimestampSets`] arena.
 //! * [`exact`] — exponential possible-world enumeration, feasible only for
 //!   tiny instances; serves as the correctness reference (P∃NN is NP-hard,
 //!   Section 4.1).
@@ -57,7 +58,7 @@ pub use store::{EngineStore, WalReplayStats};
 pub use exact::{ExactError, ExactResult};
 pub use pcnn::{PcnnConfig, PcnnResult, WorldSet};
 pub use query::{Query, QueryError};
-pub use results::{ObjectProbability, PcnnOutcome, QueryOutcome, QueryStats};
+pub use results::{ObjectProbability, PcnnOutcome, QueryOutcome, QueryStats, TimestampSets};
 
 /// The fault points this crate registers with [`ust_fault`] (see the chaos
 /// suite at the workspace root). `core.adapt.worker` panics inside a live

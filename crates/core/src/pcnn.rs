@@ -1,4 +1,5 @@
-//! The Apriori-style lattice of Algorithm 1 (PCτNN), mined vertically.
+//! The Apriori-style lattice of Algorithm 1 (PCτNN), mined vertically over
+//! classes of identical columns.
 //!
 //! The PCNN query asks, per object, for the timestamp subsets `T_i ⊆ T` on
 //! which the object is a ∀-nearest-neighbor with probability at least `τ`.
@@ -13,31 +14,48 @@
 //!
 //! The validation step — estimating `P∀NN(o, q, T_k)` — counts the sampled
 //! worlds in which the object is a nearest neighbor at every timestamp of
-//! `T_k`. At small `τ` the lattice approaches the full subset lattice of `T`
-//! (Section 4.3, Figure 14), so this per-candidate cost dominates the query.
-//!
-//! [`vertical_timesets`] mines the Eclat-style *vertical* layout
+//! `T_k`. [`vertical_timesets`] reads the Eclat-style *vertical* layout
 //! ([`WorldSet`]): one bitset **over worlds** per timestamp. The worlds
-//! supporting a candidate set are the intersection of its timestamps'
-//! world-sets, and — crucially — the intersection of its two Apriori parents'
-//! world-sets. Each frontier node carries its intersected world-set, so
-//! extending a `k`-set costs one AND + popcount over `worlds/64` words, and
-//! the support is compared against the integer threshold
-//! [`support_threshold`]`(τ, worlds)` instead of a per-candidate `f64`
-//! division. Candidates are generated once each from prefix classes (no
-//! quadratic join, no hash-set dedup), and the maximal-set filter works level
-//! by level instead of all-pairs.
+//! supporting a set are the intersection of its columns, so a lattice node
+//! extends with one AND + popcount over `worlds/64` words, and supports are
+//! compared against the integer threshold [`support_threshold`]`(τ, worlds)`
+//! instead of a per-candidate `f64` division.
 //!
-//! The lattice loop exists once, generic over how a candidate timestamp set
-//! is stored: one `u64` mask when `|T| ≤ 64`, one word per 64 timestamps
-//! above. The *horizontal* Apriori of the paper — per world the mask of
-//! timestamps at which the object is a NN, one containment scan over every
-//! world per candidate — is the test oracle in `crates/core/tests/common/`,
-//! which the equivalence tests compare this miner against, bit for bit.
+//! ## Classes of identical columns
+//!
+//! At small `τ` the lattice approaches the full subset lattice of `T`
+//! (Section 4.3, Figure 14), and many of an object's columns are identical:
+//! full columns (a NN in every world) and copies. ANDing a column twice
+//! changes nothing, so a set's support depends only on *which classes of
+//! identical columns* it touches. The miner therefore
+//!
+//! 1. groups the columns that reach the threshold into classes, numbered in
+//!    order of their first member (a failing column joins no class);
+//! 2. mines Apriori's lattice over *class-sets* — prefix-class join, subset
+//!    prune, one AND + popcount per candidate — and keeps the probability of
+//!    every qualifying class-set;
+//! 3. emits the timestamp sets level by level: the qualifying `k`-sets are
+//!    the qualifying `(k-1)`-sets, each extended by one larger qualifying
+//!    column whose class-set still qualifies. Only a column that adds a new
+//!    class costs a lookup. A `k`-set touches at most `k` classes, so class
+//!    level `k` is mined just before timestamp level `k` is emitted.
+//!
+//! Extending the previous level in order emits every level
+//! lexicographically, the order Algorithm 1's join produces, with no sort.
+//! The sets go straight into one flat [`TimestampSets`] arena per object.
+//! Sets, order, probabilities, counters and budget checkpoints all equal a
+//! timestamp-level Apriori's (see [`vertical_timesets`] for why).
+//!
+//! The *horizontal* Apriori of the paper — per world the mask of timestamps
+//! at which the object is a NN, one containment scan over every world per
+//! candidate — is the test oracle in `crates/core/tests/common/`, which the
+//! equivalence tests compare this miner against, bit for bit.
 
 use crate::govern::{BudgetGauge, QueryPhase, Verdict, MINING_CHECK_INTERVAL};
 use crate::query::QueryError;
-use rustc_hash::FxHashSet;
+use crate::results::TimestampSets;
+use crate::Timestamp;
+use rustc_hash::FxHashMap;
 use std::hash::Hash;
 use ust_trajectory::iter_set_bits;
 
@@ -67,9 +85,11 @@ impl PcnnConfig {
 /// Result of the lattice expansion for a single object.
 #[derive(Debug, Clone)]
 pub struct PcnnResult {
-    /// Qualifying timestamp sets, each as sorted indices into the query's
-    /// timestamp list, together with their estimated probability.
-    pub sets: Vec<(Vec<usize>, f64)>,
+    /// Qualifying timestamp sets, each as ascending indices into the query's
+    /// timestamp list, with their estimated probability: by set size, then
+    /// lexicographically. The engine maps the indices to timestamps in
+    /// place.
+    pub sets: TimestampSets,
     /// Number of candidate sets whose probability was evaluated (the number
     /// of validation steps of Algorithm 1).
     pub candidate_sets_evaluated: usize,
@@ -170,7 +190,7 @@ impl WorldSet {
         self.words[time * self.stride + word_index] |= bits;
     }
 
-        /// The world bitset of one timestamp column.
+    /// The world bitset of one timestamp column.
     #[inline]
     pub fn column(&self, time: usize) -> &[u64] {
         &self.words[time * self.stride..(time + 1) * self.stride]
@@ -229,37 +249,44 @@ pub fn support_threshold(tau: f64, worlds: usize) -> usize {
     h
 }
 
-/// A candidate timestamp set of the lattice: a bit set over timestamp
-/// indices, so that the one lattice loop runs over a single `u64` when
-/// `|T| ≤ 64` (bit operations and `FxHashSet<u64>` probes) and over one word
-/// per 64 timestamps above.
-trait TimeSet: Clone + Eq + Hash {
-    /// The set `{t}` of a lattice over `num_times` timestamps.
-    fn singleton(t: usize, num_times: usize) -> Self;
-    /// `self ∪ other`.
-    fn union(&self, other: &Self) -> Self;
-    /// `self \ {t}`.
-    fn without(&self, t: usize) -> Self;
+/// A class-set of the lattice: a bit set over class indices, so that the
+/// lattice runs over a single `u64` when an object has at most 64 classes of
+/// qualifying columns (bit operations and `FxHashMap<u64, _>` probes) and
+/// over one word per 64 classes above.
+trait ClassSet: Clone + Eq + Hash {
+    /// The empty set of a lattice over `num_classes` classes.
+    fn empty(num_classes: usize) -> Self;
+    /// `self ∪ {c}`.
+    fn with(&self, c: usize) -> Self;
+    /// `self \ {c}`.
+    fn without(&self, c: usize) -> Self;
+    /// Whether `c ∈ self`.
+    fn contains(&self, c: usize) -> bool;
     /// The elements, ascending.
     fn elements(&self) -> impl Iterator<Item = usize> + '_;
     /// The largest element of a non-empty set.
     fn highest(&self) -> usize;
 }
 
-impl TimeSet for u64 {
+impl ClassSet for u64 {
     #[inline]
-    fn singleton(t: usize, _num_times: usize) -> Self {
-        1 << t
+    fn empty(_num_classes: usize) -> Self {
+        0
     }
 
     #[inline]
-    fn union(&self, other: &Self) -> Self {
-        self | other
+    fn with(&self, c: usize) -> Self {
+        self | 1 << c
     }
 
     #[inline]
-    fn without(&self, t: usize) -> Self {
-        self & !(1 << t)
+    fn without(&self, c: usize) -> Self {
+        self & !(1 << c)
+    }
+
+    #[inline]
+    fn contains(&self, c: usize) -> bool {
+        self >> c & 1 == 1
     }
 
     // Its own one-word loop: `iter_set_bits` over a one-word slice made the
@@ -269,9 +296,9 @@ impl TimeSet for u64 {
         let mut rest = *self;
         std::iter::from_fn(move || {
             (rest != 0).then(|| {
-                let t = rest.trailing_zeros() as usize;
+                let c = rest.trailing_zeros() as usize;
                 rest &= rest - 1;
-                t
+                c
             })
         })
     }
@@ -283,23 +310,27 @@ impl TimeSet for u64 {
     }
 }
 
-/// Above 64 timestamps: word `i` holds timestamp indices `64 i .. 64 i + 64`.
-/// Every set of one lattice has the same `⌈|T| / 64⌉` words.
-impl TimeSet for Box<[u64]> {
-    fn singleton(t: usize, num_times: usize) -> Self {
-        let mut words = vec![0; num_times.div_ceil(64)].into_boxed_slice();
-        words[t / 64] = 1 << (t % 64);
-        words
+/// Above 64 classes: word `i` holds class indices `64 i .. 64 i + 64`. Every
+/// set of one lattice has the same `⌈classes / 64⌉` words.
+impl ClassSet for Box<[u64]> {
+    fn empty(num_classes: usize) -> Self {
+        vec![0; num_classes.div_ceil(64)].into_boxed_slice()
     }
 
-    fn union(&self, other: &Self) -> Self {
-        self.iter().zip(other.iter()).map(|(a, b)| a | b).collect()
-    }
-
-    fn without(&self, t: usize) -> Self {
+    fn with(&self, c: usize) -> Self {
         let mut words = self.clone();
-        words[t / 64] &= !(1 << (t % 64));
+        words[c / 64] |= 1 << (c % 64);
         words
+    }
+
+    fn without(&self, c: usize) -> Self {
+        let mut words = self.clone();
+        words[c / 64] &= !(1 << (c % 64));
+        words
+    }
+
+    fn contains(&self, c: usize) -> bool {
+        self[c / 64].contains(c % 64)
     }
 
     fn elements(&self) -> impl Iterator<Item = usize> + '_ {
@@ -312,53 +343,251 @@ impl TimeSet for Box<[u64]> {
     }
 }
 
-/// One frontier node of the miner: the candidate timestamp set plus the
-/// offset of its world bitset inside the level's shared word arena.
+/// The columns of one world-set that reach the support threshold, grouped
+/// into classes of identical world bitsets.
+struct Columns<'w> {
+    /// The qualifying columns, ascending: timestamp index and class.
+    qualifying: Vec<(Timestamp, usize)>,
+    /// The classes, in order of their first member.
+    classes: Vec<Class<'w>>,
+}
+
+/// One class of identical qualifying columns.
+struct Class<'w> {
+    /// The world bitset every member shares.
+    column: &'w [u64],
+    support: usize,
+    members: usize,
+}
+
+impl<'w> Columns<'w> {
+    fn group(worlds: &'w WorldSet, threshold: usize) -> Self {
+        let mut by_content: FxHashMap<&[u64], usize> = FxHashMap::default();
+        let mut qualifying = Vec::new();
+        let mut classes: Vec<Class<'w>> = Vec::new();
+        for t in 0..worlds.num_times() {
+            let support = worlds.column_support(t);
+            if support < threshold {
+                continue;
+            }
+            let column = worlds.column(t);
+            let c = *by_content.entry(column).or_insert_with(|| {
+                classes.push(Class { column, support, members: 0 });
+                classes.len() - 1
+            });
+            classes[c].members += 1;
+            let t = Timestamp::try_from(t).expect("a query holds fewer than 2^32 timestamps");
+            qualifying.push((t, c));
+        }
+        Columns { qualifying, classes }
+    }
+}
+
+/// Algorithm 1's candidate count (`candidate_sets_evaluated`) and the mining
+/// budget checkpoints on it: one probe each time the count reaches a
+/// multiple of [`MINING_CHECK_INTERVAL`], as if every timestamp-level
+/// candidate above level 1 were validated one by one.
+struct Candidates<'g> {
+    evaluated: usize,
+    gauge: Option<&'g BudgetGauge>,
+}
+
+impl Candidates<'_> {
+    /// Counts `n` more candidates. A degrading probe stops the count at its
+    /// multiple, where a one-by-one validation would have stopped.
+    #[inline]
+    fn add(&mut self, n: usize) -> Result<Verdict, QueryError> {
+        let before = self.evaluated;
+        self.evaluated = before.saturating_add(n);
+        if let Some(gauge) = self.gauge {
+            let first = before / MINING_CHECK_INTERVAL + 1;
+            for check in first..=self.evaluated / MINING_CHECK_INTERVAL {
+                if gauge.probe(QueryPhase::Mining)? == Verdict::Degrade {
+                    self.evaluated = check * MINING_CHECK_INTERVAL;
+                    return Ok(Verdict::Degrade);
+                }
+            }
+        }
+        Ok(Verdict::Continue)
+    }
+}
+
+/// One frontier node of the class lattice: the class-set plus the offset of
+/// its world bitset inside the level's shared word arena.
 struct Node<S> {
     set: S,
     offset: usize,
-    support: usize,
+}
+
+/// Apriori's lattice over class-sets, mined one level at a time.
+struct ClassLattice<S> {
+    /// Every qualifying class-set mined so far, with its probability: the
+    /// probability of every timestamp set touching exactly those classes.
+    probabilities: FxHashMap<S, f64>,
+    /// The qualifying class-sets of the deepest level, lexicographic.
+    frontier: Vec<Node<S>>,
+    /// Their world bitsets, one column stride each.
+    words: Vec<u64>,
+}
+
+impl<S: ClassSet> ClassLattice<S> {
+    /// Level 1: every class qualifies by construction.
+    fn new(classes: &[Class<'_>], probability: impl Fn(usize) -> f64) -> Self {
+        let mut lattice = ClassLattice {
+            probabilities: FxHashMap::default(),
+            frontier: Vec::with_capacity(classes.len()),
+            words: Vec::new(),
+        };
+        for (c, class) in classes.iter().enumerate() {
+            let set = S::empty(classes.len()).with(c);
+            lattice.probabilities.insert(set.clone(), probability(class.support));
+            lattice.frontier.push(Node { set, offset: lattice.words.len() });
+            lattice.words.extend_from_slice(class.column);
+        }
+        lattice
+    }
+
+    /// Mines the next level (lines 2-5 of Algorithm 1 over class-sets).
+    ///
+    /// Each candidate is generated once by the prefix-class join, pruned
+    /// unless every subset one class smaller qualified, and validated with
+    /// one AND + popcount over its two parents' world bitsets. A failing
+    /// candidate `C` is counted as `Π_{c∈C} |c|` timestamp-level candidates
+    /// (see [`vertical_timesets`]). On a degrading checkpoint the partial
+    /// level is dropped and the frontier stays where it was.
+    fn grow(
+        &mut self,
+        classes: &[Class<'_>],
+        stride: usize,
+        threshold: usize,
+        probability: impl Fn(usize) -> f64,
+        candidates: &mut Candidates<'_>,
+    ) -> Result<Verdict, QueryError> {
+        let mut next = Vec::new();
+        let mut next_words = Vec::new();
+        let prefix_of = |set: &S| set.without(set.highest());
+        let mut class_start = 0usize;
+        while class_start < self.frontier.len() {
+            // A prefix class: the maximal run of frontier nodes agreeing on
+            // all but their last (= highest) element. Within a class the last
+            // elements are strictly increasing, so every candidate
+            // `prefix ∪ {i, j}` is generated exactly once — no global pair
+            // scan, no dedup set.
+            let prefix = prefix_of(&self.frontier[class_start].set);
+            let mut class_end = class_start + 1;
+            while class_end < self.frontier.len()
+                && prefix_of(&self.frontier[class_end].set) == prefix
+            {
+                class_end += 1;
+            }
+            for a in class_start..class_end {
+                for b in (a + 1)..class_end {
+                    let (na, nb) = (&self.frontier[a], &self.frontier[b]);
+                    let joined = na.set.with(nb.set.highest());
+                    // Apriori prune: every subset one smaller must have
+                    // qualified. Dropping either of the two highest elements
+                    // yields the parents, so only the prefix elements need a
+                    // lookup.
+                    if !prefix
+                        .elements()
+                        .all(|c| self.probabilities.contains_key(&joined.without(c)))
+                    {
+                        continue;
+                    }
+                    // worlds(A) ∩ worlds(B) = worlds(A ∪ B): one
+                    // AND+popcount, written straight into the next level's
+                    // arena and kept only if it qualifies.
+                    let offset = next_words.len();
+                    let mut support = 0usize;
+                    for i in 0..stride {
+                        let w = self.words[na.offset + i] & self.words[nb.offset + i];
+                        next_words.push(w);
+                        support += w.count_ones() as usize;
+                    }
+                    if support >= threshold {
+                        self.probabilities.insert(joined.clone(), probability(support));
+                        next.push(Node { set: joined, offset });
+                    } else {
+                        next_words.truncate(offset);
+                        let expanded = joined
+                            .elements()
+                            .map(|c| classes[c].members)
+                            .fold(1usize, usize::saturating_mul);
+                        if candidates.add(expanded)? == Verdict::Degrade {
+                            return Ok(Verdict::Degrade);
+                        }
+                    }
+                }
+            }
+            class_start = class_end;
+        }
+        self.frontier = next;
+        self.words = next_words;
+        Ok(Verdict::Continue)
+    }
+}
+
+/// One set of the timestamp level being extended: the class-set it
+/// touches, its probability, and the position of its last (largest) column
+/// in [`Columns::qualifying`].
+struct Prefix<S> {
+    touched: S,
+    probability: f64,
+    last: usize,
 }
 
 /// Runs Algorithm 1 for one object over the vertical representation.
 ///
-/// Each candidate is generated once by the prefix-class join, pruned unless
-/// all its `(k-1)`-subsets qualified, and validated with one AND + popcount
-/// over its two parents' world-sets, which each level keeps in one shared
-/// word arena. Candidate sets are `u64` bit masks when `|T| ≤ 64`, so no
-/// candidate allocates, and one word per 64 timestamps above. The lattice
-/// holds only qualifying sets and their joins, so its size depends on the
-/// worlds, not on `2^|T|`.
+/// The columns that reach [`support_threshold`] are grouped into classes of
+/// identical world bitsets. Apriori's lattice runs over class-sets (a `u64`
+/// up to 64 classes, one word per 64 classes above), and each timestamp
+/// level `k` is emitted from level `k - 1` right after class level `k` is
+/// mined (module docs). The answer is the one a timestamp-level Apriori
+/// gives, down to the order and the probability bits, because a set's
+/// support is its class-set's. The counters are too, by closed forms:
 ///
-/// With a [`BudgetGauge`] the gauge is polled at every lattice level and
-/// every [`MINING_CHECK_INTERVAL`] validated candidates within a level, for
-/// every `|T|`. Cancellation is a typed error; a passed deadline *degrades* —
-/// the expansion stops, every set validated so far is kept (exact, see the
-/// anti-monotonicity argument in the module docs) and the result is flagged
-/// [`PcnnResult::degraded`]. With `gauge = None` no checkpoint exists, so
-/// the result is always `Ok`.
+/// * `candidate_sets_evaluated` is `|T|`, plus the qualifying sets above
+///   level 1, plus `Π_{c∈C} |c|` for every class candidate `C` that survives
+///   the subset prune but fails the threshold. A failing timestamp set whose
+///   one-smaller subsets all qualify holds exactly one member of each class
+///   it touches: dropping a second member of a class would leave the same,
+///   failing class-set. Every such choice of members is one candidate.
+/// * `max_level` and `frontier_peak` are the deepest and widest emitted
+///   levels.
+///
+/// With a [`BudgetGauge`] the gauge is polled after every emitted level and
+/// each time the candidate count above reaches a multiple of
+/// [`MINING_CHECK_INTERVAL`] (a failing class candidate advances it by its
+/// product, an emitted set by 1), so an unbreached run polls
+/// `max_level + ⌊E/1024⌋ − ⌊|T|/1024⌋` times at every `|T|`.
+/// Cancellation is a typed error; a passed deadline *degrades* — a level
+/// checkpoint keeps its level, a checkpoint within a level drops that
+/// partial level, every set kept is exact (the anti-monotonicity argument
+/// in the module docs), and the result is flagged [`PcnnResult::degraded`].
+/// With `gauge = None` no checkpoint exists, so the result is always `Ok`.
 pub fn vertical_timesets(
     worlds: &WorldSet,
     cfg: &PcnnConfig,
     gauge: Option<&BudgetGauge>,
 ) -> Result<PcnnResult, QueryError> {
-    if worlds.num_times() <= 64 {
-        mine::<u64>(worlds, cfg, gauge)
+    let threshold = support_threshold(cfg.tau, worlds.num_worlds());
+    let columns = Columns::group(worlds, threshold);
+    if columns.classes.len() <= 64 {
+        mine::<u64>(worlds, &columns, threshold, cfg, gauge)
     } else {
-        mine::<Box<[u64]>>(worlds, cfg, gauge)
+        mine::<Box<[u64]>>(worlds, &columns, threshold, cfg, gauge)
     }
 }
 
-/// The lattice of [`vertical_timesets`] over candidate sets of type `S`.
-fn mine<S: TimeSet>(
+/// The lattice of [`vertical_timesets`] over class-sets of type `S`.
+fn mine<S: ClassSet>(
     worlds: &WorldSet,
+    columns: &Columns<'_>,
+    threshold: usize,
     cfg: &PcnnConfig,
     gauge: Option<&BudgetGauge>,
 ) -> Result<PcnnResult, QueryError> {
-    let num_times = worlds.num_times();
     let num_worlds = worlds.num_worlds();
-    let stride = worlds.stride;
-    let threshold = support_threshold(cfg.tau, num_worlds);
     let probability = |support: usize| {
         if num_worlds == 0 {
             0.0
@@ -366,126 +595,113 @@ fn mine<S: TimeSet>(
             support as f64 / num_worlds as f64
         }
     };
-
-    let mut evaluated = 0usize;
+    let mut lattice = ClassLattice::<S>::new(&columns.classes, probability);
+    // Level 1 (line 1 of Algorithm 1) validated every column.
+    let mut candidates = Candidates { evaluated: worlds.num_times(), gauge };
+    let mut sets = TimestampSets::default();
     let mut max_level = 0usize;
     let mut frontier_peak = 0usize;
     let mut degraded = false;
-    // Qualifying sets per level, in generation order; converted (or
-    // maximality-filtered) at the end. Levels are generated in lexicographic
-    // order, which is the order Algorithm 1's pairwise join produces.
-    let mut levels: Vec<Vec<(S, f64)>> = Vec::new();
 
-    // L1: singleton timestamp sets (line 1 of Algorithm 1) straight from the
-    // column supports.
-    let mut current: Vec<Node<S>> = Vec::new();
-    let mut cur_words: Vec<u64> = Vec::new();
-    for t in 0..num_times {
-        evaluated += 1;
-        let support = worlds.column_support(t);
-        if support >= threshold {
-            let offset = cur_words.len();
-            cur_words.extend_from_slice(worlds.column(t));
-            current.push(Node { set: S::singleton(t, num_times), offset, support });
-        }
+    // L1: the qualifying columns, ascending.
+    let mut level: Vec<Prefix<S>> = Vec::with_capacity(columns.qualifying.len());
+    for (last, &(t, c)) in columns.qualifying.iter().enumerate() {
+        let probability = probability(columns.classes[c].support);
+        sets.push(&[t], probability);
+        level.push(Prefix { touched: S::empty(columns.classes.len()).with(c), probability, last });
     }
 
-    // Lk from Lk-1 (lines 2-5): prefix-class join + one AND per candidate.
-    while !current.is_empty() {
+    while !level.is_empty() {
         max_level += 1;
-        frontier_peak = frontier_peak.max(current.len());
-        let mut next: Vec<Node<S>> = Vec::new();
-        let mut next_words: Vec<u64> = Vec::new();
-        // Level checkpoint: the frontier sets reached here are validated, so
-        // a deadline breach keeps them and just stops going deeper.
+        frontier_peak = frontier_peak.max(level.len());
+        // Level checkpoint: this level is complete, so a deadline breach
+        // keeps it and just stops going deeper.
         if let Some(g) = gauge {
             if g.probe(QueryPhase::Mining)? == Verdict::Degrade {
                 degraded = true;
+                break;
             }
         }
-        if !degraded && current.len() > 1 {
-            let prev_sets: FxHashSet<S> = current.iter().map(|n| n.set.clone()).collect();
-            let prefix_of = |set: &S| set.without(set.highest());
-            let mut class_start = 0usize;
-            'join: while class_start < current.len() {
-                // A prefix class: the maximal run of frontier nodes agreeing
-                // on all but their last (= highest) element. Within a class
-                // the last elements are strictly increasing, so every
-                // (k+1)-candidate `prefix ∪ {i, j}` is generated exactly once
-                // — no global pair scan, no dedup set.
-                let prefix = prefix_of(&current[class_start].set);
-                let mut class_end = class_start + 1;
-                while class_end < current.len() && prefix_of(&current[class_end].set) == prefix {
-                    class_end += 1;
-                }
-                for a in class_start..class_end {
-                    for b in (a + 1)..class_end {
-                        let joined = current[a].set.union(&current[b].set);
-                        // Apriori prune: every k-subset must have qualified.
-                        // Dropping either of the two highest elements yields
-                        // the parents (frontier nodes by construction), so
-                        // only the prefix elements need a lookup.
-                        if !prefix.elements().all(|t| prev_sets.contains(&joined.without(t))) {
-                            continue;
-                        }
-                        evaluated += 1;
-                        // Mid-level checkpoint: a breach discards only the
-                        // partially generated next level — the current
-                        // (fully validated) frontier is still reported.
-                        if evaluated.is_multiple_of(MINING_CHECK_INTERVAL) {
-                            if let Some(g) = gauge {
-                                if g.probe(QueryPhase::Mining)? == Verdict::Degrade {
-                                    degraded = true;
-                                    next.clear();
-                                    next_words.clear();
-                                    break 'join;
-                                }
-                            }
-                        }
-                        // worlds(A) ∩ worlds(B) = worlds(A ∪ B): one
-                        // AND+popcount, written straight into the next
-                        // level's arena and kept only if it qualifies.
-                        let offset = next_words.len();
-                        let mut support = 0usize;
-                        for i in 0..stride {
-                            let w = cur_words[current[a].offset + i]
-                                & cur_words[current[b].offset + i];
-                            next_words.push(w);
-                            support += w.count_ones() as usize;
-                        }
-                        if support >= threshold {
-                            next.push(Node { set: joined, offset, support });
-                        } else {
-                            next_words.truncate(offset);
-                        }
+        // The next level: its class level first, then its sets. A breach
+        // within it discards the partial level — the current (complete)
+        // level is still reported.
+        let level_end = sets.len();
+        let first = level_end - level.len();
+        if lattice.grow(&columns.classes, worlds.stride, threshold, probability, &mut candidates)?
+            == Verdict::Degrade
+        {
+            degraded = true;
+            break;
+        }
+        let mut next = Vec::new();
+        'extend: for (i, prefix) in level.iter().enumerate() {
+            for (last, &(t, c)) in columns.qualifying.iter().enumerate().skip(prefix.last + 1) {
+                let (touched, probability) = if prefix.touched.contains(c) {
+                    (prefix.touched.clone(), prefix.probability)
+                } else {
+                    let touched = prefix.touched.with(c);
+                    match lattice.probabilities.get(&touched) {
+                        Some(&probability) => (touched, probability),
+                        None => continue,
                     }
+                };
+                if candidates.add(1)? == Verdict::Degrade {
+                    sets.truncate(level_end);
+                    degraded = true;
+                    break 'extend;
                 }
-                class_start = class_end;
+                sets.push_extension(first + i, t, probability);
+                next.push(Prefix { touched, probability, last });
             }
         }
-        levels.push(current.into_iter().map(|n| (n.set, probability(n.support))).collect());
-        current = next;
-        cur_words = next_words;
+        if degraded {
+            break;
+        }
+        level = next;
     }
 
-    // Maximality, level by level: Apriori results are downward closed, so a
-    // qualifying k-set is subsumed by some larger qualifying set iff a
-    // qualifying (k+1)-set contains it.
-    let mut sets = Vec::new();
-    for (k, level) in levels.iter().enumerate() {
-        let subsumed: FxHashSet<S> = match levels.get(k + 1) {
-            Some(above) if cfg.maximal_only => {
-                above.iter().flat_map(|(s, _)| s.elements().map(move |t| s.without(t))).collect()
-            }
-            _ => FxHashSet::default(),
+    if cfg.maximal_only {
+        sets = keep_maximal(&sets, max_level, columns, &lattice.probabilities);
+    }
+    Ok(PcnnResult {
+        sets,
+        candidate_sets_evaluated: candidates.evaluated,
+        max_level,
+        frontier_peak,
+        degraded,
+    })
+}
+
+/// The maximal-only variant over the emitted levels `1..=top`. A set below
+/// `top` is subsumed iff it stays qualifying with one more qualifying
+/// column: always for a column of a class it touches, and for any other
+/// column iff the grown class-set qualifies (class levels up to `top` are
+/// complete). Level `top` — the deepest kept, also after a degraded run —
+/// has nothing above it and stays whole.
+fn keep_maximal<S: ClassSet>(
+    sets: &TimestampSets,
+    top: usize,
+    columns: &Columns<'_>,
+    class_sets: &FxHashMap<S, f64>,
+) -> TimestampSets {
+    let mut kept = TimestampSets::default();
+    for (set, &p) in sets {
+        let subsumed = set.len() < top && {
+            let touched = columns
+                .qualifying
+                .iter()
+                .filter(|(t, _)| set.contains(t))
+                .fold(S::empty(columns.classes.len()), |touched, &(_, c)| touched.with(c));
+            columns.qualifying.iter().any(|&(t, c)| {
+                !set.contains(&t)
+                    && (touched.contains(c) || class_sets.contains_key(&touched.with(c)))
+            })
         };
-        for (s, p) in level.iter().filter(|(s, _)| !subsumed.contains(s)) {
-            let mut indices = Vec::with_capacity(k + 1);
-            indices.extend(s.elements());
-            sets.push((indices, *p));
+        if !subsumed {
+            kept.push(set, p);
         }
     }
-    Ok(PcnnResult { sets, candidate_sets_evaluated: evaluated, max_level, frontier_peak, degraded })
+    kept
 }
 
 #[cfg(test)]
@@ -507,6 +723,19 @@ mod tests {
     /// timestamp 63/64: at τ = 0.5 the lattice reaches `{0, 63, 64, 75}`.
     fn wide_world_set() -> WorldSet {
         world_set(76, &[&[0, 63, 64, 75], &[0, 63, 64, 75], &[63, 64, 70], &[0, 64, 75]])
+    }
+
+    /// 70 distinct columns, each holding worlds `t` and `t + 70` of 140: at
+    /// τ = 0.01 every column qualifies alone and no two together, so the
+    /// class-sets take two words and the 2 415 failing pairs pass two
+    /// within-level checkpoints.
+    fn many_classes_world_set() -> WorldSet {
+        let mut ws = WorldSet::new(70, 140);
+        for t in 0..70 {
+            ws.record(t, t);
+            ws.record(t, t + 70);
+        }
+        ws
     }
 
     #[test]
@@ -588,6 +817,17 @@ mod tests {
                 ws.num_times()
             );
         }
+        let ws = many_classes_world_set();
+        let cfg = PcnnConfig::new(0.01);
+        let gauge = QueryBudget::unlimited().start();
+        let governed = vertical_timesets(&ws, &cfg, Some(&gauge)).unwrap();
+        let free = vertical_timesets(&ws, &cfg, None).unwrap();
+        assert_eq!(governed.sets, free.sets);
+        assert_eq!((governed.sets.len(), governed.max_level), (70, 1));
+        assert_eq!(governed.candidate_sets_evaluated, 70 + 70 * 69 / 2);
+        assert!(!governed.degraded);
+        // The level checkpoint plus the ones at candidates 1 024 and 2 048.
+        assert_eq!(gauge.checkpoints(), 3);
     }
 
     #[test]
@@ -596,15 +836,19 @@ mod tests {
         use std::time::Duration;
         let narrow = world_set(3, &[&[0, 1, 2], &[0, 1, 2], &[0, 1, 2]]);
         let wide = wide_world_set();
-        for (ws, singletons) in [(narrow, vec![0, 1, 2]), (wide, vec![0, 63, 64, 75])] {
+        for (ws, tau, singletons) in [
+            (narrow, 0.5, vec![0, 1, 2]),
+            (wide, 0.5, vec![0, 63, 64, 75]),
+            (many_classes_world_set(), 0.01, (0..70).collect()),
+        ] {
             let gauge = QueryBudget::unlimited().with_deadline(Duration::ZERO).start();
-            let result = vertical_timesets(&ws, &PcnnConfig::new(0.5), Some(&gauge)).unwrap();
+            let result = vertical_timesets(&ws, &PcnnConfig::new(tau), Some(&gauge)).unwrap();
             assert!(result.degraded);
             // The zero deadline trips at the first level checkpoint: the L1
             // singletons were already validated and survive; nothing deeper
             // does.
-            let sets: Vec<Vec<usize>> = result.sets.iter().map(|(s, _)| s.clone()).collect();
-            let expected: Vec<Vec<usize>> = singletons.iter().map(|&t| vec![t]).collect();
+            let sets: Vec<Vec<Timestamp>> = result.sets.iter().map(|(s, _)| s.to_vec()).collect();
+            let expected: Vec<Vec<Timestamp>> = singletons.iter().map(|&t| vec![t]).collect();
             assert_eq!(sets, expected);
             assert_eq!(result.max_level, 1);
         }
@@ -613,11 +857,15 @@ mod tests {
     #[test]
     fn governed_miner_cancellation_is_a_typed_error() {
         use crate::govern::{CancelToken, QueryBudget, QueryPhase};
-        for ws in [world_set(3, &[&[0, 1, 2], &[0, 1, 2]]), wide_world_set()] {
+        for (ws, tau) in [
+            (world_set(3, &[&[0, 1, 2], &[0, 1, 2]]), 0.5),
+            (wide_world_set(), 0.5),
+            (many_classes_world_set(), 0.01),
+        ] {
             let token = CancelToken::new();
             token.cancel();
             let gauge = QueryBudget::unlimited().with_cancel(&token).start();
-            let err = vertical_timesets(&ws, &PcnnConfig::new(0.5), Some(&gauge)).unwrap_err();
+            let err = vertical_timesets(&ws, &PcnnConfig::new(tau), Some(&gauge)).unwrap_err();
             assert!(matches!(err, QueryError::Cancelled { phase: QueryPhase::Mining, .. }));
         }
     }

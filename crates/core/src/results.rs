@@ -105,6 +105,125 @@ impl QueryOutcome {
     }
 }
 
+/// The qualifying timestamp sets of one object, back to back in one flat
+/// arena: every set's timestamps in one vector, each set's end offset in a
+/// second and its probability in a third. At small `τ` one object qualifies
+/// tens of thousands of sets (Figure 14), so the arena replaces one
+/// allocation per set with three growing vectors.
+///
+/// Iteration (`iter()` or `for (set, p) in &sets`) yields
+/// `(&[Timestamp], &f64)` pairs in insertion order; the PCNN miner inserts in
+/// Apriori order, by set size and then lexicographically.
+#[derive(Clone, Default, PartialEq)]
+pub struct TimestampSets {
+    items: Vec<Timestamp>,
+    ends: Vec<usize>,
+    probabilities: Vec<f64>,
+}
+
+impl TimestampSets {
+    /// Number of sets.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the arena holds no set.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The sets with their probabilities, in insertion order.
+    pub fn iter(&self) -> TimestampSetsIter<'_> {
+        TimestampSetsIter {
+            items: &self.items,
+            start: 0,
+            ends: self.ends.iter(),
+            probabilities: self.probabilities.iter(),
+        }
+    }
+
+    /// Appends one set with its probability.
+    pub fn push(&mut self, set: &[Timestamp], probability: f64) {
+        self.items.extend_from_slice(set);
+        self.close(probability);
+    }
+
+    /// Appends set `i` extended by `last`, which must exceed every element
+    /// of set `i` for the result to stay ascending.
+    #[inline]
+    pub(crate) fn push_extension(&mut self, i: usize, last: Timestamp, probability: f64) {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        self.items.extend_from_within(start..self.ends[i]);
+        self.items.push(last);
+        self.close(probability);
+    }
+
+    /// Keeps the first `len` sets.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        if len < self.len() {
+            self.items.truncate(if len == 0 { 0 } else { self.ends[len - 1] });
+            self.ends.truncate(len);
+            self.probabilities.truncate(len);
+        }
+    }
+
+    /// Replaces every timestamp `t` of every set by `f(t)`, in place.
+    pub(crate) fn map_timestamps(&mut self, f: impl Fn(Timestamp) -> Timestamp) {
+        for t in &mut self.items {
+            *t = f(*t);
+        }
+    }
+
+    /// Ends the set whose timestamps were just appended.
+    #[inline]
+    fn close(&mut self, probability: f64) {
+        self.ends.push(self.items.len());
+        self.probabilities.push(probability);
+    }
+}
+
+impl std::fmt::Debug for TimestampSets {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a TimestampSets {
+    type Item = (&'a [Timestamp], &'a f64);
+    type IntoIter = TimestampSetsIter<'a>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// Iterator over the sets of a [`TimestampSets`] arena.
+#[derive(Debug, Clone)]
+pub struct TimestampSetsIter<'a> {
+    items: &'a [Timestamp],
+    start: usize,
+    ends: std::slice::Iter<'a, usize>,
+    probabilities: std::slice::Iter<'a, f64>,
+}
+
+impl<'a> Iterator for TimestampSetsIter<'a> {
+    type Item = (&'a [Timestamp], &'a f64);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let end = *self.ends.next()?;
+        let set = &self.items[self.start..end];
+        self.start = end;
+        Some((set, self.probabilities.next()?))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ends.size_hint()
+    }
+}
+
 /// One PCNN result entry: an object together with the qualifying timestamp
 /// sets and their probabilities (Definition 3).
 #[derive(Debug, Clone)]
@@ -112,8 +231,8 @@ pub struct PcnnObjectResult {
     /// The database object.
     pub object: ObjectId,
     /// Qualifying timestamp sets `T_i` with `P∀NN(o, q, T_i) ≥ τ`, each with
-    /// its estimated probability.
-    pub sets: Vec<(Vec<Timestamp>, f64)>,
+    /// its estimated probability, by set size and then lexicographically.
+    pub sets: TimestampSets,
     /// Number of candidate sets the lattice validated for *this* object.
     ///
     /// Candidates whose lattice qualified no set at all get no
@@ -143,8 +262,8 @@ impl PcnnOutcome {
     }
 
     /// The qualifying sets of a specific object.
-    pub fn sets_of(&self, id: ObjectId) -> Option<&[(Vec<Timestamp>, f64)]> {
-        self.results.iter().find(|r| r.object == id).map(|r| r.sets.as_slice())
+    pub fn sets_of(&self, id: ObjectId) -> Option<&TimestampSets> {
+        self.results.iter().find(|r| r.object == id).map(|r| &r.sets)
     }
 
     /// Deepest lattice level reached (size of the largest qualifying set).
@@ -177,18 +296,70 @@ mod tests {
         assert!(!outcome.contains(9));
     }
 
+    fn arena(sets: &[(&[Timestamp], f64)]) -> TimestampSets {
+        let mut arena = TimestampSets::default();
+        for &(set, p) in sets {
+            arena.push(set, p);
+        }
+        arena
+    }
+
+    #[test]
+    fn timestamp_sets_keep_boundaries_and_order() {
+        let empty = TimestampSets::default();
+        assert!(empty.is_empty());
+        assert_eq!(empty.len(), 0);
+        assert_eq!(empty.iter().next(), None);
+        assert_eq!(format!("{empty:?}"), "[]");
+
+        // An empty set between two others keeps both neighbours' bounds.
+        let mut sets = arena(&[(&[4], 0.5), (&[], 1.0), (&[1, 7, 9], 0.25)]);
+        assert!(!sets.is_empty());
+        assert_eq!(sets.len(), 3);
+        let seen: Vec<(&[Timestamp], f64)> = sets.iter().map(|(s, &p)| (s, p)).collect();
+        assert_eq!(seen, [(&[4][..], 0.5), (&[][..], 1.0), (&[1, 7, 9][..], 0.25)]);
+        assert_eq!(format!("{sets:?}"), "[([4], 0.5), ([], 1.0), ([1, 7, 9], 0.25)]");
+
+        sets.push_extension(0, 6, 0.125);
+        sets.push_extension(2, 11, 0.0625);
+        let last: Vec<Vec<Timestamp>> =
+            (&sets).into_iter().skip(3).map(|(s, _)| s.to_vec()).collect();
+        assert_eq!(last, [vec![4, 6], vec![1, 7, 9, 11]]);
+
+        sets.map_timestamps(|t| 10 * t);
+        assert_eq!(
+            sets,
+            arena(&[
+                (&[40], 0.5),
+                (&[], 1.0),
+                (&[10, 70, 90], 0.25),
+                (&[40, 60], 0.125),
+                (&[10, 70, 90, 110], 0.0625),
+            ])
+        );
+
+        sets.truncate(5);
+        assert_eq!(sets.len(), 5, "truncating to the length keeps everything");
+        sets.truncate(2);
+        assert_eq!(sets, arena(&[(&[40], 0.5), (&[], 1.0)]));
+        sets.push(&[3], 0.75);
+        assert_eq!(sets, arena(&[(&[40], 0.5), (&[], 1.0), (&[3], 0.75)]), "no stale items");
+        sets.truncate(0);
+        assert_eq!(sets, TimestampSets::default());
+    }
+
     #[test]
     fn pcnn_outcome_counts_sets() {
         let outcome = PcnnOutcome {
             results: vec![
                 PcnnObjectResult {
                     object: 1,
-                    sets: vec![(vec![1], 0.9), (vec![1, 2], 0.6)],
+                    sets: arena(&[(&[1], 0.9), (&[1, 2], 0.6)]),
                     candidate_sets_evaluated: 5,
                 },
                 PcnnObjectResult {
                     object: 2,
-                    sets: vec![(vec![3], 0.5)],
+                    sets: arena(&[(&[3], 0.5)]),
                     candidate_sets_evaluated: 2,
                 },
             ],
@@ -197,6 +368,7 @@ mod tests {
         };
         assert_eq!(outcome.total_result_sets(), 3);
         assert_eq!(outcome.sets_of(1).unwrap().len(), 2);
+        assert_eq!(outcome.sets_of(2), Some(&arena(&[(&[3], 0.5)])));
         assert!(outcome.sets_of(4).is_none());
         assert_eq!(outcome.max_level(), 2);
         assert_eq!(outcome.frontier_peak(), 2);

@@ -8,6 +8,7 @@
 
 use rustc_hash::FxHashSet;
 use ust_core::pcnn::{PcnnConfig, PcnnResult, WorldSet};
+use ust_core::{Timestamp, TimestampSets};
 use ust_trajectory::TimeMask;
 
 /// Builds world masks from explicit per-world index lists.
@@ -124,8 +125,13 @@ pub fn apriori_timesets(
     if cfg.maximal_only {
         all_results = keep_maximal(all_results);
     }
+    let mut sets = TimestampSets::default();
+    for (indices, p) in &all_results {
+        let indices: Vec<Timestamp> = indices.iter().map(|&i| i as Timestamp).collect();
+        sets.push(&indices, *p);
+    }
     PcnnResult {
-        sets: all_results,
+        sets,
         candidate_sets_evaluated: evaluated,
         max_level,
         frontier_peak,

@@ -237,7 +237,7 @@ fn engine_probabilities_agree_with_exact_enumeration() {
             assert!(forall_error <= radius, "P∀NN {what}");
             let exists_error = (exists.probability_of(id) - exact.exists_of(id)).abs();
             assert!(exists_error <= radius, "P∃NN {what}");
-            let reported = pcnn.sets_of(id).unwrap_or(&[]);
+            let reported = pcnn.sets_of(id).cloned().unwrap_or_default();
             for indices in subsets(times.len()) {
                 let set: Vec<Timestamp> = indices.iter().map(|&i| times[i]).collect();
                 let p = exact.forall_subset_of(id, times.len(), &indices);
