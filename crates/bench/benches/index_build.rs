@@ -9,8 +9,9 @@
 //!
 //! What perfbench cannot show: its `index.build_ms` times builds of its own
 //! fixed-size database, so only this bench reaches the paper-scale sweep
-//! maxima and compares the sharded build and the no-memo baseline against
-//! the serial one.
+//! maxima, compares the sharded build and the no-memo baseline against the
+//! serial one, and times the append path's refresh apart from the engine
+//! mint around it.
 //!
 //! Measured configurations:
 //!
@@ -22,6 +23,15 @@
 //!   forward/backward BFS for every segment, measuring what the
 //!   commute-geometry memo saves (skipped at paper scale, where running the
 //!   un-memoized build twice would dominate the bench).
+//! * `refresh(append)` / `refresh(replay)` — the append path: a serial tree
+//!   over the dataset with every long trajectory's last observation held
+//!   back ([`split_holdback`]) is refreshed, on one thread, over the
+//!   database grown by that observation for the first
+//!   [`APPEND_OBJECTS`] objects (one epoch of appends) or for every object
+//!   (a WAL replay before the first mint). Each refresh must equal a serial
+//!   full build over the grown database; the row reports the fastest of
+//!   [`REFRESH_RUNS`] refreshes, since one takes about a millisecond at
+//!   quick scale. Skipped at paper scale with the no-memo row.
 //! * `filter` — the streamed `try_prune_knn` (k = 1) over the query workload
 //!   on the shared build: the dense-bounds filter phase the engines run.
 //!
@@ -31,9 +41,16 @@ use std::convert::Infallible;
 use std::time::Instant;
 use ust_bench::datasets::{build_queries, build_synthetic, ScaleParams};
 use ust_bench::efficiency::{fnv_fold, FNV_OFFSET};
+use ust_bench::walcheck::split_holdback;
 use ust_bench::{ExperimentReport, Row, RunScale, RunSettings};
 use ust_core::Query;
-use ust_index::{UstTree, UstTreeConfig};
+use ust_index::{ObjectId, UstTree, UstTreeConfig};
+
+/// Objects the `refresh(append)` row appends to: one epoch of appends.
+const APPEND_OBJECTS: usize = 8;
+
+/// Refreshes per refresh row; the row reports the fastest.
+const REFRESH_RUNS: usize = 5;
 
 /// FNV-1a digest of the full diamond stream (object ids, time intervals,
 /// MBR bit patterns): byte-identical builds have equal digests.
@@ -70,8 +87,10 @@ fn main() {
         "UST-tree build and filter phase at the paper sweep maxima (500k states / 20k objects \
          at --scale paper); rows: build(serial) = 1 thread + reach memo, build(sharded) = \
          --build-threads workers, build(no-memo) = serial with the memo disabled (quick/default \
-         scales only), filter = streamed prune over the query workload; wall times are repeated \
-         in the meta section",
+         scales only), refresh(append) / refresh(replay) = a serial refresh after 8 objects' / \
+         every object's held-back tail is appended (quick/default scales only, fastest of 5), \
+         filter = streamed prune over the query workload; wall times are repeated in the meta \
+         section",
     )
     .with_meta("num_states", num_states as f64)
     .with_meta("num_objects", num_objects as f64);
@@ -143,6 +162,44 @@ fn main() {
                 .with("diamonds", no_memo_stats.diamonds as f64)
                 .with("memo_hits", 0.0),
         );
+    }
+
+    // Append path: refresh a tree over the held-back database. Skipped at
+    // paper scale, like the no-memo row.
+    if settings.scale != RunScale::Paper {
+        let holdback = split_holdback(&dataset.database);
+        let base = UstTree::build_with(&holdback.pre_database, &serial_cfg);
+        let epoch = &holdback.batch[..APPEND_OBJECTS.min(holdback.batch.len())];
+        for (label, key, entries) in [
+            ("refresh(append)", "append", epoch),
+            ("refresh(replay)", "replay", &holdback.batch[..]),
+        ] {
+            let mut grown = holdback.pre_database.clone();
+            for (id, obs) in entries {
+                grown.append_observations(*id, obs).expect("held-back tails extend their objects");
+            }
+            let stale: Vec<ObjectId> = entries.iter().map(|(id, _)| *id).collect();
+            let refreshed = (0..REFRESH_RUNS)
+                .map(|_| base.refresh(&grown, &stale, 1))
+                .min_by_key(|tree| tree.build_stats().build_time)
+                .expect("at least one refresh");
+            let full = UstTree::build_with(&grown, &serial_cfg);
+            assert_eq!(
+                index_digest(&refreshed),
+                index_digest(&full),
+                "{label} diverged from a full build over the grown database"
+            );
+            let stats = *refreshed.build_stats();
+            report.set_meta(format!("refresh_seconds_{key}"), stats.build_time.as_secs_f64());
+            report.set_meta(format!("refresh_segments_{key}"), stats.segments as f64);
+            report.push(
+                Row::new(label)
+                    .with("seconds", stats.build_time.as_secs_f64())
+                    .with("threads", 1.0)
+                    .with("diamonds", stats.diamonds as f64)
+                    .with("memo_hits", stats.reach_memo_hits as f64),
+            );
+        }
     }
 
     // Filter phase: the streamed dense-bounds prune over the workload.

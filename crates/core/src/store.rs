@@ -32,10 +32,11 @@
 //!
 //! Appends keep the UST-tree but mark the touched objects stale in it: only
 //! their diamond runs no longer cover their grown trajectories. The next
-//! [`EngineStore::engine`] mint refreshes the tree once — rebuilding the
-//! touched objects' runs and re-packing the arena, see
-//! [`UstTree::refresh`] — at a cost proportional to those objects' segments
-//! plus one STR bulk load, and every later mint shares the refreshed tree.
+//! [`EngineStore::engine`] mint refreshes the tree once — keeping every
+//! diamond it has, building only the segments appended since and re-packing
+//! the arena, see [`UstTree::refresh`] — at a cost proportional to the new
+//! segments plus one STR bulk load, and every later mint shares the
+//! refreshed tree.
 //! The refreshed tree equals a from-scratch build over the grown database,
 //! so answers do not depend on how the store grew. A checkpoint writes the
 //! current tree, refreshing it first if appends made it stale. Appends also
@@ -365,13 +366,13 @@ impl EngineStore {
 
     /// Mints a query engine over the stored state. With `config.use_index`
     /// set, the engine shares the store's current UST-tree (no rebuild). The
-    /// first mint after appends refreshes the stale tree on
-    /// `config.index_build_threads` workers — rebuilding only the touched
-    /// objects' diamond runs, then one STR re-pack — and caches it for every
-    /// later mint; a tree-less store builds one the same way, exactly like
-    /// [`QueryEngine::new`]. A panic inside the refresh propagates and
-    /// caches nothing. The engine's adaptation cache starts pre-warmed with
-    /// the stored models.
+    /// first mint after appends (or after a load that replayed the WAL)
+    /// refreshes the stale tree on `config.index_build_threads` workers —
+    /// building only the segments appended since, then one STR re-pack — and
+    /// caches it for every later mint; a tree-less store builds the whole
+    /// tree the same way, exactly like [`QueryEngine::new`]. A panic inside
+    /// the refresh propagates and caches nothing. The engine's adaptation
+    /// cache starts pre-warmed with the stored models.
     pub fn engine(&self, config: EngineConfig) -> QueryEngine<'_> {
         let engine = if config.use_index {
             let tree = self.index.get_or_refresh(&self.database, config.index_build_threads);
@@ -579,7 +580,7 @@ mod tests {
         let tree = store.index().expect("the mint refreshed the tree").clone();
         assert_from_scratch(&tree, store.database());
         let stats = tree.build_stats();
-        assert_eq!(stats.segments, 4 + 1, "object 7's four segments and object 21's one");
+        assert_eq!(stats.segments, 2 + 1, "object 7's two new segments and object 21's one");
         assert_eq!(stats.objects, 3);
         let second = store.engine(EngineConfig::with_samples(10));
         assert!(std::ptr::eq(first.index().unwrap(), second.index().unwrap()));

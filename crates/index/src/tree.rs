@@ -9,13 +9,14 @@
 //! order, R-tree shape, every pruning result — is byte-identical at every
 //! thread count.
 //!
-//! Appends only grow the touched objects' runs, so [`UstTree::refresh`]
-//! re-derives a tree over a grown database by copying every untouched run
-//! out of the old arena and rebuilding only the touched ones. The spliced
-//! arena is the one a full build would concatenate, and the same single STR
-//! bulk load packs it, so a refreshed tree is identical to a from-scratch
+//! Appends only add segments at the touched objects' tails, so
+//! [`UstTree::refresh`] re-derives a tree over a grown database by keeping
+//! every diamond the old arena already has and building only the segments
+//! that start at or after each touched object's old tail. The spliced arena
+//! is the one a full build would concatenate, and the same single STR bulk
+//! load packs it, so a refreshed tree is identical to a from-scratch
 //! [`UstTree::build_with`] — which is itself the refresh in which every
-//! object is stale.
+//! object keeps nothing.
 
 use crate::diamond::Diamond;
 use crate::par::{parallel_map_ordered, resolve_threads};
@@ -71,9 +72,10 @@ impl Default for UstTreeConfig {
 /// measurable.
 ///
 /// For a tree made by [`UstTree::refresh`] the counters describe the refresh:
-/// its wall time, the segments it rebuilt, their memo hits and misses and
-/// the threads it fanned out across. `objects` and `diamonds` stay totals
-/// over the whole tree.
+/// its wall time, the threads it fanned out across, and only the segments it
+/// built (`segments`, `reach_memo_hits`, `reach_memo_misses`,
+/// `peak_frontier`), not the diamonds it kept from the old arena. `objects`
+/// and `diamonds` stay totals over the whole tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IndexBuildStats {
     /// Wall-clock time of the whole build (reachability, diamonds, bulk load).
@@ -83,7 +85,7 @@ pub struct IndexBuildStats {
     pub build_threads: usize,
     /// Objects indexed.
     pub objects: usize,
-    /// Observation segments processed (one reachability commute each).
+    /// Observation segments built (one reachability commute each).
     pub segments: usize,
     /// Diamonds indexed (segments with consistent observations).
     pub diamonds: usize,
@@ -92,7 +94,7 @@ pub struct IndexBuildStats {
     /// Segments whose geometry ran the forward/backward BFS.
     pub reach_memo_misses: usize,
     /// Largest per-timestamp reachable-state set encountered across the
-    /// processed segments — the peak BFS frontier, the quantity that blows up
+    /// built segments — the peak BFS frontier, the quantity that blows up
     /// first when the state space or the observation gap grows.
     pub peak_frontier: usize,
 }
@@ -216,6 +218,41 @@ fn compute_geometry(
     Some(DiamondGeometry { mbr, per_time, peak_frontier })
 }
 
+/// What a build or refresh does with one object's diamond run.
+struct RunPlan<'t> {
+    /// Diamonds kept from the old arena, in segment order.
+    kept: &'t [Diamond],
+    /// Build the segments whose first observation is at or after this time
+    /// (for a single observation, its degenerate diamond); `None` builds
+    /// nothing.
+    build_from: Option<Timestamp>,
+}
+
+impl<'t> RunPlan<'t> {
+    /// Keeps nothing and builds the object's whole run.
+    fn whole(object: &UncertainObject) -> Self {
+        RunPlan { kept: &[], build_from: Some(object.first_time()) }
+    }
+
+    /// The plan of a stale object the old tree indexed as `run`: keep its
+    /// segment diamonds and build from τ, the last kept diamond's `t_end`
+    /// (the end of its last feasible segment). A single observation's
+    /// degenerate diamond at `t` is dropped and the run built from `t`. An
+    /// empty run, or a grown object without an observation at τ (its history
+    /// was not just extended), is built whole.
+    fn extend(run: &'t [Diamond], object: &UncertainObject) -> Self {
+        let (kept, tau) = match run {
+            [] => return Self::whole(object),
+            [d] if d.t_start == d.t_end => (&run[..0], d.t_start),
+            _ => (run, run[run.len() - 1].t_end),
+        };
+        if object.observations().binary_search_by_key(&tau, |o| o.time).is_err() {
+            return Self::whole(object);
+        }
+        RunPlan { kept, build_from: Some(tau) }
+    }
+}
+
 /// Diamond run of one object plus the per-object stats to merge.
 struct ObjectRun {
     diamonds: Vec<Diamond>,
@@ -230,7 +267,7 @@ pub struct UstTree {
     rtree: RTree<3, usize>,
     num_objects: usize,
     /// Whether the diamonds carry per-timestamp MBRs: the granularity a
-    /// refresh rebuilds touched runs at, so copied and rebuilt runs agree.
+    /// refresh builds new segments at, so kept and built diamonds agree.
     per_timestamp_mbrs: bool,
     build_stats: IndexBuildStats,
 }
@@ -250,23 +287,30 @@ impl UstTree {
     /// runs are concatenated in object order before a single STR bulk load,
     /// so the index is byte-identical at every thread count.
     pub fn build_with(db: &TrajectoryDatabase, cfg: &UstTreeConfig) -> Self {
-        // Every object is stale: nothing is copied, every run is rebuilt.
-        Self::splice(db, vec![None; db.len()], cfg)
+        // Every object keeps nothing and builds its whole run.
+        Self::splice(db, db.objects().iter().map(RunPlan::whole).collect(), cfg)
     }
 
-    /// Re-derives this tree over `db`, a database that has grown by appends
-    /// since this tree was built over it. `stale` lists the objects appended
-    /// to (duplicates and any order are fine); objects added to the database
-    /// since are stale whether listed or not.
+    /// Re-derives this tree over `db`, a database that has grown only by
+    /// tail appends since this tree was built over it: no observation was
+    /// removed or changed, and every appended one is later than its object's
+    /// last. `stale` lists the objects appended to (duplicates and any order
+    /// are fine); objects added to the database since are stale whether
+    /// listed or not.
     ///
-    /// Every untouched object's diamond run is copied out of this tree's
-    /// arena, every stale object's whole run is rebuilt, and the runs are
-    /// spliced in database object order before one STR bulk load. The result
-    /// therefore equals `build_with(db, cfg)` — same diamonds, same order,
-    /// same R-tree shape, same pruning results — where `cfg` keeps this
-    /// tree's granularity and node capacity and runs the rebuild on
-    /// `build_threads` workers. Its cost is the stale objects' segments plus
-    /// one re-pack, and its [`IndexBuildStats`] describe just that work.
+    /// Every untouched object keeps its diamond run. A stale object keeps its
+    /// segment diamonds and builds only the segments that start at or after
+    /// τ, its last kept diamond's `t_end`: the appended ones, plus a trailing
+    /// hop-infeasible segment, which again yields no diamond. A single
+    /// observation's degenerate diamond is dropped and the object's run built
+    /// from that observation; an object with an empty run, one this tree does
+    /// not know, or one without an observation at τ builds its whole run. The
+    /// runs are spliced in database object order before one STR bulk load.
+    /// The result therefore equals `build_with(db, cfg)` — same diamonds,
+    /// same order, same R-tree shape, same pruning results — where `cfg`
+    /// keeps this tree's granularity and node capacity and builds on
+    /// `build_threads` workers. Its cost is the new segments plus one
+    /// re-pack, and its [`IndexBuildStats`] describe just the segments built.
     ///
     /// An arena that is not grouped in database object order (a decoded one
     /// whose source no longer matches `db`, say) cannot be spliced; the
@@ -285,21 +329,20 @@ impl UstTree {
         };
         let mut stale = stale.to_vec();
         stale.sort_unstable();
-        match self.copy_plan(db, &stale) {
+        match self.plan(db, &stale) {
             Some(plan) => Self::splice(db, plan, &cfg),
             None => Self::build_with(db, &cfg),
         }
     }
 
-    /// For every object of `db` in database order: `Some(run)` copies the
-    /// object's run out of this arena, `None` rebuilds it. `None` overall
-    /// when the arena is not the concatenation of per-object runs in
-    /// database order, or a copied run has the wrong granularity.
-    fn copy_plan<'t>(
+    /// One [`RunPlan`] per object of `db`, in database order. `None` when
+    /// the arena is not the concatenation of per-object runs in database
+    /// order, or a kept diamond has the wrong granularity.
+    fn plan<'t>(
         &'t self,
         db: &TrajectoryDatabase,
         sorted_stale: &[ObjectId],
-    ) -> Option<Vec<Option<&'t [Diamond]>>> {
+    ) -> Option<Vec<RunPlan<'t>>> {
         let mut plan = Vec::with_capacity(db.len());
         let mut cursor = 0usize;
         for (i, object) in db.objects().iter().enumerate() {
@@ -309,23 +352,26 @@ impl UstTree {
             }
             let run = &self.diamonds[start..cursor];
             // Objects past this tree's count were added since it was built.
-            let stale = i >= self.num_objects || sorted_stale.binary_search(&object.id()).is_ok();
-            if stale {
-                plan.push(None);
-            } else if run.iter().all(|d| d.per_time.is_some() == self.per_timestamp_mbrs) {
-                plan.push(Some(run));
+            let entry = if i >= self.num_objects {
+                RunPlan::whole(object)
+            } else if sorted_stale.binary_search(&object.id()).is_ok() {
+                RunPlan::extend(run, object)
             } else {
+                RunPlan { kept: run, build_from: None }
+            };
+            if !entry.kept.iter().all(|d| d.per_time.is_some() == self.per_timestamp_mbrs) {
                 return None;
             }
+            plan.push(entry);
         }
         (cursor == self.diamonds.len()).then_some(plan)
     }
 
-    /// The one diamond-construction path: rebuilds the runs `plan` marks
-    /// `None` (fanned out across `cfg.build_threads` workers), splices them
-    /// with the copied runs in database object order and bulk-loads the
+    /// The one diamond-construction path: builds the segments `plan` asks
+    /// for (fanned out across `cfg.build_threads` workers), splices them
+    /// after the kept diamonds in database object order and bulk-loads the
     /// arena.
-    fn splice(db: &TrajectoryDatabase, plan: Vec<Option<&[Diamond]>>, cfg: &UstTreeConfig) -> Self {
+    fn splice(db: &TrajectoryDatabase, plan: Vec<RunPlan<'_>>, cfg: &UstTreeConfig) -> Self {
         // lint: allow(T001) build_time is BuildStats observability; the index bytes are clock-free
         let start = Instant::now();
         let space = db.state_space();
@@ -345,14 +391,14 @@ impl UstTree {
                 .clone();
             (key, reach)
         };
-        let work: Vec<(&UncertainObject, usize, Arc<ReachabilityIndex>)> = db
+        let work: Vec<(&UncertainObject, Timestamp, usize, Arc<ReachabilityIndex>)> = db
             .objects()
             .iter()
             .zip(&plan)
-            .filter(|(_, copied)| copied.is_none())
-            .map(|(object, _)| {
+            .filter_map(|(object, entry)| {
+                let from = entry.build_from?;
                 let (key, reach) = reach_for(db.model_for(object.id()));
-                (object, key, reach)
+                Some((object, from, key, reach))
             })
             .collect();
 
@@ -363,8 +409,8 @@ impl UstTree {
         let runs: Vec<ObjectRun> = parallel_map_ordered(
             &work,
             build_threads,
-            |&(object, reach_key, ref reach)| {
-                build_object_run(object, reach, reach_key, space, &memo, cfg)
+            |&(object, from, reach_key, ref reach)| {
+                build_object_run(object, from, reach, reach_key, space, &memo, cfg)
             },
         );
 
@@ -375,19 +421,17 @@ impl UstTree {
             reach_memo_misses: memo.misses.load(Ordering::Relaxed),
             ..Default::default()
         };
-        let copied: usize = plan.iter().flatten().map(|run| run.len()).sum();
-        let rebuilt: usize = runs.iter().map(|r| r.diamonds.len()).sum();
-        let mut diamonds: Vec<Diamond> = Vec::with_capacity(copied + rebuilt);
+        let kept: usize = plan.iter().map(|entry| entry.kept.len()).sum();
+        let built: usize = runs.iter().map(|r| r.diamonds.len()).sum();
+        let mut diamonds: Vec<Diamond> = Vec::with_capacity(kept + built);
         let mut runs = runs.into_iter();
         for entry in plan {
-            match entry {
-                Some(run) => diamonds.extend_from_slice(run),
-                None => {
-                    let run = runs.next().expect("one rebuilt run per stale object");
-                    stats.segments += run.segments;
-                    stats.peak_frontier = stats.peak_frontier.max(run.peak_frontier);
-                    diamonds.extend(run.diamonds);
-                }
+            diamonds.extend_from_slice(entry.kept);
+            if entry.build_from.is_some() {
+                let run = runs.next().expect("one built run per object that builds");
+                stats.segments += run.segments;
+                stats.peak_frontier = stats.peak_frontier.max(run.peak_frontier);
+                diamonds.extend(run.diamonds);
             }
         }
         stats.diamonds = diamonds.len();
@@ -573,9 +617,12 @@ fn time_window(t_from: Timestamp, t_to: Timestamp) -> Rect3 {
     )
 }
 
-/// Builds the ordered diamond run of one object.
+/// Builds the ordered diamonds of one object's segments that start at or
+/// after `from` (for a single observation at or after `from`, its
+/// degenerate diamond).
 fn build_object_run(
     object: &UncertainObject,
+    from: Timestamp,
     reach: &ReachabilityIndex,
     reach_key: usize,
     space: &StateSpace,
@@ -600,14 +647,17 @@ fn build_object_run(
             });
         }
     };
-    if object.num_observations() == 1 {
+    let observations = object.observations();
+    let first = observations.partition_point(|o| o.time < from);
+    if let [obs] = observations {
         // Degenerate segment: the object exists only at its single
         // observation instant.
-        let obs = object.observations()[0];
-        push(obs.time, obs.state, obs.time, obs.state);
+        if first == 0 {
+            push(obs.time, obs.state, obs.time, obs.state);
+        }
     } else {
-        for (from, to) in object.segments() {
-            push(from.time, from.state, to.time, to.state);
+        for pair in observations[first..].windows(2) {
+            push(pair[0].time, pair[0].state, pair[1].time, pair[1].state);
         }
     }
     run
@@ -838,7 +888,7 @@ mod tests {
     }
 
     #[test]
-    fn refresh_rebuilds_only_stale_runs_and_equals_a_full_build() {
+    fn refresh_builds_only_new_segments_and_equals_a_full_build() {
         let mut db = example_db();
         let cfg = UstTreeConfig { build_threads: 1, ..Default::default() };
         let old = UstTree::build_with(&db, &cfg);
@@ -852,8 +902,21 @@ mod tests {
         refreshed.check_invariants().unwrap();
         let stats = refreshed.build_stats();
         assert_eq!((stats.objects, stats.diamonds), (5, full.num_diamonds()));
-        assert_eq!(stats.segments, 3 + 1, "object 2's three segments and object 5's one");
-        assert_eq!(stats.reach_memo_hits + stats.reach_memo_misses, 4);
+        assert_eq!(stats.segments, 1 + 1, "object 2's new segment and object 5's one");
+        assert_eq!(stats.reach_memo_hits + stats.reach_memo_misses, 2);
+    }
+
+    #[test]
+    fn refresh_builds_whole_a_history_that_does_not_extend_the_old_one() {
+        let cfg = UstTreeConfig { build_threads: 1, ..Default::default() };
+        let old = UstTree::build_with(&example_db(), &cfg);
+        // Object 2's observations at 4 and 8 were replaced, so there is no
+        // observation at τ = 8 to build on from.
+        let mut db = example_db();
+        db.insert(UncertainObject::from_pairs(2, vec![(0, 5), (3, 4), (7, 5), (9, 6)]).unwrap());
+        let refreshed = old.refresh(&db, &[2], 1);
+        assert_eq!(refreshed.diamonds(), UstTree::build_with(&db, &cfg).diamonds());
+        assert_eq!(refreshed.build_stats().segments, 3, "object 2's whole run");
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! A refreshed UST-tree must equal a from-scratch build over the grown
 //! database: same diamonds in the same order, same R-tree shape, same
 //! pruning results — at every `build_threads` setting and at both diamond
-//! granularities.
+//! granularities. And it must build exactly the segments its plan asks for:
+//! a stale object's segments from τ on, the end of its last hop-feasible
+//! segment before the append, or its whole run when it is new, had a single
+//! observation or had no feasible segment.
 //!
 //! Each seeded case builds a random database on a line of states, then
 //! grows it by a few append batches, refreshing the previous tree after each
@@ -9,8 +12,13 @@
 //! a run: an existing object's tail grows; a new object arrives; a
 //! single-observation object gets its second observation, so its degenerate
 //! diamond must go; a hop-infeasible segment yields no diamond; and an object
-//! with its own a-priori model is touched. Later batches touch random
-//! objects.
+//! with its own a-priori model is touched. The second batch extends that
+//! hop-infeasible tail and the new object, appends to one object twice (the
+//! shape of a WAL replay, many frames before one refresh) and adds an object
+//! whose only segment is hop-infeasible; the third extends that empty run
+//! and adds an object that is appended to twice. Each batch also touches
+//! random objects. One more refresh per case starts from a tree that went
+//! through `encode_store` and `decode_store`.
 
 mod common;
 
@@ -19,7 +27,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use ust_index::{ObjectId, Timestamp, UstTree, UstTreeConfig};
-use ust_markov::{CsrMatrix, MarkovModel};
+use ust_markov::{CsrMatrix, MarkovModel, ReachabilityIndex};
+use ust_persist::{decode_store, encode_store, StoreContents};
 use ust_spatial::{Point, StateSpace};
 use ust_trajectory::{Observation, TrajectoryDatabase, UncertainObject};
 
@@ -28,9 +37,14 @@ const CASES: u64 = 24;
 const WINDOWS: &[(u32, u32)] = &[(0, 400), (0, 5), (10, 30), (40, 41)];
 
 /// Object 0 moves by the override model; object 1 starts with one
-/// observation.
+/// observation; object 3 gets a hop-infeasible tail in the first batch.
 const OVERRIDE: ObjectId = 0;
 const SINGLE: ObjectId = 1;
+const INFEASIBLE_TAIL: ObjectId = 3;
+/// New objects: one arrives in each batch.
+const NEW_IN_FIRST: ObjectId = 100;
+const NEW_EMPTY_RUN: ObjectId = 101;
+const NEW_TWICE: ObjectId = 102;
 
 type Batch = Vec<(ObjectId, Vec<Observation>)>;
 
@@ -100,6 +114,18 @@ fn extend(
     }
 }
 
+/// `obs` plus one observation a tick after its last, across half the line:
+/// one tick is too short to get there, so the new segment is hop-infeasible.
+fn push_infeasible(obs: &mut Vec<Observation>) {
+    let last = *obs.last().expect("non-empty");
+    let far = if last.state < STATES / 2 {
+        STATES - 1
+    } else {
+        0
+    };
+    obs.push(Observation::new(last.time + 1, far));
+}
+
 /// A random database plus the append batches that grow it.
 fn case(seed: u64) -> (TrajectoryDatabase, Vec<Batch>) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -121,20 +147,18 @@ fn case(seed: u64) -> (TrajectoryDatabase, Vec<Batch>) {
     let mut grown = db.clone();
     let mut batches: Vec<Batch> = Vec::new();
     for b in 0..3u32 {
-        let mut ids: Vec<ObjectId> = if b == 0 {
+        let mut ids: Vec<ObjectId> = match b {
             // Override object, single-observation object, a plain extension,
             // a hop-infeasible append and a new object.
-            vec![OVERRIDE, SINGLE, 2, 3, 100]
-        } else {
-            let mut ids: Vec<ObjectId> = (0..num_objects).filter(|_| rng.gen_bool(0.4)).collect();
-            if rng.gen_bool(0.5) {
-                ids.push(100 + b);
-            }
-            ids
+            0 => vec![OVERRIDE, SINGLE, 2, INFEASIBLE_TAIL, NEW_IN_FIRST],
+            // The infeasible tail and the first batch's new object extended,
+            // two appends to one object, a new object without a feasible
+            // segment.
+            1 => vec![INFEASIBLE_TAIL, NEW_IN_FIRST, 2, 2, NEW_EMPTY_RUN],
+            // That empty run extended; a new object appended to twice.
+            _ => vec![NEW_EMPTY_RUN, NEW_TWICE, NEW_TWICE],
         };
-        if ids.is_empty() {
-            ids.push(rng.gen_range(0..num_objects));
-        }
+        ids.extend((0..num_objects).filter(|_| rng.gen_bool(0.4)));
         let mut batch = Batch::new();
         for id in ids {
             let count = if id == SINGLE && b == 0 {
@@ -143,15 +167,12 @@ fn case(seed: u64) -> (TrajectoryDatabase, Vec<Batch>) {
                 rng.gen_range(1..=2usize)
             };
             let mut obs = extend(&mut rng, &grown, id, count);
-            if id == 3 && b == 0 {
-                // One tick is too short to cross half the line.
-                let last = *obs.last().expect("non-empty");
-                let far = if last.state < STATES / 2 {
-                    STATES - 1
-                } else {
-                    0
-                };
-                obs.push(Observation::new(last.time + 1, far));
+            if (id == INFEASIBLE_TAIL && b == 0) || (id == NEW_EMPTY_RUN && b == 1) {
+                push_infeasible(&mut obs);
+                if id == NEW_EMPTY_RUN {
+                    // Only the infeasible pair: the new object has no diamond.
+                    obs.drain(..obs.len() - 2);
+                }
             }
             grown
                 .append_observations(id, &obs)
@@ -188,64 +209,119 @@ fn assert_same_pruning(a: &UstTree, b: &UstTree, rng: &mut StdRng) {
     }
 }
 
+/// Segments of `id` in `grown`, counted from observation `first` on (a
+/// single observation counts its degenerate segment).
+fn segments_from(grown: &TrajectoryDatabase, id: ObjectId, first: usize) -> usize {
+    let n = grown.object(id).expect("stale objects exist").num_observations();
+    if n == 1 {
+        1
+    } else {
+        n - 1 - first
+    }
+}
+
+/// The segments a refresh from a tree over `old` builds for the stale
+/// object `id` of `grown`: those from τ on, the end of its last hop-feasible
+/// segment in `old`; its whole run when `old` does not know it, holds a
+/// single observation of it or no feasible segment.
+fn planned_segments(old: &TrajectoryDatabase, grown: &TrajectoryDatabase, id: ObjectId) -> usize {
+    let Some(before) = old.object(id) else {
+        return segments_from(grown, id, 0);
+    };
+    let reach = ReachabilityIndex::from_matrix(old.model_for(id).matrix_at(0));
+    let last_feasible = before.observations().windows(2).rposition(|pair| {
+        reach.segment((pair[0].time, pair[0].state), (pair[1].time, pair[1].state)).is_consistent()
+    });
+    match last_feasible {
+        Some(i) => segments_from(grown, id, i + 1),
+        None => segments_from(grown, id, 0),
+    }
+}
+
+/// Refreshes `tree`, built over `old`, over `grown` at 1, 2 and 4 threads
+/// and checks each against a from-scratch build and the plan's segment
+/// count. Returns the refresh and the full build.
+fn check_refresh(
+    tree: &UstTree,
+    old: &TrajectoryDatabase,
+    grown: &TrajectoryDatabase,
+    stale: &[ObjectId],
+    per_timestamp_mbrs: bool,
+    rng: &mut StdRng,
+) -> (UstTree, UstTree) {
+    let mut distinct = stale.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let planned: usize = distinct.iter().map(|&id| planned_segments(old, grown, id)).sum();
+    let full = UstTree::build_with(grown, &cfg(per_timestamp_mbrs, 1));
+    full.check_invariants()
+        .expect("a full build is well formed");
+    let mut refreshed: Vec<UstTree> = [1usize, 2, 4]
+        .iter()
+        .map(|&t| tree.refresh(grown, stale, t))
+        .collect();
+    for r in &refreshed {
+        assert_identical_trees(r, &full, WINDOWS);
+        r.check_invariants()
+            .expect("a refreshed tree is well formed");
+        assert_same_pruning(r, &full, rng);
+        let stats = r.build_stats();
+        assert_eq!(
+            (stats.objects, stats.diamonds),
+            (grown.len(), full.num_diamonds())
+        );
+        assert_eq!(stats.segments, planned, "only the planned segments are built");
+        assert_eq!(
+            stats.reach_memo_hits + stats.reach_memo_misses,
+            stats.segments
+        );
+    }
+    (refreshed.swap_remove(0), full)
+}
+
+/// Whether `id`'s last segment in `db` is hop-infeasible.
+fn infeasible_tail(db: &TrajectoryDatabase, id: ObjectId) -> bool {
+    let object = db.object(id).expect("known object");
+    let reach = ReachabilityIndex::from_matrix(db.model_for(id).matrix_at(0));
+    object
+        .segments()
+        .last()
+        .is_some_and(|(a, b)| !reach.segment((a.time, a.state), (b.time, b.state)).is_consistent())
+}
+
 fn refresh_equals_build(per_timestamp_mbrs: bool) {
     let (mut degenerate_dropped, mut infeasible_skipped) = (false, false);
+    let (mut infeasible_tail_extended, mut empty_run_extended) = (false, false);
     for seed in 0..CASES {
         let (mut db, batches) = case(seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
         let mut tree = UstTree::build_with(&db, &cfg(per_timestamp_mbrs, 1));
         for batch in &batches {
-            let single_before = db.object(SINGLE).map(|o| o.num_observations()) == Some(1);
+            let old = db.clone();
             for (id, obs) in batch {
                 db.append_observations(*id, obs)
                     .expect("the batch re-applies");
             }
             let stale: Vec<ObjectId> = batch.iter().map(|(id, _)| *id).collect();
-            // A run has one segment per observation pair, or one degenerate
-            // segment for a single observation.
-            let rebuilt_segments: usize = stale
-                .iter()
-                .filter_map(|&id| db.object(id))
-                .map(|o| o.num_observations().saturating_sub(1).max(1))
-                .sum();
-            let full = UstTree::build_with(&db, &cfg(per_timestamp_mbrs, 1));
-            full.check_invariants()
-                .expect("a full build is well formed");
-            let mut refreshed: Vec<UstTree> = [1usize, 2, 4]
-                .iter()
-                .map(|&t| tree.refresh(&db, &stale, t))
-                .collect();
-            for r in &refreshed {
-                assert_identical_trees(r, &full, WINDOWS);
-                r.check_invariants()
-                    .expect("a refreshed tree is well formed");
-                assert_same_pruning(r, &full, &mut rng);
-                let stats = r.build_stats();
-                assert_eq!(
-                    (stats.objects, stats.diamonds),
-                    (db.len(), full.num_diamonds())
-                );
-                assert_eq!(
-                    stats.segments, rebuilt_segments,
-                    "only the stale runs are rebuilt"
-                );
-                assert_eq!(
-                    stats.reach_memo_hits + stats.reach_memo_misses,
-                    stats.segments
-                );
-            }
+            let (refreshed, full) =
+                check_refresh(&tree, &old, &db, &stale, per_timestamp_mbrs, &mut rng);
             assert!(full
                 .diamonds()
                 .iter()
                 .all(|d| d.per_time.is_some() == per_timestamp_mbrs));
-            degenerate_dropped |= single_before
+            degenerate_dropped |= old.object(SINGLE).map(|o| o.num_observations()) == Some(1)
                 && stale.contains(&SINGLE)
                 && !full
                     .diamonds()
                     .iter()
                     .any(|d| d.object == SINGLE && d.t_start == d.t_end);
             infeasible_skipped |= full.build_stats().diamonds < full.build_stats().segments;
-            tree = refreshed.swap_remove(0);
+            infeasible_tail_extended |=
+                stale.contains(&INFEASIBLE_TAIL) && infeasible_tail(&old, INFEASIBLE_TAIL);
+            empty_run_extended |= stale.contains(&NEW_EMPTY_RUN)
+                && old.object(NEW_EMPTY_RUN).is_some()
+                && !tree.diamonds().iter().any(|d| d.object == NEW_EMPTY_RUN);
+            tree = refreshed;
         }
 
         // Nothing stale: the arena is copied whole and no BFS runs.
@@ -265,6 +341,37 @@ fn refresh_equals_build(per_timestamp_mbrs: bool) {
         infeasible_skipped,
         "no case appended a hop-infeasible segment"
     );
+    assert!(
+        infeasible_tail_extended,
+        "no case extended a hop-infeasible tail"
+    );
+    assert!(empty_run_extended, "no case extended an empty run");
+}
+
+/// A base tree that went through the store codec refreshes like the tree it
+/// was encoded from.
+fn decoded_base_refreshes(per_timestamp_mbrs: bool) {
+    for seed in 0..CASES {
+        let (db, batches) = case(seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xdec0de);
+        let built = UstTree::build_with(&db, &cfg(per_timestamp_mbrs, 1));
+        let bytes = encode_store(&StoreContents {
+            database: &db,
+            index: Some(&built),
+            models: &[],
+        });
+        let loaded = decode_store(&bytes).expect("a fresh encode decodes");
+        let base = loaded.index.expect("the store carries the tree");
+        let old = loaded.database;
+        let mut grown = old.clone();
+        for (id, obs) in &batches[0] {
+            grown
+                .append_observations(*id, obs)
+                .expect("the batch applies to the decoded database");
+        }
+        let stale: Vec<ObjectId> = batches[0].iter().map(|(id, _)| *id).collect();
+        check_refresh(&base, &old, &grown, &stale, per_timestamp_mbrs, &mut rng);
+    }
 }
 
 #[test]
@@ -275,4 +382,10 @@ fn refresh_equals_a_from_scratch_build() {
 #[test]
 fn coarse_trees_refresh_coarse() {
     refresh_equals_build(false);
+}
+
+#[test]
+fn a_decoded_base_refreshes_like_a_built_one() {
+    decoded_base_refreshes(true);
+    decoded_base_refreshes(false);
 }

@@ -13,9 +13,23 @@
 //! adaptation. It is also the basis of the "U" (uniform) effectiveness
 //! baseline of Figure 12, which assigns equal probability to every reachable
 //! state.
+//!
+//! Each expansion step visits the successors of the whole frontier, and a
+//! state with several reached predecessors turns up several times. A
+//! per-thread scratch of generation stamps, one per state, removes those
+//! duplicates as they appear: a state joins the next set only the first time
+//! the step marks it, so only the distinct states are sorted. The scratch
+//! grows once to the largest state space the thread has seen and is never
+//! cleared between steps (each step takes a fresh stamp), so an expansion
+//! allocates nothing per state of the model. A segment then walks back from
+//! the second observation through the forward sets alone: a state stays
+//! possible at `t_i + k` iff it is forward-reachable there and has a
+//! successor still possible at `t_i + k + 1`, which is the intersection with
+//! the backward set without ever building the backward set.
 
 use crate::sparse::CsrMatrix;
 use crate::{StateId, Timestamp};
+use std::cell::Cell;
 
 /// Per-timestamp reachable state sets between two observations.
 #[derive(Debug, Clone)]
@@ -83,12 +97,17 @@ impl ReachabilityIndex {
         expand(&self.backward, target, steps)
     }
 
-    /// Per-timestamp possible states between two consecutive observations.
+    /// Per-timestamp possible states between two consecutive observations:
+    /// the forward sets from the first observation, each cut to the states
+    /// from which the second observation stays reachable. `per_time[k]` is
+    /// `forward_reachable(θ_i)[k] ∩ backward_reachable(θ_{i+1})[steps - k]`,
+    /// computed by walking back from the second observation through the
+    /// forward sets (see the module doc).
     ///
     /// If the second observation is not forward-reachable from the first in
     /// the given number of steps, the segment is contradictory — no
     /// trajectory satisfies both observations, so the possible-state set is
-    /// empty at *every* covered timestamp — and the backward BFS is skipped
+    /// empty at *every* covered timestamp — and the backward walk is skipped
     /// entirely. Hop-infeasible commutes are common in map-matched real
     /// data, so the index build benefits from paying one expansion instead
     /// of two for them.
@@ -99,55 +118,100 @@ impl ReachabilityIndex {
     ) -> ReachabilitySets {
         assert!(from.0 <= to.0, "observations must be ordered in time");
         let steps = (to.0 - from.0) as usize;
-        let fwd = self.forward_reachable(from.1, steps);
-        if fwd[steps].binary_search(&to.1).is_err() {
+        let mut per_time = self.forward_reachable(from.1, steps);
+        if per_time[steps].binary_search(&to.1).is_err() {
             return ReachabilitySets {
                 start: from.0,
                 end: to.0,
                 per_time: vec![Vec::new(); steps + 1],
             };
         }
-        let bwd = self.backward_reachable(to.1, steps);
-        let per_time: Vec<Vec<StateId>> = (0..=steps)
-            .map(|k| intersect_sorted(&fwd[k], &bwd[steps - k]))
-            .collect();
+        per_time[steps] = vec![to.1];
+        with_marks(|marks| {
+            for k in (0..steps).rev() {
+                marks.next_step(self.num_states());
+                for &s in &per_time[k + 1] {
+                    for &p in self.backward.successors(s) {
+                        marks.mark(p);
+                    }
+                }
+                per_time[k].retain(|&s| marks.is_marked(s));
+            }
+        });
         ReachabilitySets { start: from.0, end: to.0, per_time }
     }
 }
 
-/// Breadth-first support expansion: `result[k]` is the sorted set of states
-/// reachable from `origin` in exactly `k` steps of the given matrix.
-fn expand(matrix: &CsrMatrix, origin: StateId, steps: usize) -> Vec<Vec<StateId>> {
-    let mut out = Vec::with_capacity(steps + 1);
-    out.push(vec![origin]);
-    for k in 0..steps {
-        let prev = &out[k];
-        let mut next: Vec<StateId> = Vec::new();
-        for &s in prev {
-            next.extend_from_slice(matrix.successors(s));
-        }
-        next.sort_unstable();
-        next.dedup();
-        out.push(next);
-    }
-    out
+/// Generation-stamped marks over the states: `stamps[s] == stamp` iff `s`
+/// was marked in the current step.
+#[derive(Debug, Default)]
+struct Marks {
+    stamps: Vec<u32>,
+    /// Stamp of the current step; 0 is never a live stamp.
+    stamp: u32,
 }
 
-/// Intersection of two sorted, deduplicated slices.
-fn intersect_sorted(a: &[StateId], b: &[StateId]) -> Vec<StateId> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
+impl Marks {
+    /// Starts a step over a state space of `num_states` states in which no
+    /// state is marked yet.
+    fn next_step(&mut self, num_states: usize) {
+        if self.stamps.len() < num_states {
+            self.stamps.resize(num_states, 0);
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // Wrapped: old stamps could collide with new ones.
+            self.stamps.fill(0);
+            self.stamp = 1;
         }
     }
+
+    /// Marks `s`; `true` iff the current step had not marked it yet.
+    fn mark(&mut self, s: StateId) -> bool {
+        let fresh = !self.is_marked(s);
+        self.stamps[s as usize] = self.stamp;
+        fresh
+    }
+
+    fn is_marked(&self, s: StateId) -> bool {
+        self.stamps[s as usize] == self.stamp
+    }
+}
+
+thread_local! {
+    /// The marks of this thread's expansions, grown once to the largest
+    /// state space seen (500 000 states at paper scale) and never sized per
+    /// call.
+    static MARKS: Cell<Marks> = const { Cell::new(Marks { stamps: Vec::new(), stamp: 0 }) };
+}
+
+/// Runs `f` on this thread's marks. The marks leave their slot for the call;
+/// a panic inside `f` drops them, and the thread's next call starts from
+/// empty marks.
+fn with_marks(f: impl FnOnce(&mut Marks)) {
+    let mut marks = MARKS.take();
+    f(&mut marks);
+    MARKS.set(marks);
+}
+
+/// Breadth-first support expansion: `result[k]` is the sorted set of states
+/// reachable from `origin` in exactly `k` steps of the given matrix. Each
+/// step keeps a successor the first time it marks it and sorts only the
+/// distinct states.
+fn expand(matrix: &CsrMatrix, origin: StateId, steps: usize) -> Vec<Vec<StateId>> {
+    let mut out: Vec<Vec<StateId>> = Vec::with_capacity(steps + 1);
+    out.push(vec![origin]);
+    with_marks(|marks| {
+        for k in 0..steps {
+            marks.next_step(matrix.num_states());
+            let mut next: Vec<StateId> = Vec::new();
+            for &s in &out[k] {
+                next.extend(matrix.successors(s).iter().copied().filter(|&t| marks.mark(t)));
+            }
+            next.sort_unstable();
+            out.push(next);
+        }
+    });
     out
 }
 
@@ -223,6 +287,17 @@ mod tests {
         assert_eq!(seg.cardinality(), 0, "impossible segments have no possible states at all");
         assert_eq!(seg.at(0), &[] as &[StateId]);
         assert_eq!(seg.at(1), &[] as &[StateId]);
+    }
+
+    #[test]
+    fn stamps_that_wrap_mid_segment_leave_no_stale_marks() {
+        let idx = ReachabilityIndex::from_matrix(&line_graph());
+        let fresh = idx.segment((0, 0), (6, 3)).per_time;
+        // Every state carries the stamp the wrap restarts from, and the
+        // counter wraps during the forward expansion.
+        MARKS.set(Marks { stamps: vec![1; 4], stamp: u32::MAX - 2 });
+        assert_eq!(idx.segment((0, 0), (6, 3)).per_time, fresh);
+        assert_eq!(idx.forward_reachable(0, 3)[1], vec![0, 1]);
     }
 
     #[test]
