@@ -188,7 +188,9 @@ fn appends_invalidate_stale_adapted_models() {
     let batch = &batches[0];
 
     // Warm the pre-append engine's cache so the saved store carries adapted
-    // models — models trained on the *shortened* trajectories.
+    // models — models trained on the *shortened* trajectories. A query
+    // caches only the models of its window's observation brackets, which a
+    // store does not persist, so `prepare_all` adapts the whole histories.
     let path = store_path("stale_models");
     cleanup(&path);
     let pre_engine = QueryEngine::new(&pre, engine_config(1));
@@ -196,6 +198,7 @@ fn appends_invalidate_stale_adapted_models() {
     let spec = &queries.queries[0];
     let query = Query::at_point(spec.location, spec.times.iter().copied()).expect("valid query");
     pre_engine.pforall_nn(&query, 0.0).expect("warm-up query succeeds");
+    pre_engine.prepare_all().expect("warm-up adaptation succeeds");
     pre_engine.save_store(&path).expect("save succeeds");
 
     let mut store = EngineStore::load(&path).expect("load succeeds");

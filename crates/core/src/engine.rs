@@ -7,8 +7,15 @@
 //!    `C(q)` and the influence set `I(q)`.
 //! 2. **Model adaptation ("TS")** — for every remaining object the
 //!    forward–backward adaptation turns the a-priori chain plus observations
-//!    into the a-posteriori chain. Adapted models are cached, since "this
-//!    phase can be performed once and used for all queries"; cold objects are
+//!    into the a-posteriori chain. A query reads the chain only inside its
+//!    window, so it adapts only the observations that bracket the window
+//!    ([`ModelKey::bracket`]); the chain splits at observations, so those
+//!    are bit for bit the whole-history model's marginals and rows there.
+//!    Adapted models are cached by object and observation range, since "this
+//!    phase can be performed once and used for all queries": an object's
+//!    whole-history model (preloaded, or adapted by
+//!    [`QueryEngine::prepare_objects`]) serves every window, and a bracket
+//!    model serves every window with the same bracket. Cold ranges are
 //!    fanned out across [`EngineConfig::adaptation_threads`] workers through
 //!    the stampede-free [`crate::prepare`] subsystem.
 //! 3. **Refinement ("FA"/"EX"/"SA")** — possible worlds are sampled from the
@@ -22,7 +29,8 @@ use crate::govern::{
 };
 use crate::pcnn::{vertical_timesets, PcnnConfig, PcnnResult, WorldSet};
 use crate::prepare::{
-    adapt_batch_governed, parallel_map_ordered, AdaptationCache, CacheStats, PrepareOutcome,
+    adapt_batch_governed, parallel_map_ordered, AdaptationCache, CacheStats, ModelKey,
+    PrepareOutcome,
 };
 use crate::query::{Query, QueryError};
 use crate::results::{ObjectProbability, PcnnObjectResult, PcnnOutcome, QueryOutcome, QueryStats};
@@ -30,10 +38,11 @@ use crate::ObjectId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rustc_hash::FxHashMap;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ust_index::{IndexBuildStats, UstTree, UstTreeConfig};
-use ust_markov::{AdaptedModel, ModelAdaptation};
+use ust_markov::{AdaptedModel, ModelAdaptation, Timestamp};
 use ust_sampling::{block_seed, WorldBlock, WorldSampler, WORLD_BLOCK_WIDTH};
 use ust_spatial::Point;
 use ust_trajectory::TrajectoryDatabase;
@@ -109,6 +118,11 @@ impl EngineConfig {
 /// Adapted a-posteriori models of a set of objects, as `(id, model)` pairs —
 /// the working set handed from the preparation ("TS") phase to the samplers.
 pub type AdaptedModels = Vec<(ObjectId, Arc<AdaptedModel>)>;
+
+/// The window whose bracket is every object's whole history: what
+/// [`QueryEngine::prepare_objects`] and [`QueryEngine::adapted_model`]
+/// prepare for.
+const WHOLE_HISTORY: RangeInclusive<Timestamp> = Timestamp::MIN..=Timestamp::MAX;
 
 /// The probabilistic NN query engine over one trajectory database.
 ///
@@ -190,17 +204,29 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// Persists this engine's state — the database, the UST-tree (if built)
-    /// and every adapted model currently cached — as an on-disk store (see
-    /// [`ust_persist`]). A later [`EngineStore::load`](crate::EngineStore)
-    /// skips the index build and the TS phase for the stored objects
-    /// entirely. The write stages through a `<path>.tmp` sibling and lands
-    /// with an atomic rename, so a crash mid-save never clobbers (or
-    /// truncates) a store already at `path`.
+    /// and every whole-history model currently cached — as an on-disk store
+    /// (see [`ust_persist`]). A store holds whole-object models, so the
+    /// models queries adapted over the observations bracketing their window
+    /// are not written; call [`Self::prepare_all`] first to store every
+    /// object. A later [`EngineStore::load`](crate::EngineStore) skips the
+    /// index build and the TS phase for the stored objects entirely. The
+    /// write stages through a `<path>.tmp` sibling and lands with an atomic
+    /// rename, so a crash mid-save never clobbers (or truncates) a store
+    /// already at `path`.
     pub fn save_store(
         &self,
         path: impl AsRef<std::path::Path>,
     ) -> Result<ust_persist::StoreStats, ust_persist::StoreError> {
-        let models = self.cache.snapshot_models();
+        let is_whole = |key: &ModelKey| {
+            self.db.object(key.object).is_some_and(|object| *key == ModelKey::whole(object))
+        };
+        let models: AdaptedModels = self
+            .cache
+            .snapshot_models()
+            .into_iter()
+            .filter(|(key, _)| is_whole(key))
+            .map(|(key, model)| (key.object, model))
+            .collect();
         ust_persist::write_store(
             path,
             &ust_persist::StoreContents {
@@ -212,8 +238,9 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// Seeds the adaptation cache with already-adapted models (typically the
-    /// MODELS section of a loaded store). Preloaded objects are warm on
-    /// first touch; cache statistics are not affected (see
+    /// MODELS section of a loaded store), each under its own observation
+    /// range. A preloaded whole-history model serves every window of its
+    /// object; cache statistics are not affected (see
     /// [`AdaptationCache::preload`]).
     pub fn preload_models(
         &self,
@@ -241,7 +268,8 @@ impl<'a> QueryEngine<'a> {
         self.cache.clear();
     }
 
-    /// Number of currently cached a-posteriori models.
+    /// Number of currently cached a-posteriori models: whole-history and
+    /// bracket models alike, one per cached observation range.
     pub fn cached_models(&self) -> usize {
         self.cache.len()
     }
@@ -255,32 +283,40 @@ impl<'a> QueryEngine<'a> {
     // Model adaptation ("TS" phase)
     // ------------------------------------------------------------------
 
-    /// Runs the forward–backward adaptation of one object, bypassing the
-    /// cache. This is the closure handed to the anti-stampede slots.
-    fn adapt_uncached(&self, id: ObjectId) -> Result<AdaptedModel, QueryError> {
+    /// Runs the forward–backward adaptation of one object's observation
+    /// range, bypassing the cache. This is the closure handed to the
+    /// anti-stampede slots.
+    fn adapt_uncached(&self, key: ModelKey) -> Result<AdaptedModel, QueryError> {
         // Chaos hook: lets the chaos suite crash a live adaptation worker and
         // prove the claim-release path with real threads (see tests/chaos.rs
         // at the workspace root). Disarmed, this is one relaxed atomic load.
         ust_fault::panic_point("core.adapt.worker");
+        let id = key.object;
         let object = self.db.object(id).ok_or(QueryError::UnknownObject { object: id })?;
-        let model = self.db.model_for(id);
+        let observations: Vec<_> =
+            key.observations(object).iter().map(|o| (o.time, o.state)).collect();
         ModelAdaptation::new()
-            .adapt(model.as_ref(), &object.observation_pairs())
+            .adapt(self.db.model_for(id).as_ref(), &observations)
             .map_err(|error| QueryError::Adaptation { object: id, error })
     }
 
-    /// Returns (building and caching if necessary) the a-posteriori model of
-    /// an object.
+    /// Returns (building and caching if necessary) the whole-history
+    /// a-posteriori model of an object: [`Self::prepare_objects`] of one id,
+    /// without a budget.
     ///
     /// Concurrent calls for the same uncached object never duplicate the
     /// forward–backward work: the first caller adapts, later callers block on
     /// its result (see [`crate::prepare::AdaptationCache`]).
     pub fn adapted_model(&self, id: ObjectId) -> Result<Arc<AdaptedModel>, QueryError> {
-        self.cache.get_or_adapt(id, || self.adapt_uncached(id)).map(|(model, _)| model)
+        let gauge = QueryBudget::unlimited().start();
+        let mut prepared = self.prepare_governed(&[id], &WHOLE_HISTORY, &gauge)?;
+        Ok(prepared.models.pop().expect("one model per id").1)
     }
 
-    /// Adapts (or fetches from the cache) the models of the given objects,
-    /// under [`EngineConfig::budget`].
+    /// Adapts (or fetches from the cache) the whole-history models of the
+    /// given objects, under [`EngineConfig::budget`]: the query path's TS
+    /// phase over the unbounded window, whose bracket is every object's
+    /// whole history.
     ///
     /// Cold objects are fanned out across
     /// [`adaptation_threads`](EngineConfig::adaptation_threads) scoped worker
@@ -288,39 +324,45 @@ impl<'a> QueryEngine<'a> {
     /// reported [`PrepareOutcome::cold_time`]. The returned model order always
     /// matches `ids`, independent of the thread count.
     pub fn prepare_objects(&self, ids: &[ObjectId]) -> Result<PrepareOutcome, QueryError> {
-        self.prepare_objects_governed(ids, &self.config.budget.start())
+        self.prepare_governed(ids, &WHOLE_HISTORY, &self.config.budget.start())
     }
 
-    /// The TS phase under an already-started [`BudgetGauge`]: every worker
-    /// polls the gauge once per cold object before adapting, so a cancel or
-    /// deadline breach surfaces as a typed error without poisoning the cache
-    /// (transient errors release the anti-stampede claim instead of being
-    /// cached, see [`AdaptationCache::get_or_adapt`]).
-    fn prepare_objects_governed(
+    /// The TS phase for walks over `window`, under an already-started
+    /// [`BudgetGauge`]. Per id it looks up the object's whole-history model
+    /// first, which serves every window, then the model of the observations
+    /// that bracket `window` ([`ModelKey::bracket`]); a miss on both claims
+    /// and adapts the bracket. An unknown id is an error before any lookup.
+    /// Every worker polls the gauge once per cold bracket before adapting,
+    /// so a cancel or deadline breach surfaces as a typed error without
+    /// poisoning the cache (transient errors release the anti-stampede claim
+    /// instead of being cached, see [`AdaptationCache::get_or_adapt`]).
+    fn prepare_governed(
         &self,
         ids: &[ObjectId],
+        window: &RangeInclusive<Timestamp>,
         gauge: &BudgetGauge,
     ) -> Result<PrepareOutcome, QueryError> {
-        let mut slots: Vec<Option<Arc<AdaptedModel>>> = Vec::new();
-        slots.resize_with(ids.len(), || None);
-        let mut cold: Vec<(usize, ObjectId)> = Vec::new();
+        let mut slots: Vec<Option<Arc<AdaptedModel>>> = vec![None; ids.len()];
+        let mut cold: Vec<(usize, ModelKey)> = Vec::new();
         for (i, &id) in ids.iter().enumerate() {
-            match self.cache.peek(id) {
+            let object = self.db.object(id).ok_or(QueryError::UnknownObject { object: id })?;
+            let (whole, bracket) = (ModelKey::whole(object), ModelKey::bracket(object, window));
+            match self.cache.peek(whole).or_else(|| self.cache.peek(bracket)) {
                 Some(model) => slots[i] = Some(model),
-                None => cold.push((i, id)),
+                None => cold.push((i, bracket)),
             }
         }
         let mut cold_adaptations = 0usize;
         let mut cold_time = Duration::ZERO;
         if !cold.is_empty() {
-            let cold_ids: Vec<ObjectId> = cold.iter().map(|&(_, id)| id).collect();
+            let cold_keys: Vec<ModelKey> = cold.iter().map(|&(_, key)| key).collect();
             // lint: allow(T001) cold_time is QueryStats observability; it never feeds results
             let start = Instant::now();
             let results = adapt_batch_governed(
                 &self.cache,
-                &cold_ids,
+                &cold_keys,
                 self.config.adaptation_threads,
-                |id| self.adapt_uncached(id),
+                |key| self.adapt_uncached(key),
                 gauge,
             );
             cold_time = start.elapsed();
@@ -438,8 +480,9 @@ impl<'a> QueryEngine<'a> {
     /// per-world bookkeeping. The block width equals
     /// [`WORLD_CHECK_INTERVAL`], so the budget is probed once per block.
     ///
-    /// The adaptation and sampling fields of `stats` are filled in as the
-    /// phases finish.
+    /// The influence objects' models come from the TS phase over the query
+    /// window (brackets, see [`ModelKey::bracket`]); the adaptation and
+    /// sampling fields of `stats` are filled in as the phases finish.
     fn sample(
         &self,
         query: &Query,
@@ -449,7 +492,8 @@ impl<'a> QueryEngine<'a> {
         gauge: &BudgetGauge,
         stats: &mut QueryStats,
     ) -> Result<SamplingOutput, QueryError> {
-        let prepared = self.prepare_objects_governed(influencers, gauge)?;
+        let window = query.start()..=query.end();
+        let prepared = self.prepare_governed(influencers, &window, gauge)?;
         stats.adaptation_time = prepared.cold_time;
         stats.cache_hits = prepared.cache_hits;
         stats.cold_adaptations = prepared.cold_adaptations;
@@ -501,8 +545,7 @@ impl<'a> QueryEngine<'a> {
         // One 64-world SoA block over the query window, refilled per
         // iteration; its width matches the budget-probe interval.
         const _: () = assert!(WORLD_BLOCK_WIDTH == WORLD_CHECK_INTERVAL);
-        let mut block =
-            WorldBlock::for_window(&sampler, query.start()..=query.end(), WORLD_BLOCK_WIDTH);
+        let mut block = WorldBlock::for_window(&sampler, window, WORLD_BLOCK_WIDTH);
         let mut world_generation_time = Duration::ZERO;
         // Per block: one word of hits per (tracked object, timestamp) and one
         // word of ∃-membership per influence object.

@@ -53,7 +53,7 @@ pub mod store;
 
 pub use engine::{EngineConfig, QueryEngine};
 pub use govern::{BudgetGauge, CancelToken, QueryBudget, QueryPhase, Verdict};
-pub use prepare::{AdaptationCache, CacheStats, PrepareOutcome};
+pub use prepare::{AdaptationCache, CacheStats, ModelKey, PrepareOutcome};
 pub use store::{EngineStore, WalReplayStats};
 pub use exact::{ExactError, ExactResult};
 pub use pcnn::{PcnnConfig, PcnnResult, WorldSet};

@@ -3,22 +3,30 @@
 //! The forward–backward adaptation of Section 5.2 dominates query time (the
 //! fig06 runs spend ~100 ms adapting 150 objects vs ~5 ms sampling), and each
 //! object's adaptation is independent of every other object's — the phase is
-//! embarrassingly parallel. This module provides the two pieces the engine
+//! embarrassingly parallel. This module provides the pieces the engine
 //! builds on:
 //!
+//! * [`ModelKey`] — what a model is cached under: its object and the first
+//!   and last time of the observation range `observations[a..=b]` it was
+//!   adapted over. Observations are certain, so the a-posteriori chain splits
+//!   at them (Lemma 5): a range's model holds, bit for bit, the marginals and
+//!   `F(t)` rows the whole-history model has between the range's ends. A
+//!   query reads only its window, so it adapts only the observations that
+//!   bracket the window ([`ModelKey::bracket`]); the whole history is the
+//!   bracket of the unbounded window.
 //! * [`AdaptationCache`] — a sharded cache of a-posteriori models whose
-//!   per-object slots guarantee that every adaptation runs **exactly once**,
-//!   even when many threads miss on the same object concurrently. A miss
+//!   per-key slots guarantee that every adaptation runs **exactly once**,
+//!   even when many threads miss on the same key concurrently. A miss
 //!   claims the slot; later arrivals block on the claiming thread's result
 //!   instead of recomputing (the classic anti-stampede discipline, in contrast
 //!   to the old check-then-recompute under separate `RwLock` acquisitions).
-//! * [`adapt_batch_governed`] — a batched fan-out that partitions cold
-//!   object ids across [`std::thread::scope`] workers, polling the query's
-//!   budget gauge once per object. With
+//! * [`adapt_batch_governed`] — a batched fan-out that partitions cold keys
+//!   across [`std::thread::scope`] workers, polling the query's budget gauge
+//!   once per key. With
 //!   [`EngineConfig::adaptation_threads`](crate::EngineConfig) set to `1` the
 //!   fan-out degenerates to the exact serial loop the engine used before, so
 //!   results are bit-for-bit identical; any other thread count produces the
-//!   same models too (adaptation is deterministic per object), just faster.
+//!   same models too (adaptation is deterministic per range), just faster.
 
 use crate::engine::AdaptedModels;
 use crate::govern::{BudgetGauge, QueryPhase};
@@ -26,17 +34,67 @@ use crate::query::QueryError;
 use crate::ObjectId;
 use rustc_hash::FxHashMap;
 use std::hash::{Hash, Hasher};
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
-use ust_markov::AdaptedModel;
+use ust_markov::{AdaptedModel, Timestamp};
+use ust_trajectory::{Observation, UncertainObject};
 
 /// Number of independent shards of an [`AdaptationCache`]. A power of two so
 /// shard selection is a mask; 16 shards keep lock contention negligible for
 /// any realistic `adaptation_threads` while costing only a few hundred bytes.
 const NUM_SHARDS: usize = 16;
 
-/// State of one per-object cache slot.
+/// The key an adapted model is cached under: its object and the times of
+/// the first and last observation of the range it was adapted over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ModelKey {
+    /// The object.
+    pub object: ObjectId,
+    /// Time of the range's first observation.
+    pub first: Timestamp,
+    /// Time of the range's last observation.
+    pub last: Timestamp,
+}
+
+impl ModelKey {
+    /// The key of `object`'s whole observation history.
+    pub fn whole(object: &UncertainObject) -> Self {
+        ModelKey { object: object.id(), first: object.first_time(), last: object.last_time() }
+    }
+
+    /// The key of the observations that bracket a walk over `window =
+    /// [ts, te]`: `observations[a..=b]`, where `a` is the last observation at
+    /// or before `max(ts, θ₀)` and `b` the first at or after `min(te, θₙ)`.
+    /// The walk reads the a-posteriori marginal at `max(ts, θ₀)` and the
+    /// `F(t)` rows up to `min(te, θₙ)`, all inside `[θ_a, θ_b]`. A window
+    /// outside the lifetime brackets the nearest observation alone, and the
+    /// unbounded window brackets the whole history.
+    pub fn bracket(object: &UncertainObject, window: &RangeInclusive<Timestamp>) -> Self {
+        let observations = object.observations();
+        let lo = (*window.start()).max(object.first_time());
+        let hi = (*window.end()).min(object.last_time());
+        let a = observations.partition_point(|o| o.time <= lo) - 1;
+        let b = observations.partition_point(|o| o.time < hi).max(a);
+        ModelKey { object: object.id(), first: observations[a].time, last: observations[b].time }
+    }
+
+    /// The key of `model`, adapted for `object`: its covered interval.
+    pub fn of(object: ObjectId, model: &AdaptedModel) -> Self {
+        ModelKey { object, first: model.start(), last: model.end() }
+    }
+
+    /// The observations of `object` this key's model is adapted over.
+    pub fn observations<'o>(&self, object: &'o UncertainObject) -> &'o [Observation] {
+        let observations = object.observations();
+        let from = observations.partition_point(|o| o.time < self.first);
+        let to = observations.partition_point(|o| o.time <= self.last);
+        &observations[from..to]
+    }
+}
+
+/// State of one per-key cache slot.
 enum Slot {
     /// A thread has claimed the slot and is running the adaptation; waiters
     /// block on the shard's condition variable until it completes.
@@ -49,16 +107,16 @@ enum Slot {
     Failed(QueryError),
 }
 
-/// One shard: a map of object slots plus the condition variable in-flight
+/// One shard: a map of model slots plus the condition variable in-flight
 /// waiters block on.
 #[derive(Default)]
 struct Shard {
-    slots: Mutex<FxHashMap<ObjectId, Slot>>,
+    slots: Mutex<FxHashMap<ModelKey, Slot>>,
     ready: Condvar,
 }
 
 impl Shard {
-    fn lock(&self) -> MutexGuard<'_, FxHashMap<ObjectId, Slot>> {
+    fn lock(&self) -> MutexGuard<'_, FxHashMap<ModelKey, Slot>> {
         // The map's invariants hold even if a panic unwinds mid-update (the
         // claim guard below repairs in-flight slots), so poison is harmless.
         self.slots.lock().unwrap_or_else(|e| e.into_inner())
@@ -70,14 +128,14 @@ impl Shard {
 /// complete.
 struct ClaimGuard<'a> {
     shard: &'a Shard,
-    id: ObjectId,
+    key: ModelKey,
     armed: bool,
 }
 
 impl Drop for ClaimGuard<'_> {
     fn drop(&mut self) {
         if self.armed {
-            self.shard.lock().remove(&self.id);
+            self.shard.lock().remove(&self.key);
             self.shard.ready.notify_all();
         }
     }
@@ -89,10 +147,12 @@ impl Drop for ClaimGuard<'_> {
 pub struct CacheStats {
     /// Lookups answered from an already-adapted model.
     pub hits: u64,
-    /// Adaptations actually executed (each object counts once, no matter how
+    /// Adaptations actually executed (each key counts once, no matter how
     /// many threads raced on it).
     pub cold_adaptations: u64,
-    /// Models currently cached.
+    /// Models currently cached, one per [`ModelKey`]: per object its
+    /// whole-history model and the brackets queries adapted, at most one
+    /// model per range of its observations.
     pub cached_models: usize,
     /// Cached *failure* slots. Errors are cached like successes (they are
     /// deterministic for an immutable database) and are excluded from
@@ -101,11 +161,12 @@ pub struct CacheStats {
     pub cached_failures: usize,
 }
 
-/// A sharded, stampede-free cache of adapted (a-posteriori) models.
+/// A sharded, stampede-free cache of adapted (a-posteriori) models, keyed by
+/// [`ModelKey`].
 ///
-/// Concurrent misses on the same object id are serialised through a per-slot
+/// Concurrent misses on the same key are serialised through a per-slot
 /// claim: the first thread adapts, everyone else blocks on the result. Misses
-/// on *different* objects proceed in parallel (different slots, and usually
+/// on *different* keys proceed in parallel (different slots, and usually
 /// different shards).
 pub struct AdaptationCache {
     shards: Vec<Shard>,
@@ -138,16 +199,16 @@ impl AdaptationCache {
         }
     }
 
-    fn shard_for(&self, id: ObjectId) -> &Shard {
+    fn shard_for(&self, key: ModelKey) -> &Shard {
         let mut hasher = rustc_hash::FxHasher::default();
-        id.hash(&mut hasher);
+        key.hash(&mut hasher);
         &self.shards[(hasher.finish() as usize) & (NUM_SHARDS - 1)]
     }
 
     /// Non-blocking lookup: the model if it is already adapted, `None` if the
     /// slot is empty, in flight, or failed.
-    pub fn peek(&self, id: ObjectId) -> Option<std::sync::Arc<AdaptedModel>> {
-        match self.shard_for(id).lock().get(&id) {
+    pub fn peek(&self, key: ModelKey) -> Option<std::sync::Arc<AdaptedModel>> {
+        match self.shard_for(key).lock().get(&key) {
             Some(Slot::Ready(m)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(m.clone())
@@ -156,19 +217,19 @@ impl AdaptationCache {
         }
     }
 
-    /// Returns the cached model of `id`, running `adapt` to produce it if no
+    /// Returns the cached model of `key`, running `adapt` to produce it if no
     /// thread has yet. The boolean is `true` iff *this* call executed the
     /// adaptation (a "cold" miss); callers that lose the race to another
     /// thread block until that thread finishes and get `false`.
     pub fn get_or_adapt(
         &self,
-        id: ObjectId,
+        key: ModelKey,
         adapt: impl FnOnce() -> Result<AdaptedModel, QueryError>,
     ) -> Result<(std::sync::Arc<AdaptedModel>, bool), QueryError> {
-        let shard = self.shard_for(id);
+        let shard = self.shard_for(key);
         let mut slots = shard.lock();
         loop {
-            match slots.get(&id) {
+            match slots.get(&key) {
                 Some(Slot::Ready(m)) => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return Ok((m.clone(), false));
@@ -180,11 +241,11 @@ impl AdaptationCache {
                 None => break,
             }
         }
-        // Claim the slot, then adapt *outside* the lock so other objects of
-        // the same shard are not serialised behind this adaptation.
-        slots.insert(id, Slot::InFlight);
+        // Claim the slot, then adapt *outside* the lock so other keys of the
+        // same shard are not serialised behind this adaptation.
+        slots.insert(key, Slot::InFlight);
         drop(slots);
-        let mut guard = ClaimGuard { shard, id, armed: true };
+        let mut guard = ClaimGuard { shard, key, armed: true };
         let result = adapt();
         guard.armed = false;
         let mut slots = shard.lock();
@@ -192,7 +253,7 @@ impl AdaptationCache {
             Ok(model) => {
                 self.cold.fetch_add(1, Ordering::Relaxed);
                 let model = std::sync::Arc::new(model);
-                slots.insert(id, Slot::Ready(model.clone()));
+                slots.insert(key, Slot::Ready(model.clone()));
                 Ok((model, true))
             }
             Err(error) if error.is_transient() => {
@@ -200,11 +261,11 @@ impl AdaptationCache {
                 // token, not to the (immutable) data: caching one would
                 // poison every later query with a healthier budget. Release
                 // the claim instead, like the panic guard does.
-                slots.remove(&id);
+                slots.remove(&key);
                 Err(error)
             }
             Err(error) => {
-                slots.insert(id, Slot::Failed(error.clone()));
+                slots.insert(key, Slot::Failed(error.clone()));
                 Err(error)
             }
         };
@@ -213,28 +274,29 @@ impl AdaptationCache {
         out
     }
 
-    /// All successfully adapted models currently cached, sorted by object id.
-    /// This is the persistence hand-off: the pairs go straight into the
-    /// MODELS section of an on-disk store, and the sort makes the listing
-    /// deterministic across the sharded hash maps.
-    pub fn snapshot_models(&self) -> Vec<(ObjectId, std::sync::Arc<AdaptedModel>)> {
-        let mut out: Vec<(ObjectId, std::sync::Arc<AdaptedModel>)> = Vec::new();
+    /// All successfully adapted models currently cached, sorted by key. The
+    /// persistence hand-off picks the whole-history ones for the MODELS
+    /// section of an on-disk store; the sort makes the listing deterministic
+    /// across the sharded hash maps.
+    pub fn snapshot_models(&self) -> Vec<(ModelKey, std::sync::Arc<AdaptedModel>)> {
+        let mut out: Vec<(ModelKey, std::sync::Arc<AdaptedModel>)> = Vec::new();
         for shard in &self.shards {
-            for (&id, slot) in shard.lock().iter() {
+            for (&key, slot) in shard.lock().iter() {
                 if let Slot::Ready(model) = slot {
-                    out.push((id, model.clone()));
+                    out.push((key, model.clone()));
                 }
             }
         }
-        out.sort_unstable_by_key(|&(id, _)| id);
+        out.sort_unstable_by_key(|&(key, _)| key);
         out
     }
 
     /// Seeds the cache with already-adapted models (the load half of the
-    /// persistence hand-off). Preloaded slots behave exactly like slots this
+    /// persistence hand-off), each keyed by its own covered interval
+    /// ([`ModelKey::of`]). Preloaded slots behave exactly like slots this
     /// cache adapted itself — later lookups are warm hits — but preloading
     /// bumps neither the hit nor the cold-adaptation counters: the stats keep
-    /// describing work done *through* this cache. An id that is already
+    /// describing work done *through* this cache. A key that is already
     /// resident (any slot state) is left untouched; the exactly-once claim
     /// discipline owns it.
     pub fn preload(
@@ -242,9 +304,8 @@ impl AdaptationCache {
         models: impl IntoIterator<Item = (ObjectId, std::sync::Arc<AdaptedModel>)>,
     ) {
         for (id, model) in models {
-            let shard = self.shard_for(id);
-            let mut slots = shard.lock();
-            slots.entry(id).or_insert(Slot::Ready(model));
+            let key = ModelKey::of(id, &model);
+            self.shard_for(key).lock().entry(key).or_insert(Slot::Ready(model));
         }
     }
 
@@ -304,28 +365,28 @@ pub fn resolve_adaptation_threads(configured: usize) -> usize {
     ust_index::par::resolve_threads(configured)
 }
 
-/// Adapts a batch of (cold) object ids through the cache, fanning the work out
+/// Adapts a batch of (cold) keys through the cache, fanning the work out
 /// across at most `threads` scoped workers via [`parallel_map_ordered`].
 ///
 /// Every worker polls the query's [`BudgetGauge`] *before* each adaptation.
-/// One adaptation is a coarse unit of work (a full forward–backward run), so
-/// the per-item poll is both cheap and the natural deterministic checkpoint
-/// granularity of this phase. The poll happens outside
-/// [`AdaptationCache::get_or_adapt`], so a breach can never be mistaken for
-/// a per-object failure and cached.
+/// One adaptation is a coarse unit of work (a full forward–backward run over
+/// the key's range), so the per-item poll is both cheap and the natural
+/// deterministic checkpoint granularity of this phase. The poll happens
+/// outside [`AdaptationCache::get_or_adapt`], so a breach can never be
+/// mistaken for a per-key failure and cached.
 pub fn adapt_batch_governed<F>(
     cache: &AdaptationCache,
-    ids: &[ObjectId],
+    keys: &[ModelKey],
     threads: usize,
     adapt: F,
     gauge: &BudgetGauge,
 ) -> Vec<Result<(std::sync::Arc<AdaptedModel>, bool), QueryError>>
 where
-    F: Fn(ObjectId) -> Result<AdaptedModel, QueryError> + Sync,
+    F: Fn(ModelKey) -> Result<AdaptedModel, QueryError> + Sync,
 {
-    parallel_map_ordered(ids, threads, |&id| {
+    parallel_map_ordered(keys, threads, |&key| {
         gauge.check(QueryPhase::Adaptation)?;
-        cache.get_or_adapt(id, || adapt(id))
+        cache.get_or_adapt(key, || adapt(key))
     })
 }
 
@@ -336,11 +397,14 @@ where
 pub struct PrepareOutcome {
     /// The adapted models, in the requested object order.
     pub models: AdaptedModels,
-    /// Objects answered from the cache (no adaptation work done).
+    /// Objects answered from the cache (no adaptation work done): by their
+    /// whole-history model or by a model of the requested bracket.
     pub cache_hits: usize,
-    /// Objects whose forward–backward adaptation actually ran during this
-    /// call. Under concurrency, objects adapted by *another* thread while this
-    /// call waited count as hits, not cold adaptations.
+    /// Ranges whose forward–backward adaptation actually ran during this
+    /// call, one per cold object: its bracket for a query, its whole history
+    /// for [`prepare_objects`](crate::QueryEngine::prepare_objects). Under
+    /// concurrency, ranges adapted by *another* thread while this call
+    /// waited count as hits, not cold adaptations.
     pub cold_adaptations: usize,
     /// Wall-clock time of the cold fan-out only. Warm lookups cost hash-map
     /// reads, not TS work, and are excluded — `Duration::ZERO` on a fully
@@ -372,16 +436,44 @@ mod tests {
             .map_err(|error| QueryError::Adaptation { object: 0, error })
     }
 
+    /// The key of object `id`'s toy model.
+    fn key(id: ObjectId) -> ModelKey {
+        ModelKey { object: id, first: 0, last: 2 }
+    }
+
+    #[test]
+    fn brackets_are_the_observations_around_the_window() {
+        let object = UncertainObject::from_pairs(4, [(2, 0), (5, 1), (9, 0), (12, 1)]).unwrap();
+        let whole = ModelKey::whole(&object);
+        assert_eq!(whole, ModelKey { object: 4, first: 2, last: 12 });
+        for (window, (first, last)) in [
+            (0..=1, (2, 2)),
+            (0..=3, (2, 5)),
+            (3..=4, (2, 5)),
+            (5..=9, (5, 9)),
+            (6..=10, (5, 12)),
+            (12..=12, (12, 12)),
+            (13..=20, (12, 12)),
+            (0..=20, (2, 12)),
+            (Timestamp::MIN..=Timestamp::MAX, (2, 12)),
+        ] {
+            let key = ModelKey::bracket(&object, &window);
+            assert_eq!((key.object, key.first, key.last), (4, first, last), "{window:?}");
+            let times: Vec<Timestamp> = key.observations(&object).iter().map(|o| o.time).collect();
+            assert_eq!((times.first(), times.last()), (Some(&first), Some(&last)), "{window:?}");
+        }
+    }
+
     #[test]
     fn hit_after_miss_and_stats() {
         let cache = AdaptationCache::new();
         assert!(cache.is_empty());
-        let (_, cold) = cache.get_or_adapt(7, toy_adapt).unwrap();
+        let (_, cold) = cache.get_or_adapt(key(7), toy_adapt).unwrap();
         assert!(cold);
-        let (_, cold) = cache.get_or_adapt(7, || panic!("must not re-adapt")).unwrap();
+        let (_, cold) = cache.get_or_adapt(key(7), || panic!("must not re-adapt")).unwrap();
         assert!(!cold);
-        assert!(cache.peek(7).is_some());
-        assert!(cache.peek(8).is_none());
+        assert!(cache.peek(key(7)).is_some());
+        assert!(cache.peek(key(8)).is_none());
         let stats = cache.stats();
         assert_eq!(stats.cold_adaptations, 1);
         assert_eq!(stats.hits, 2, "one get_or_adapt hit plus one peek hit");
@@ -399,14 +491,14 @@ mod tests {
             calls.fetch_add(1, Ordering::SeqCst);
             Err(err.clone())
         };
-        assert_eq!(cache.get_or_adapt(3, attempt).unwrap_err(), err);
-        assert_eq!(cache.get_or_adapt(3, attempt).unwrap_err(), err);
+        assert_eq!(cache.get_or_adapt(key(3), attempt).unwrap_err(), err);
+        assert_eq!(cache.get_or_adapt(key(3), attempt).unwrap_err(), err);
         assert_eq!(calls.load(Ordering::SeqCst), 1, "the failure is cached");
         assert_eq!(cache.len(), 0, "failed slots are not counted as models");
         assert_eq!(cache.stats().cached_failures, 1, "but they are observable");
         cache.clear();
         assert_eq!(cache.stats().cached_failures, 0);
-        assert_eq!(cache.get_or_adapt(3, attempt).unwrap_err(), err);
+        assert_eq!(cache.get_or_adapt(key(3), attempt).unwrap_err(), err);
         assert_eq!(calls.load(Ordering::SeqCst), 2, "clear() also drops failures");
     }
 
@@ -421,7 +513,7 @@ mod tests {
                 scope.spawn(|| {
                     barrier.wait();
                     let (model, _) = cache
-                        .get_or_adapt(42, || {
+                        .get_or_adapt(key(42), || {
                             executions.fetch_add(1, Ordering::SeqCst);
                             toy_adapt()
                         })
@@ -439,11 +531,11 @@ mod tests {
     fn panicking_adaptation_releases_the_claim() {
         let cache = AdaptationCache::new();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = cache.get_or_adapt(5, || panic!("boom"));
+            let _ = cache.get_or_adapt(key(5), || panic!("boom"));
         }));
         assert!(caught.is_err());
         // The slot must be claimable again, not wedged in flight.
-        let (_, cold) = cache.get_or_adapt(5, toy_adapt).unwrap();
+        let (_, cold) = cache.get_or_adapt(key(5), toy_adapt).unwrap();
         assert!(cold);
     }
 
@@ -451,12 +543,12 @@ mod tests {
     fn adapt_batch_is_ordered_and_exactly_once_per_id() {
         let cache = AdaptationCache::new();
         let executions = AtomicUsize::new(0);
-        let ids: Vec<ObjectId> = (0..64).collect();
+        let keys: Vec<ModelKey> = (0..64).map(key).collect();
         let gauge = crate::govern::QueryBudget::unlimited().start();
         for threads in [1usize, 4] {
             let results = adapt_batch_governed(
                 &cache,
-                &ids,
+                &keys,
                 threads,
                 |_| {
                     executions.fetch_add(1, Ordering::SeqCst);
@@ -464,7 +556,7 @@ mod tests {
                 },
                 &gauge,
             );
-            assert_eq!(results.len(), ids.len());
+            assert_eq!(results.len(), keys.len());
             for r in &results {
                 assert!(r.is_ok());
             }
@@ -480,25 +572,25 @@ mod tests {
             stats: Box::default(),
         };
         assert!(budget_err.is_transient());
-        let err = cache.get_or_adapt(9, || Err(budget_err.clone())).unwrap_err();
+        let err = cache.get_or_adapt(key(9), || Err(budget_err.clone())).unwrap_err();
         assert_eq!(err, budget_err);
         assert_eq!(cache.stats().cached_failures, 0, "budget errors must not poison the cache");
         // The slot is claimable again and a healthy retry succeeds.
-        let (_, cold) = cache.get_or_adapt(9, toy_adapt).unwrap();
+        let (_, cold) = cache.get_or_adapt(key(9), toy_adapt).unwrap();
         assert!(cold);
     }
 
     #[test]
     fn governed_batch_cancels_deterministically_and_caches_nothing() {
         use crate::govern::{CancelToken, QueryBudget};
-        let ids: Vec<ObjectId> = (0..32).collect();
+        let keys: Vec<ModelKey> = (0..32).map(key).collect();
         for threads in [1usize, 2, 4] {
             let cache = AdaptationCache::new();
             let token = CancelToken::new();
             token.cancel();
             let gauge = QueryBudget::unlimited().with_cancel(&token).start();
-            let results = adapt_batch_governed(&cache, &ids, threads, |_| toy_adapt(), &gauge);
-            assert_eq!(results.len(), ids.len());
+            let results = adapt_batch_governed(&cache, &keys, threads, |_| toy_adapt(), &gauge);
+            assert_eq!(results.len(), keys.len());
             for r in results {
                 assert!(matches!(
                     r.unwrap_err(),

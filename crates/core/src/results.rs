@@ -22,18 +22,23 @@ pub struct QueryStats {
     pub candidates: usize,
     /// Number of influence objects after pruning (`|I(q)|`).
     pub influencers: usize,
-    /// Wall-clock time spent adapting transition matrices (the "TS" phase).
-    /// Only *cold* work counts: influence objects answered from the model
-    /// cache cost a lookup, not TS work, so a repeated query reports
-    /// `Duration::ZERO` here instead of silently inflating the TS column.
-    /// Time spent blocking on adaptations a *concurrent* query claimed first
-    /// is included (this query waited that long for its TS phase) even
-    /// though the work counts toward the other query's `cold_adaptations`.
+    /// Wall-clock time spent adapting transition matrices (the "TS" phase)
+    /// over the observations that bracket the query window. Only *cold*
+    /// work counts: influence objects answered from the model cache cost a
+    /// lookup, not TS work, so a repeated query reports `Duration::ZERO`
+    /// here instead of silently inflating the TS column. Time spent
+    /// blocking on adaptations a *concurrent* query claimed first is
+    /// included (this query waited that long for its TS phase) even though
+    /// the work counts toward the other query's `cold_adaptations`.
     pub adaptation_time: Duration,
-    /// Influence objects whose adapted model came from the cache.
+    /// Influence objects whose adapted model came from the cache: their
+    /// whole-history model, or a model of the same observation bracket an
+    /// earlier query adapted.
     pub cache_hits: usize,
     /// Influence objects whose forward–backward adaptation actually ran for
-    /// this query (`cache_hits + cold_adaptations == influencers`).
+    /// this query, one bracket each (`cache_hits + cold_adaptations ==
+    /// influencers`). A model adapted for one window is cold again for a
+    /// window that brackets the object differently.
     pub cold_adaptations: usize,
     /// Wall-clock time spent sampling possible worlds and evaluating them
     /// (the "FA"/"EX"/"SA" phase): the sum of

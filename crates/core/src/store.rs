@@ -8,6 +8,10 @@
 //! one store shares the same tree allocation (no per-engine rebuild or
 //! clone), and its adaptation cache starts pre-warmed with the stored
 //! models — the two expensive start-up phases the store exists to skip.
+//! A store holds whole-history models, one per object: each serves every
+//! query window of its object, while a query adapts only the observations
+//! that bracket its window for an object without one, and
+//! [`QueryEngine::save_store`] leaves those bracket models out.
 //!
 //! ```no_run
 //! use ust_core::{EngineConfig, EngineStore};
@@ -339,8 +343,8 @@ impl EngineStore {
         self.index.current.get()
     }
 
-    /// The decoded adapted models, sorted by object id (minus those dropped
-    /// by appends to their objects).
+    /// The decoded whole-history models, sorted by object id (minus those
+    /// dropped by appends to their objects).
     pub fn models(&self) -> &AdaptedModels {
         &self.models
     }
@@ -372,7 +376,7 @@ impl EngineStore {
     /// caches it for every later mint; a tree-less store builds the whole
     /// tree the same way, exactly like [`QueryEngine::new`]. A panic inside
     /// the refresh propagates and caches nothing. The engine's adaptation
-    /// cache starts pre-warmed with the stored models.
+    /// cache starts pre-warmed with the stored whole-history models.
     pub fn engine(&self, config: EngineConfig) -> QueryEngine<'_> {
         let engine = if config.use_index {
             let tree = self.index.get_or_refresh(&self.database, config.index_build_threads);

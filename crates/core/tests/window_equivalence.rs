@@ -15,16 +15,25 @@
 //!   the exact values of `exact_pnn`, and P∀NN on two-object databases within
 //!   that radius of `domination_probability`;
 //! * answers are identical at every adaptation and PCNN thread count, and
-//!   from run to run.
+//!   from run to run;
+//! * an engine that adapts only the observations bracketing each query
+//!   window answers every query kind bit for bit like one preloaded with
+//!   every whole-history model, repeats hit the cache, a store keeps only
+//!   whole-history models, and only a contradiction inside a query's
+//!   bracket fails the query.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rustc_hash::FxHashMap;
+use std::collections::BTreeSet;
 use std::sync::Arc;
+use std::time::Duration;
 use ust_core::domination::domination_probability;
 use ust_core::exact::exact_pnn;
-use ust_core::{EngineConfig, ObjectId, Query, QueryEngine};
-use ust_markov::{AdaptedModel, CsrMatrix, MarkovModel, StateId, Timestamp};
+use ust_core::{
+    EngineConfig, EngineStore, ModelKey, ObjectId, Query, QueryEngine, QueryError, QueryStats,
+};
+use ust_markov::{AdaptError, AdaptedModel, CsrMatrix, MarkovModel, StateId, Timestamp};
 use ust_sampling::hoeffding::confidence_radius;
 use ust_sampling::{block_seed, WorldBlock, WorldSampler, WORLD_BLOCK_WIDTH};
 use ust_spatial::{Point, StateSpace};
@@ -314,4 +323,161 @@ fn answers_are_identical_at_every_thread_count_and_from_run_to_run() {
     assert_eq!(answers(1), serial, "run to run");
     assert_eq!(answers(2), serial, "2 threads");
     assert_eq!(answers(4), serial, "4 threads");
+}
+
+/// Eight objects on a 24-state ring, observed every three timestamps from
+/// `t = id mod 4` on, four to six times each.
+fn observed_db() -> TrajectoryDatabase {
+    let objects = (1..=8u32)
+        .map(|id| {
+            let (first, state) = (id % 4, id * 5 % 24);
+            (id, (0..4 + id % 3).map(|k| (first + 3 * k, (state + k) % 24)).collect())
+        })
+        .collect();
+    ring_db(24, objects)
+}
+
+/// Query windows over [`observed_db`]: one starting before most lifetimes,
+/// two ending exactly on observations, one ending after every lifetime, one
+/// starting after some lifetimes, and one whose bracket is every object's
+/// whole history.
+fn observed_queries() -> Vec<Query> {
+    [
+        (vec![0, 1, 2, 3, 4], Point::new(0.9, 0.3)),
+        (vec![5, 6, 7, 8], Point::new(-0.2, 1.0)),
+        (vec![6, 9], Point::new(-1.0, -0.1)),
+        ((11..=20).collect(), Point::new(0.3, -0.9)),
+        ((14..=19).collect(), Point::new(0.7, 0.7)),
+        (vec![1, 16], Point::new(1.0, 0.0)),
+    ]
+    .into_iter()
+    .map(|(times, location)| Query::at_point(location, times).expect("valid query"))
+    .collect()
+}
+
+/// The counts of `stats` that are answers: candidates, influencers, worlds.
+fn answer_counts(stats: &QueryStats) -> [u64; 3] {
+    [stats.candidates as u64, stats.influencers as u64, stats.worlds as u64]
+}
+
+/// Every answer of the six query kinds on `query`, as bits: per probability
+/// answer its ids and probability bits, per PCNN answer each object's sets
+/// with their probability bits, and every outcome's answer counts. Also
+/// returns each outcome's stats.
+fn answer_bits(engine: &QueryEngine, query: &Query) -> (Vec<u64>, Vec<QueryStats>) {
+    let (mut bits, mut stats) = (Vec::new(), Vec::new());
+    for k in [1, 2] {
+        let exists = engine.pexists_knn(query, k, 0.05).expect("P∃kNN answers");
+        let forall = engine.pforall_knn(query, k, 0.05).expect("P∀kNN answers");
+        for outcome in [exists, forall] {
+            for r in &outcome.results {
+                bits.extend([u64::from(r.object), r.probability.to_bits()]);
+            }
+            bits.extend(answer_counts(&outcome.stats));
+            stats.push(outcome.stats);
+        }
+        let pcnn = engine.pcknn(query, k, 0.1).expect("PCkNN answers");
+        for r in &pcnn.results {
+            bits.push(u64::from(r.object));
+            for (times, p) in &r.sets {
+                bits.extend(times.iter().map(|&t| u64::from(t)));
+                bits.push(p.to_bits());
+            }
+        }
+        bits.push(pcnn.candidate_sets_evaluated as u64);
+        bits.extend(answer_counts(&pcnn.stats));
+        stats.push(pcnn.stats);
+    }
+    (bits, stats)
+}
+
+#[test]
+fn bracket_models_answer_exactly_like_whole_history_models() {
+    let db = observed_db();
+    let config = EngineConfig { num_samples: 256, seed: 13, ..Default::default() };
+    let cold = QueryEngine::new(&db, config.clone());
+    let warm = QueryEngine::new(&db, config);
+    warm.prepare_all().expect("every object adapts");
+    let mut shorter = 0;
+    for query in observed_queries() {
+        let window = query.start()..=query.end();
+        let influencers = cold.filter_knn(&query, 2).expect("filter").1;
+        shorter += influencers
+            .iter()
+            .map(|&id| db.object(id).expect("known id"))
+            .filter(|o| ModelKey::bracket(o, &window) != ModelKey::whole(o))
+            .count();
+        let (cold_bits, cold_stats) = answer_bits(&cold, &query);
+        let (warm_bits, warm_stats) = answer_bits(&warm, &query);
+        assert_eq!(cold_bits, warm_bits, "window {window:?}");
+        assert!(warm_stats.iter().all(|s| s.cold_adaptations == 0 && s.cache_hits == s.influencers));
+        assert!(cold_stats.iter().all(|s| s.cache_hits + s.cold_adaptations == s.influencers));
+    }
+    assert!(shorter > 0, "some bracket is strictly shorter than its object's history");
+    assert_eq!(warm.cache_stats().cold_adaptations, db.len() as u64, "warm adapted nothing more");
+}
+
+#[test]
+fn repeated_queries_hit_and_a_store_keeps_only_whole_histories() {
+    let db = observed_db();
+    let engine = QueryEngine::new(&db, EngineConfig { num_samples: 64, ..Default::default() });
+    let mut whole: BTreeSet<ObjectId> = BTreeSet::new();
+    for query in observed_queries() {
+        let first = engine.pforall_nn(&query, 0.0).expect("query answers");
+        assert_eq!(first.stats.cache_hits + first.stats.cold_adaptations, first.stats.influencers);
+        let again = engine.pforall_nn(&query, 0.0).expect("query answers");
+        assert_eq!(again.stats.cold_adaptations, 0);
+        assert_eq!(again.stats.cache_hits, again.stats.influencers);
+        assert_eq!(again.stats.adaptation_time, Duration::ZERO);
+        let window = query.start()..=query.end();
+        for id in engine.filter_knn(&query, 1).expect("filter").1 {
+            let object = db.object(id).expect("known id");
+            if ModelKey::bracket(object, &window) == ModelKey::whole(object) {
+                whole.insert(id);
+            }
+        }
+    }
+    let path = std::env::temp_dir()
+        .join(format!("ust_window_equivalence_{}.ustore", std::process::id()));
+    engine.save_store(&path).expect("save succeeds");
+    let store = EngineStore::load(&path).expect("load succeeds");
+    let _ = std::fs::remove_file(&path);
+    let stored: BTreeSet<ObjectId> = store.models().iter().map(|(id, _)| *id).collect();
+    assert_eq!(stored, whole, "the store holds exactly the whole-history models");
+    for (id, model) in store.models() {
+        let object = db.object(*id).expect("known id");
+        assert_eq!((model.start(), model.end()), (object.first_time(), object.last_time()));
+    }
+    assert!(!whole.is_empty() && engine.cached_models() > whole.len(), "brackets stay unstored");
+}
+
+#[test]
+fn only_a_contradiction_inside_the_bracket_fails_a_query() {
+    // Object 1 cannot step from state 3 at t = 8 to state 9 at t = 9. The
+    // filter runs without the index, which builds no diamond for that
+    // segment, so object 1 influences every window it overlaps.
+    let db = ring_db(12, vec![(1, vec![(0, 0), (4, 2), (8, 3), (9, 9)]), (2, vec![(0, 6), (9, 7)])]);
+    let engine = QueryEngine::new(
+        &db,
+        EngineConfig { num_samples: 64, use_index: false, ..Default::default() },
+    );
+    let contradiction = QueryError::Adaptation {
+        object: 1,
+        error: AdaptError::ContradictoryObservations { time: 9 },
+    };
+    assert_eq!(engine.adapted_model(1).unwrap_err(), contradiction);
+    assert_eq!(engine.prepare_objects(&[2, 1]).unwrap_err(), contradiction);
+    let query = |times: Vec<Timestamp>| Query::at_point(Point::new(1.0, 0.0), times).unwrap();
+    // Brackets 0..=4, 4..=8, 4..=8 and the lone observation at t = 9.
+    for times in [vec![1, 2, 3], vec![5, 8], vec![7, 8], vec![9]] {
+        let outcome = engine.pforall_nn(&query(times.clone()), 0.0);
+        let outcome = outcome.unwrap_or_else(|e| panic!("T = {times:?}: {e:?}"));
+        assert_eq!(outcome.stats.influencers, 2, "T = {times:?}");
+    }
+    // Brackets 8..=9 and 4..=9 hold the contradiction.
+    for times in [vec![8, 9], vec![5, 9]] {
+        let err = engine.pexists_nn(&query(times.clone()), 0.0).unwrap_err();
+        assert_eq!(err, contradiction, "T = {times:?}");
+    }
+    assert_eq!(engine.adapted_model(1).unwrap_err(), contradiction);
 }

@@ -86,7 +86,7 @@ enum Pc {
     Dead,
 }
 
-/// The shared per-object slot, as other threads can observe it.
+/// The shared per-key slot, as other threads can observe it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotState {
     Empty,

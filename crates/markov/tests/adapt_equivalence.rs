@@ -10,6 +10,14 @@
 //! adjacent observations and random gaps, the two must agree bit for bit:
 //! every forward and posterior marginal, every `F(t)` row, the alias kernel
 //! (`==`), and every error with its time.
+//!
+//! The same chains also pin the split at observations that lets a query
+//! adapt only the observations bracketing its window: for every contiguous
+//! range `a..=b` of an observation set, `adapt(&obs[a..=b])` equals the
+//! whole-history model on `[θ_a, θ_b]` bit for bit (posterior marginals
+//! with their `total_mass`, `F(t)` rows, alias-table measures). A range
+//! holding the set's contradiction fails with the same error and time; a
+//! range beside it adapts.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -300,6 +308,19 @@ fn observations(model: &MarkovModel, shape: Shape, rng: &mut StdRng) -> Vec<(Tim
     obs
 }
 
+/// The chain and observation set of one seeded case.
+fn generate(
+    seed: u64,
+    n: usize,
+    shape: Shape,
+    time_varying: bool,
+) -> (MarkovModel, Vec<(Timestamp, StateId)>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let model = random_model(n, 5, time_varying, &mut rng);
+    let obs = observations(&model, shape, &mut rng);
+    (model, obs)
+}
+
 /// One seeded case: its chain, observation set and variant.
 fn case(
     seed: u64,
@@ -308,10 +329,117 @@ fn case(
     time_varying: bool,
     uniform: bool,
 ) -> Result<bool, TestCaseError> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let model = random_model(n, 5, time_varying, &mut rng);
-    let obs = observations(&model, shape, &mut rng);
+    let (model, obs) = generate(seed, n, shape, time_varying);
     check(&model, &obs, uniform)
+}
+
+// ---------------------------------------------------------------------------
+// Observation ranges: the a-posteriori chain splits at observations
+// ---------------------------------------------------------------------------
+
+/// Asserts that `part`, adapted over a range of the observations `whole` was
+/// adapted over, equals `whole` on the range's interval bit for bit: every
+/// posterior marginal with its `total_mass`, every `F(t)` row, and the
+/// alias table's measure of every slot. Successor links are left out:
+/// `part`'s last step links nowhere, and a window walk never follows the
+/// link of its last draw.
+fn assert_restriction(part: &AdaptedModel, whole: &AdaptedModel) -> Result<(), TestCaseError> {
+    for t in part.start()..=part.end() {
+        let (p, w) = (part.posterior_at(t).unwrap(), whole.posterior_at(t).unwrap());
+        prop_assert!(bits(p.iter()) == bits(w.iter()), "posterior at {t}: {p:?} vs {w:?}");
+        prop_assert!(p.total_mass().to_bits() == w.total_mass().to_bits(), "mass at {t}");
+    }
+    let (part_kernel, whole_kernel) = (part.alias_kernel(), whole.alias_kernel());
+    for t in part.start()..part.end() {
+        let rows = |m: &AdaptedModel| -> Vec<(StateId, Bits)> {
+            m.transition_table(t).unwrap().map(|(s, row)| (s, bits(row.iter()))).collect()
+        };
+        let (got, want) = (rows(part), rows(whole));
+        prop_assert!(got == want, "F({t}) rows differ:\n{got:?}\n{want:?}");
+        let steps = ((t - part.start()) as usize, (t - whole.start()) as usize);
+        for (source, row) in &got {
+            for &(target, _) in row {
+                let measures = (
+                    part_kernel.table_probability(steps.0, *source, target),
+                    whole_kernel.table_probability(steps.1, *source, target),
+                );
+                prop_assert!(
+                    measures.0.to_bits() == measures.1.to_bits(),
+                    "alias table of {source} → {target} at {t}: {measures:?}"
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// How the ranges of one observation set compared.
+#[derive(Debug, Default, Clone, Copy)]
+struct Ranges {
+    /// Ranges that adapted and equal their whole-history model.
+    equal: usize,
+    /// Ranges that failed with the whole set's contradiction.
+    failed: usize,
+}
+
+/// Adapts every contiguous range `a..=b` of `obs` and checks it against the
+/// whole set. If the whole set adapts, every range equals it on
+/// `[θ_a, θ_b]`. If it contradicts the chain at the observation `θ_i`, every
+/// range from before `θ_i` to `θ_i` or later fails with the same error, the
+/// prefix before `θ_i` adapts, and the ranges of `obs[..i]` and `obs[i..]`
+/// are checked against those two sets in turn. Sets the adaptation rejects
+/// outright (unsorted, out of range) have no ranges to check.
+fn check_ranges<M: TransitionModel>(
+    model: &M,
+    obs: &[(Timestamp, StateId)],
+    adaptation: ModelAdaptation,
+) -> Result<Ranges, TestCaseError> {
+    let n = obs.len();
+    let mut ranges = Ranges::default();
+    match adaptation.adapt(model, obs) {
+        Ok(whole) => {
+            for a in 0..n {
+                for b in a..n {
+                    match adaptation.adapt(model, &obs[a..=b]) {
+                        Ok(part) => assert_restriction(&part, &whole)?,
+                        Err(e) => prop_assert!(false, "range {a}..={b} fails: {e:?}"),
+                    }
+                    ranges.equal += 1;
+                }
+            }
+        }
+        Err(error @ AdaptError::ContradictoryObservations { time }) => {
+            let i = obs.partition_point(|&(t, _)| t < time);
+            prop_assert!(i > 0 && i < n && obs[i].0 == time, "{error:?} is not at an observation");
+            for a in 0..i {
+                for b in i..n {
+                    let got = adaptation.adapt(model, &obs[a..=b]).map(|_| ()).unwrap_err();
+                    prop_assert!(got == error, "range {a}..={b}: {got:?} vs {error:?}");
+                    ranges.failed += 1;
+                }
+            }
+            prop_assert!(adaptation.adapt(model, &obs[..i]).is_ok(), "the prefix before {time}");
+            for side in [&obs[..i], &obs[i..]] {
+                let inner = check_ranges(model, side, adaptation)?;
+                ranges.equal += inner.equal;
+                ranges.failed += inner.failed;
+            }
+        }
+        Err(_) => {}
+    }
+    Ok(ranges)
+}
+
+/// One seeded case of the range check.
+fn range_case(
+    seed: u64,
+    n: usize,
+    shape: Shape,
+    time_varying: bool,
+    uniform: bool,
+) -> Result<Ranges, TestCaseError> {
+    let (model, obs) = generate(seed, n, shape, time_varying);
+    check_ranges(&model, &obs, ModelAdaptation { uniform_transitions: uniform })
 }
 
 proptest! {
@@ -326,6 +454,43 @@ proptest! {
         uniform in 0u8..2,
     ) {
         case(seed, n, SHAPES[shape], time_varying == 1, uniform == 1)?;
+    }
+
+    #[test]
+    fn every_observation_range_adapts_like_the_whole_history_bit_for_bit(
+        seed in 0u64..u64::MAX,
+        n in 2usize..40,
+        shape in 0usize..SHAPES.len(),
+        time_varying in 0u8..2,
+        uniform in 0u8..2,
+    ) {
+        range_case(seed, n, SHAPES[shape], time_varying == 1, uniform == 1)?;
+    }
+}
+
+#[test]
+fn range_checks_cover_single_observations_and_both_sides_of_a_contradiction() {
+    // Over a fixed seed range: walks check every range, single observations
+    // included, and perturbed walks meet contradictions with ranges both
+    // across them (failing) and beside them (adapting).
+    for (index, &shape) in SHAPES.iter().enumerate() {
+        let (mut total, mut split) = (Ranges::default(), 0);
+        for seed in 0..48u64 {
+            let (time_varying, uniform) = (seed % 2 == 1, seed % 4 >= 2);
+            let ranges = range_case(seed * 11 + index as u64, 12, shape, time_varying, uniform)
+                .unwrap_or_else(|e| panic!("{shape:?}, seed {seed}: {e:?}"));
+            total.equal += ranges.equal;
+            total.failed += ranges.failed;
+            split += usize::from(ranges.equal > 0 && ranges.failed > 0);
+        }
+        match shape {
+            Shape::Single => assert_eq!((total.equal, total.failed), (48, 0)),
+            Shape::Adjacent | Shape::Gapped => {
+                assert!(total.equal >= 48 * 3 && total.failed == 0, "{shape:?}: {total:?}")
+            }
+            Shape::Perturbed => assert!(split > 0, "{shape:?}: {total:?}, {split} split sets"),
+            Shape::Unsorted | Shape::OutOfRange => {}
+        }
     }
 }
 

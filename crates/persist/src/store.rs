@@ -26,8 +26,8 @@ pub struct StoreContents<'a> {
     pub database: &'a TrajectoryDatabase,
     /// The built UST-tree, if one should be persisted.
     pub index: Option<&'a UstTree>,
-    /// Adapted models to persist, typically from
-    /// `AdaptationCache::snapshot_models` — `(object id, model)` pairs.
+    /// Adapted models to persist, `(object id, model)` pairs: typically the
+    /// whole-history models of `AdaptationCache::snapshot_models`.
     pub models: &'a [(ObjectId, Arc<AdaptedModel>)],
 }
 
