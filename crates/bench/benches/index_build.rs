@@ -60,7 +60,7 @@ fn index_digest(tree: &UstTree) -> u64 {
         d = fnv_fold(d, u64::from(diamond.object));
         d = fnv_fold(d, u64::from(diamond.t_start));
         d = fnv_fold(d, u64::from(diamond.t_end));
-        for r in std::iter::once(&diamond.mbr).chain(diamond.per_time.iter().flatten()) {
+        for r in std::iter::once(&diamond.mbr).chain(&diamond.per_time) {
             for v in r.min.iter().chain(r.max.iter()) {
                 d = fnv_fold(d, v.to_bits());
             }

@@ -6,7 +6,8 @@
 //! threads (`TSp`, `--threads N`, `0` = available parallelism) — of the
 //! P∀NNQ sampling (FA) and of the P∃NNQ sampling (EX), plus the candidate and
 //! influence set sizes |C(q)| and |I(q)| and the per-query cold adaptation
-//! count. The `TS1/TSp` ratio is the measured TS-phase speedup.
+//! count. Both TS columns time the same work, a cold P∀NNQ's adaptations, so
+//! the `TS1/TSp` ratio is the measured TS-phase speedup.
 //!
 //! `--store <base>` additionally exercises the on-disk store round trip at
 //! every sweep point: the engine state is saved to `<base>-n<N>.ustore`, a
@@ -14,7 +15,7 @@
 //! match the fresh engine's; store size and load time land in the meta.
 
 use ust_bench::datasets::{build_queries, build_synthetic, ScaleParams};
-use ust_bench::efficiency::{measure_efficiency, measure_ts_phase};
+use ust_bench::efficiency::measure_efficiency;
 use ust_bench::errors::exit_failure;
 use ust_bench::storecheck::store_roundtrip_check;
 use ust_bench::{ExperimentReport, Row, RunScale, RunSettings};
@@ -50,8 +51,9 @@ fn main() {
         let dataset = build_synthetic(&params, n, params.branching, params.num_objects, settings.seed);
         let queries = build_queries(&dataset, &params, settings.seed);
         // One UST-tree build serves both measurements: the serial TS
-        // baseline first — a one-thread engine over the shared index, no
-        // Monte-Carlo refinement and no budget — then the full parallel
+        // baseline first — the same cold queries on a one-thread engine over
+        // the shared index, with one world per query (TS does not depend on
+        // the world count) and no budget — then the full parallel
         // measurement under the `--deadline-ms` budget. The store check
         // replays with `config`, which carries no budget either.
         let config = EngineConfig {
@@ -71,10 +73,10 @@ fn main() {
         let serial = QueryEngine::with_index(
             &dataset.database,
             engine.shared_index().expect("filter step enabled"),
-            EngineConfig { adaptation_threads: 1, ..config.clone() },
+            EngineConfig { adaptation_threads: 1, num_samples: 1, ..config.clone() },
         );
-        let ts_serial = match measure_ts_phase(&serial, &queries) {
-            Ok(ts) => ts,
+        let ts_serial = match measure_efficiency(&serial, &queries) {
+            Ok(outcome) => outcome.ts_seconds,
             Err(error) => exit_failure("fig06_vary_states", "serial TS baseline", &error),
         };
         let m = match measure_efficiency(&engine, &queries) {

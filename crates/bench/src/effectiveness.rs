@@ -207,6 +207,7 @@ mod tests {
     use super::*;
     use crate::args::RunScale;
     use crate::datasets::{build_queries, build_synthetic, ScaleParams};
+    use crate::efficiency::{fnv_fold, FNV_OFFSET};
 
     fn tiny_dataset() -> (Dataset, ScaleParams) {
         let mut params = ScaleParams::for_scale(RunScale::Quick);
@@ -248,6 +249,24 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Pins every Figure 12 cell, all five columns, bit for bit: an FNV
+    /// fold of the row count and each cell's `to_bits`, taken before the
+    /// forward marginals left the adapted model.
+    #[test]
+    fn model_error_cells_are_pinned() {
+        const DIGEST: u64 = 0x8c9a_4052_b255_acd7;
+        let (ds, _) = tiny_dataset();
+        let rows = measure_model_error(&ds, ds.database.len(), 1);
+        let mut digest = fnv_fold(FNV_OFFSET, rows.len() as u64);
+        for row in &rows {
+            for &variant in &ModelVariant::ALL {
+                let cell = row.value(variant.label()).expect("every variant has a column");
+                digest = fnv_fold(digest, cell.to_bits());
+            }
+        }
+        assert_eq!(digest, DIGEST, "got {digest:#018x}");
     }
 
     #[test]

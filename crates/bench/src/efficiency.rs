@@ -139,30 +139,6 @@ pub fn measure_efficiency(
     Ok(out)
 }
 
-/// Measures *only* the TS phase over a query workload: per query, the cache
-/// is cleared and the influence set's models are adapted cold across the
-/// engine's [`adaptation_threads`](ust_core::EngineConfig::adaptation_threads);
-/// no possible world is sampled. Returns the mean cold adaptation time per
-/// query in seconds, and leaves the engine's model cache cleared.
-///
-/// `fig06` uses this for its serial baseline column (`TS1`) on a one-thread
-/// engine that shares the measured engine's UST-tree, so neither the index
-/// build nor the Monte-Carlo refinement runs twice per sweep point.
-pub fn measure_ts_phase(engine: &QueryEngine, workload: &QueryWorkload) -> Result<f64, QueryError> {
-    let mut total = 0.0;
-    let mut queries = 0usize;
-    for spec in &workload.queries {
-        let query = Query::at_point(spec.location, spec.times.iter().copied())
-            .expect("workload queries are well-formed");
-        let (_, influencers) = engine.filter_knn(&query, 1)?;
-        engine.clear_model_cache();
-        total += engine.prepare_objects(&influencers)?.cold_time.as_secs_f64();
-        queries += 1;
-    }
-    engine.clear_model_cache();
-    Ok(if queries > 0 { total / queries as f64 } else { 0.0 })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,24 +199,8 @@ mod tests {
             QueryEngine::new(&ds.database, EngineConfig { budget: deadline, ..config(1) });
         let err = measure_efficiency(&engine, &queries).expect_err("a zero deadline trips");
         assert!(matches!(err, QueryError::DeadlineExceeded { .. }), "got {err:?}");
-        assert!(measure_ts_phase(&engine, &queries).is_err(), "the TS harness is governed too");
         engine.set_budget(QueryBudget::unlimited());
         let lifted = measure_efficiency(&engine, &queries).expect("the same engine recovers");
         assert_eq!(lifted.degraded_queries, 0);
-    }
-
-    #[test]
-    fn ts_only_measurement_runs_without_sampling() {
-        let mut params = ScaleParams::for_scale(RunScale::Quick);
-        params.num_queries = 2;
-        let ds = build_synthetic(&params, 600, 8.0, 40, 3);
-        let queries = build_queries(&ds, &params, 3);
-        let engine = QueryEngine::new(
-            &ds.database,
-            EngineConfig { adaptation_threads: 1, ..EngineConfig::with_samples(1) },
-        );
-        let ts = measure_ts_phase(&engine, &queries).expect("unlimited budget");
-        assert!(ts >= 0.0);
-        assert_eq!(engine.cached_models(), 0, "the cache is left cleared");
     }
 }

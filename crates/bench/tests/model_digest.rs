@@ -2,15 +2,17 @@
 //!
 //! The dataset is the one the end-to-end benchmark and the quick figures use
 //! (2 000 states, b = 8, 200 objects, seed 1). Every object is adapted with
-//! the default forward–backward pass and hashed: its forward and posterior
-//! marginals, every `F(t)` row, the alias table's selection measure of every
-//! entry, and the alias draws at five fixed `u` values per row. The digest
-//! was computed before the adaptation dropped its per-step hash maps; any
-//! change to a single probability bit, row or alias slot moves it.
+//! the default forward–backward pass and hashed: its forward marginals (from
+//! the forward-only pass, `ModelAdaptation::forward_marginals`, since a model
+//! does not keep them) and posterior marginals, every `F(t)` row, the
+//! alias table's selection measure of every entry, and the alias draws at
+//! five fixed `u` values per row. The digest was computed before the
+//! adaptation dropped its per-step hash maps; any change to a single
+//! probability bit, row or alias slot moves it.
 
 use ust_bench::datasets::{build_synthetic, ScaleParams};
 use ust_bench::RunScale;
-use ust_markov::{AdaptedModel, SparseDist};
+use ust_markov::{AdaptedModel, ModelAdaptation, SparseDist};
 use ust_persist::format::fnv1a64;
 
 /// FNV-1a over the byte image below, and the row and slot totals.
@@ -34,15 +36,20 @@ fn quick_scale_models_are_bit_identical_to_the_pinned_digest() {
     let mut bytes = Vec::new();
     let (mut rows, mut slots) = (0, 0);
     for o in db.objects() {
-        let m = AdaptedModel::build(db.model_for(o.id()).as_ref(), &o.observation_pairs())
+        let (model, observations) = (db.model_for(o.id()).as_ref(), o.observation_pairs());
+        let m = AdaptedModel::build(model, &observations)
             .expect("generated observations are consistent");
+        let forward = ModelAdaptation::new()
+            .forward_marginals(model, &observations)
+            .expect("the forward pass of a model that adapts succeeds");
         for v in [o.id(), m.start(), m.end()] {
             bytes.extend_from_slice(&v.to_le_bytes());
         }
-        for t in m.start()..=m.end() {
-            push_dist(&mut bytes, m.forward_at(t).unwrap());
+        for (t, belief) in (m.start()..=m.end()).zip(&forward) {
+            push_dist(&mut bytes, belief);
             push_dist(&mut bytes, m.posterior_at(t).unwrap());
         }
+        assert_eq!(forward.len(), m.horizon() + 1);
         for t in m.start()..m.end() {
             let step = (t - m.start()) as usize;
             let table = m.transition_table(t).unwrap();

@@ -96,12 +96,19 @@ pub fn evaluate_variant(
     variant: ModelVariant,
 ) -> Result<ObjectErrorSeries, ust_markov::AdaptError> {
     let observations = object.observation_pairs();
+    let adaptation = if variant == ModelVariant::ForwardBackwardUniform {
+        ModelAdaptation::with_uniform_transitions()
+    } else {
+        ModelAdaptation::new()
+    };
+    // "F" reads the forward beliefs alone, "NO" only the a-priori chain.
+    let forward: Vec<SparseDist> = match variant {
+        ModelVariant::ForwardOnly => adaptation.forward_marginals(model, &observations)?,
+        _ => Vec::new(),
+    };
     let adapted: Option<AdaptedModel> = match variant {
-        ModelVariant::NoAdaptation => None,
-        ModelVariant::ForwardBackwardUniform => {
-            Some(ModelAdaptation::with_uniform_transitions().adapt(model, &observations)?)
-        }
-        _ => Some(ModelAdaptation::new().adapt(model, &observations)?),
+        ModelVariant::NoAdaptation | ModelVariant::ForwardOnly => None,
+        _ => Some(adaptation.adapt(model, &observations)?),
     };
     let start = object.first_time();
     let end = object.last_time();
@@ -118,9 +125,7 @@ pub fn evaluate_variant(
                 start,
                 (t - start) as usize,
             ),
-            (ModelVariant::ForwardOnly, Some(a)) => {
-                a.forward_at(t).cloned().unwrap_or_default()
-            }
+            (ModelVariant::ForwardOnly, _) => forward[(t - start) as usize].clone(),
             (ModelVariant::UniformReachable, Some(a)) => {
                 SparseDist::uniform(a.support_at(t))
             }

@@ -1082,6 +1082,39 @@ mod tests {
     }
 
     #[test]
+    fn a_time_varying_model_is_indexed_by_its_own_steps() {
+        // Four states on a line; everything shifts right at t = 0 and stands
+        // still from t = 1 on. Object 7 goes s0 → s1 and stays, so at
+        // q = (1, 0) it is certainly the nearest neighbour at t = 1 and 2. A
+        // diamond built from step 0's matrix alone would find s1 unreachable
+        // in two steps and drop the object from the filter.
+        let space = StdArc::new(StateSpace::from_points(
+            (0..4).map(|x| Point::new(f64::from(x), 0.0)).collect(),
+        ));
+        let shift = CsrMatrix::from_rows(vec![
+            vec![(1, 1.0)],
+            vec![(2, 1.0)],
+            vec![(3, 1.0)],
+            vec![(3, 1.0)],
+        ]);
+        let model = MarkovModel::time_varying(vec![shift, CsrMatrix::identity(4)]);
+        let object = UncertainObject::from_pairs(7, vec![(0, 0), (2, 1)]).unwrap();
+        let db = TrajectoryDatabase::with_objects(space, StdArc::new(model), vec![object]);
+        let q = Query::at_point(Point::new(1.0, 0.0), vec![1, 2]).unwrap();
+        let answer = |use_index| {
+            let config = EngineConfig { num_samples: 100, use_index, ..Default::default() };
+            let engine = QueryEngine::new(&db, config);
+            (engine.pforall_nn(&q, 0.5).unwrap(), engine.index().map(UstTree::num_diamonds))
+        };
+        let (scanned, _) = answer(false);
+        let (indexed, diamonds) = answer(true);
+        assert_eq!(scanned.results.len(), 1);
+        assert_eq!((scanned.results[0].object, scanned.results[0].probability), (7, 1.0));
+        assert_eq!(indexed.results, scanned.results);
+        assert_eq!(diamonds, Some(1));
+    }
+
+    #[test]
     fn model_cache_is_reused_across_queries() {
         let db = covered_db();
         let engine = QueryEngine::new(&db, EngineConfig::with_samples(100));

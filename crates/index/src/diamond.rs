@@ -10,8 +10,7 @@
 //! (Section 6, see also Figure 5.)
 
 use crate::{ObjectId, Timestamp};
-use ust_markov::reachability::ReachabilitySets;
-use ust_spatial::{Point, Rect2, Rect3, StateSpace};
+use ust_spatial::{Point, Rect2, Rect3};
 
 /// The rectangular approximation of one observation segment of one object.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,61 +21,29 @@ pub struct Diamond {
     pub t_start: Timestamp,
     /// Last timestamp of the segment (time of the later observation).
     pub t_end: Timestamp,
-    /// MBR over all states reachable anywhere in the segment (the rectangle
-    /// stored at the UST-tree leaf level).
+    /// MBR over all states reachable anywhere in the segment: the box stored
+    /// in the R-tree, which selects the diamond by its time interval.
     pub mbr: Rect2,
-    /// Optional per-timestamp MBRs (the dashed rectangles of Figure 5) used
-    /// for tighter `dmin`/`dmax` bounds during refinement of the filter step.
-    pub per_time: Option<Vec<Rect2>>,
+    /// One MBR per covered timestamp, `per_time[k]` at `t_start + k` (the
+    /// dashed rectangles of Figure 5): the `dmin`/`dmax` bounds of the
+    /// filter step.
+    pub per_time: Vec<Rect2>,
 }
 
 impl Diamond {
-    /// Builds the diamond of a segment from its reachable state sets.
-    ///
-    /// Returns `None` if the reachability sets are inconsistent (contradictory
-    /// observations) — such segments cannot occur for validly generated data.
-    pub fn from_reachability(
-        object: ObjectId,
-        reach: &ReachabilitySets,
-        space: &StateSpace,
-        keep_per_time: bool,
-    ) -> Option<Diamond> {
-        if !reach.is_consistent() {
-            return None;
-        }
-        let mut total = Rect2::empty();
-        let mut per_time = Vec::with_capacity(reach.per_time.len());
-        for states in &reach.per_time {
-            let r = space.mbr_of(states.iter().copied());
-            total.extend(&r);
-            per_time.push(r);
-        }
-        Some(Diamond {
-            object,
-            t_start: reach.start,
-            t_end: reach.end,
-            mbr: total,
-            per_time: if keep_per_time { Some(per_time) } else { None },
-        })
-    }
-
     /// Whether the segment covers timestamp `t`.
     #[inline]
     pub fn covers(&self, t: Timestamp) -> bool {
         t >= self.t_start && t <= self.t_end
     }
 
-    /// The tightest available bounding rectangle for the object's position at
-    /// time `t` (per-timestamp MBR if kept, otherwise the segment MBR), or
+    /// The bounding rectangle of the object's position at time `t`, or
     /// `None` if the segment does not cover `t`.
     pub fn rect_at(&self, t: Timestamp) -> Option<&Rect2> {
         if !self.covers(t) {
             return None;
         }
-        match &self.per_time {
-            Some(v) => v.get((t - self.t_start) as usize),
-            None => Some(&self.mbr),
-        }
+        self.per_time.get((t - self.t_start) as usize)
     }
 
     /// Lower bound on the distance between the object at time `t` and `q`.
@@ -98,15 +65,15 @@ impl Diamond {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ust_markov::reachability::ReachabilityIndex;
-    use ust_markov::CsrMatrix;
+    use crate::{UstTree, UstTreeConfig};
+    use std::sync::Arc;
+    use ust_markov::{CsrMatrix, MarkovModel};
     use ust_spatial::StateSpace;
+    use ust_trajectory::{TrajectoryDatabase, UncertainObject};
 
     /// Line of 5 unit-spaced states with bidirectional moves and self-loops.
-    fn line() -> (StateSpace, ReachabilityIndex) {
-        let space = StateSpace::from_points(
-            (0..5).map(|i| Point::new(i as f64, 0.0)).collect(),
-        );
+    fn line() -> (Arc<StateSpace>, Arc<MarkovModel>) {
+        let space = StateSpace::from_points((0..5).map(|i| Point::new(i as f64, 0.0)).collect());
         let rows = (0..5i64)
             .map(|i| {
                 let mut row = vec![(i as u32, 1.0)];
@@ -120,26 +87,33 @@ mod tests {
             })
             .collect();
         let m = CsrMatrix::stochastic_from_weights(rows);
-        (space, ReachabilityIndex::from_matrix(&m))
+        (Arc::new(space), Arc::new(MarkovModel::homogeneous(m)))
+    }
+
+    /// The diamonds a serial build makes of one object observed at `pairs`.
+    fn diamonds(object: ObjectId, pairs: Vec<(Timestamp, u32)>) -> Vec<Diamond> {
+        let (space, model) = line();
+        let objects = vec![UncertainObject::from_pairs(object, pairs).unwrap()];
+        let db = TrajectoryDatabase::with_objects(space, model, objects);
+        let tree = UstTree::build_with(&db, &UstTreeConfig { build_threads: 1, ..Default::default() });
+        tree.diamonds().to_vec()
     }
 
     #[test]
     fn diamond_bounds_reachable_positions() {
-        let (space, reach) = line();
-        let sets = reach.segment((0, 0), (4, 4));
-        let d = Diamond::from_reachability(9, &sets, &space, true).unwrap();
+        let [d] = &diamonds(9, vec![(0, 0), (4, 4)])[..] else { panic!("one segment") };
         assert_eq!(d.object, 9);
         assert_eq!(d.t_start, 0);
         assert_eq!(d.t_end, 4);
         assert_eq!(d.mbr.min, [0.0, 0.0]);
         assert_eq!(d.mbr.max, [4.0, 0.0]);
+        assert_eq!(d.per_time.len(), 5);
         // At t=0 the object is certainly at state 0.
         let r0 = d.rect_at(0).unwrap();
         assert_eq!(r0.min, [0.0, 0.0]);
         assert_eq!(r0.max, [0.0, 0.0]);
-        // At t=2 the object can be anywhere in [0, 2] x {0} — it has to reach
-        // state 4 by t=4, so it cannot have fallen behind state 2... wait, it
-        // must still be able to reach 4 in 2 steps, so x >= 2.
+        // It must still be able to reach state 4 in the 2 steps left at t=2,
+        // so it is exactly at state 2.
         let r2 = d.rect_at(2).unwrap();
         assert_eq!(r2.min, [2.0, 0.0]);
         assert_eq!(r2.max, [2.0, 0.0]);
@@ -149,9 +123,9 @@ mod tests {
 
     #[test]
     fn dmin_dmax_bracket_true_distances() {
-        let (space, reach) = line();
-        let sets = reach.segment((0, 0), (6, 2));
-        let d = Diamond::from_reachability(1, &sets, &space, true).unwrap();
+        let [d] = &diamonds(1, vec![(0, 0), (6, 2)])[..] else { panic!("one segment") };
+        let (space, model) = line();
+        let sets = ust_markov::reachability::segment(&model, (0, 0), (6, 2));
         let q = Point::new(10.0, 0.0);
         for t in 0..=6u32 {
             let dmin = d.dmin(t, &q).unwrap();
@@ -165,32 +139,14 @@ mod tests {
     }
 
     #[test]
-    fn without_per_time_rects_the_segment_mbr_is_used() {
-        let (space, reach) = line();
-        let sets = reach.segment((0, 0), (6, 2));
-        let fine = Diamond::from_reachability(1, &sets, &space, true).unwrap();
-        let coarse = Diamond::from_reachability(1, &sets, &space, false).unwrap();
-        assert!(coarse.per_time.is_none());
-        let q = Point::new(-3.0, 0.0);
-        // The coarse bound can only be looser (smaller dmin, larger dmax).
-        for t in 0..=6u32 {
-            assert!(coarse.dmin(t, &q).unwrap() <= fine.dmin(t, &q).unwrap() + 1e-12);
-            assert!(coarse.dmax(t, &q).unwrap() >= fine.dmax(t, &q).unwrap() - 1e-12);
-        }
-    }
-
-    #[test]
     fn inconsistent_reachability_produces_no_diamond() {
-        let (space, reach) = line();
-        let sets = reach.segment((0, 0), (1, 4));
-        assert!(Diamond::from_reachability(0, &sets, &space, true).is_none());
+        // State 4 is four steps from state 0, not one.
+        assert!(diamonds(0, vec![(0, 0), (1, 4)]).is_empty());
     }
 
     #[test]
     fn space_time_box_spans_the_segment() {
-        let (space, reach) = line();
-        let sets = reach.segment((3, 1), (7, 3));
-        let d = Diamond::from_reachability(2, &sets, &space, false).unwrap();
+        let [d] = &diamonds(2, vec![(3, 1), (7, 3)])[..] else { panic!("one segment") };
         let b = d.space_time_box();
         assert_eq!(b.min[2], 3.0);
         assert_eq!(b.max[2], 7.0);

@@ -28,18 +28,13 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use ust_markov::reachability::ReachabilityIndex;
-use ust_markov::MarkovModel;
+use ust_markov::{reachability, MarkovModel};
 use ust_spatial::{Point, RTree, Rect2, Rect3, StateSpace};
 use ust_trajectory::{TrajectoryDatabase, UncertainObject};
 
 /// Build-time configuration of the UST-tree.
 #[derive(Debug, Clone, Copy)]
 pub struct UstTreeConfig {
-    /// Keep per-timestamp MBRs inside each diamond for tighter pruning bounds
-    /// (the dashed rectangles of Figure 5). Costs memory proportional to the
-    /// total number of covered timestamps.
-    pub per_timestamp_mbrs: bool,
     /// Node capacity of the underlying R-tree.
     pub rtree_capacity: usize,
     /// Number of worker threads the per-object diamond construction fans out
@@ -49,21 +44,17 @@ pub struct UstTreeConfig {
     /// in object order before the bulk load — only wall-clock time changes.
     pub build_threads: usize,
     /// Memoize the reachability geometry of repeated commutes (same a-priori
-    /// model, same endpoint states, same time gap), so only the first
-    /// occurrence runs the forward/backward BFS. The geometry is a pure
-    /// function of the commute, so this never changes the built index; the
-    /// switch exists for the `index_build` benchmark's no-memo baseline.
+    /// model, same endpoint states, same time gap, and the same start time
+    /// when the model is time-varying), so only the first occurrence runs the
+    /// reachability BFS. The geometry is a pure function of the commute, so
+    /// this never changes the built index; the switch exists for the
+    /// `index_build` benchmark's no-memo baseline.
     pub reach_memo: bool,
 }
 
 impl Default for UstTreeConfig {
     fn default() -> Self {
-        UstTreeConfig {
-            per_timestamp_mbrs: true,
-            rtree_capacity: 32,
-            build_threads: 0,
-            reach_memo: true,
-        }
+        UstTreeConfig { rtree_capacity: 32, build_threads: 0, reach_memo: true }
     }
 }
 
@@ -91,7 +82,7 @@ pub struct IndexBuildStats {
     pub diamonds: usize,
     /// Segments whose geometry was answered from the reach memo (no BFS run).
     pub reach_memo_hits: usize,
-    /// Segments whose geometry ran the forward/backward BFS.
+    /// Segments whose geometry ran the reachability BFS.
     pub reach_memo_misses: usize,
     /// Largest per-timestamp reachable-state set encountered across the
     /// built segments — the peak BFS frontier, the quantity that blows up
@@ -113,8 +104,7 @@ impl IndexBuildStats {
 
 /// The time-shifted geometry of one commute: everything a [`Diamond`] needs
 /// except the object id and the absolute timestamps. A pure function of
-/// `(a-priori model, from-state, to-state, gap)`, which is what makes it
-/// memoizable across objects.
+/// [`GeoKey`], which is what makes it memoizable across objects.
 #[derive(Debug, Clone)]
 struct DiamondGeometry {
     /// MBR over all states reachable anywhere in the commute.
@@ -125,10 +115,12 @@ struct DiamondGeometry {
     peak_frontier: usize,
 }
 
-/// Memo key: the shared reachability index (by address — the `Arc`s live for
-/// the whole build, so addresses are stable and unique), the commute's
-/// endpoint states and its time gap.
-type GeoKey = (usize, StateId, StateId, u32);
+/// Memo key: the a-priori model (by address — the database's `Arc`s live
+/// for the whole build, so addresses are stable and unique), the commute's
+/// endpoint states, its time gap and, for a time-varying model only, its
+/// start time (0 for a homogeneous one, whose geometry does not depend on
+/// it).
+type GeoKey = (usize, StateId, StateId, u32, Timestamp);
 
 /// Number of memo shards; a power of two so shard selection is a mask.
 const MEMO_SHARDS: usize = 16;
@@ -161,18 +153,20 @@ impl GeometryMemo {
     /// is unreachable in the given gap) and yields no diamond.
     fn geometry(
         &self,
-        reach: &ReachabilityIndex,
-        reach_key: usize,
+        model: &Arc<MarkovModel>,
         space: &StateSpace,
-        from_state: StateId,
-        to_state: StateId,
-        gap: u32,
+        from: (Timestamp, StateId),
+        to: (Timestamp, StateId),
     ) -> Arc<Option<DiamondGeometry>> {
         if !self.enabled {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            return Arc::new(compute_geometry(reach, space, from_state, to_state, gap));
+            return Arc::new(compute_geometry(model, space, from, to));
         }
-        let key: GeoKey = (reach_key, from_state, to_state, gap);
+        let start = match model.as_ref() {
+            MarkovModel::Homogeneous(_) => 0,
+            MarkovModel::TimeVarying(_) => from.0,
+        };
+        let key: GeoKey = (Arc::as_ptr(model) as usize, from.1, to.1, to.0 - from.0, start);
         let mut hasher = rustc_hash::FxHasher::default();
         key.hash(&mut hasher);
         let shard = &self.shards[(hasher.finish() as usize) & (MEMO_SHARDS - 1)];
@@ -184,7 +178,7 @@ impl GeometryMemo {
         // computation of the same pure value is cheaper than serialising all
         // cold commutes of the shard behind it.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let geo = Arc::new(compute_geometry(reach, space, from_state, to_state, gap));
+        let geo = Arc::new(compute_geometry(model, space, from, to));
         shard
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -194,15 +188,14 @@ impl GeometryMemo {
     }
 }
 
-/// Runs the forward/backward BFS of one commute and boxes the reachable sets.
+/// Runs the reachability BFS of one commute and boxes the reachable sets.
 fn compute_geometry(
-    reach: &ReachabilityIndex,
+    model: &MarkovModel,
     space: &StateSpace,
-    from_state: StateId,
-    to_state: StateId,
-    gap: u32,
+    from: (Timestamp, StateId),
+    to: (Timestamp, StateId),
 ) -> Option<DiamondGeometry> {
-    let sets = reach.segment((0, from_state), (gap, to_state));
+    let sets = reachability::segment(model, from, to);
     if !sets.is_consistent() {
         return None;
     }
@@ -266,9 +259,6 @@ pub struct UstTree {
     diamonds: Vec<Diamond>,
     rtree: RTree<3, usize>,
     num_objects: usize,
-    /// Whether the diamonds carry per-timestamp MBRs: the granularity a
-    /// refresh builds new segments at, so kept and built diamonds agree.
-    per_timestamp_mbrs: bool,
     build_stats: IndexBuildStats,
 }
 
@@ -308,9 +298,9 @@ impl UstTree {
     /// runs are spliced in database object order before one STR bulk load.
     /// The result therefore equals `build_with(db, cfg)` — same diamonds,
     /// same order, same R-tree shape, same pruning results — where `cfg`
-    /// keeps this tree's granularity and node capacity and builds on
-    /// `build_threads` workers. Its cost is the new segments plus one
-    /// re-pack, and its [`IndexBuildStats`] describe just the segments built.
+    /// keeps this tree's node capacity and builds on `build_threads`
+    /// workers. Its cost is the new segments plus one re-pack, and its
+    /// [`IndexBuildStats`] describe just the segments built.
     ///
     /// An arena that is not grouped in database object order (a decoded one
     /// whose source no longer matches `db`, say) cannot be spliced; the
@@ -321,12 +311,8 @@ impl UstTree {
         stale: &[ObjectId],
         build_threads: usize,
     ) -> Self {
-        let cfg = UstTreeConfig {
-            per_timestamp_mbrs: self.per_timestamp_mbrs,
-            rtree_capacity: self.rtree_capacity(),
-            build_threads,
-            ..UstTreeConfig::default()
-        };
+        let rtree_capacity = self.rtree_capacity();
+        let cfg = UstTreeConfig { rtree_capacity, build_threads, ..Default::default() };
         let mut stale = stale.to_vec();
         stale.sort_unstable();
         match self.plan(db, &stale) {
@@ -337,7 +323,7 @@ impl UstTree {
 
     /// One [`RunPlan`] per object of `db`, in database order. `None` when
     /// the arena is not the concatenation of per-object runs in database
-    /// order, or a kept diamond has the wrong granularity.
+    /// order.
     fn plan<'t>(
         &'t self,
         db: &TrajectoryDatabase,
@@ -352,17 +338,13 @@ impl UstTree {
             }
             let run = &self.diamonds[start..cursor];
             // Objects past this tree's count were added since it was built.
-            let entry = if i >= self.num_objects {
+            plan.push(if i >= self.num_objects {
                 RunPlan::whole(object)
             } else if sorted_stale.binary_search(&object.id()).is_ok() {
                 RunPlan::extend(run, object)
             } else {
                 RunPlan { kept: run, build_from: None }
-            };
-            if !entry.kept.iter().all(|d| d.per_time.is_some() == self.per_timestamp_mbrs) {
-                return None;
-            }
-            plan.push(entry);
+            });
         }
         (cursor == self.diamonds.len()).then_some(plan)
     }
@@ -376,29 +358,13 @@ impl UstTree {
         let start = Instant::now();
         let space = db.state_space();
 
-        // Reachability indexes are derived from a-priori models; objects
-        // sharing a model (the common case) share the reachability index.
-        // They are computed once up front, so the per-object fan-out below
-        // only ever reads them.
-        let mut reach_cache: FxHashMap<usize, Arc<ReachabilityIndex>> = FxHashMap::default();
-        let mut reach_for = |model: &Arc<MarkovModel>| -> (usize, Arc<ReachabilityIndex>) {
-            let key = Arc::as_ptr(model) as usize;
-            let reach = reach_cache
-                .entry(key)
-                .or_insert_with(|| {
-                    Arc::new(ReachabilityIndex::from_matrix(model.matrix_at(0)))
-                })
-                .clone();
-            (key, reach)
-        };
-        let work: Vec<(&UncertainObject, Timestamp, usize, Arc<ReachabilityIndex>)> = db
+        // Each segment walks its object's own a-priori chain.
+        let work: Vec<(&UncertainObject, Timestamp, &Arc<MarkovModel>)> = db
             .objects()
             .iter()
             .zip(&plan)
             .filter_map(|(object, entry)| {
-                let from = entry.build_from?;
-                let (key, reach) = reach_for(db.model_for(object.id()));
-                Some((object, from, key, reach))
+                Some((object, entry.build_from?, db.model_for(object.id())))
             })
             .collect();
 
@@ -406,13 +372,10 @@ impl UstTree {
         // the reported thread count is what actually ran.
         let build_threads = resolve_threads(cfg.build_threads).min(work.len()).max(1);
         let memo = GeometryMemo::new(cfg.reach_memo);
-        let runs: Vec<ObjectRun> = parallel_map_ordered(
-            &work,
-            build_threads,
-            |&(object, from, reach_key, ref reach)| {
-                build_object_run(object, from, reach, reach_key, space, &memo, cfg)
-            },
-        );
+        let runs: Vec<ObjectRun> =
+            parallel_map_ordered(&work, build_threads, |&(object, from, model)| {
+                build_object_run(object, from, model, space, &memo)
+            });
 
         let mut stats = IndexBuildStats {
             build_threads,
@@ -437,7 +400,6 @@ impl UstTree {
         stats.diamonds = diamonds.len();
 
         let mut tree = Self::from_parts(diamonds, db.len(), cfg.rtree_capacity, stats);
-        tree.per_timestamp_mbrs = cfg.per_timestamp_mbrs;
         tree.build_stats.build_time = start.elapsed();
         tree
     }
@@ -465,9 +427,7 @@ impl UstTree {
             .map(|(i, d)| (d.space_time_box(), i))
             .collect();
         let rtree = RTree::bulk_load(items, rtree_capacity);
-        // An empty arena keeps the default granularity.
-        let per_timestamp_mbrs = diamonds.iter().all(|d| d.per_time.is_some());
-        UstTree { diamonds, rtree, num_objects, per_timestamp_mbrs, build_stats }
+        UstTree { diamonds, rtree, num_objects, build_stats }
     }
 
     /// Checks that the R-tree is well formed and indexes exactly the arena:
@@ -623,11 +583,9 @@ fn time_window(t_from: Timestamp, t_to: Timestamp) -> Rect3 {
 fn build_object_run(
     object: &UncertainObject,
     from: Timestamp,
-    reach: &ReachabilityIndex,
-    reach_key: usize,
+    model: &Arc<MarkovModel>,
     space: &StateSpace,
     memo: &GeometryMemo,
-    cfg: &UstTreeConfig,
 ) -> ObjectRun {
     // Chaos hook: lets the chaos suite crash one build shard mid-flight and
     // prove the scoped fan-out propagates the panic instead of wedging.
@@ -635,7 +593,7 @@ fn build_object_run(
     let mut run = ObjectRun { diamonds: Vec::new(), segments: 0, peak_frontier: 0 };
     let mut push = |t_start: Timestamp, from_state: StateId, t_end: Timestamp, to_state: StateId| {
         run.segments += 1;
-        let geo = memo.geometry(reach, reach_key, space, from_state, to_state, t_end - t_start);
+        let geo = memo.geometry(model, space, (t_start, from_state), (t_end, to_state));
         if let Some(geo) = geo.as_ref() {
             run.peak_frontier = run.peak_frontier.max(geo.peak_frontier);
             run.diamonds.push(Diamond {
@@ -643,7 +601,7 @@ fn build_object_run(
                 t_start,
                 t_end,
                 mbr: geo.mbr,
-                per_time: cfg.per_timestamp_mbrs.then(|| geo.per_time.clone()),
+                per_time: geo.per_time.clone(),
             });
         }
     };
@@ -821,12 +779,12 @@ mod tests {
         let result = prune_at(&tree, &times, q, 1);
 
         // Brute force: per object per time min/max distance over reachable states.
-        let reach = ReachabilityIndex::from_matrix(db.shared_model().matrix_at(0));
         let space = db.state_space();
         let mut table = BoundsTable::new(times.len());
         for o in db.objects() {
             for (a, b) in o.segments() {
-                let sets = reach.segment((a.time, a.state), (b.time, b.state));
+                let model = db.model_for(o.id());
+                let sets = reachability::segment(model, (a.time, a.state), (b.time, b.state));
                 for (i, &t) in times.iter().enumerate() {
                     let states = sets.at(t);
                     if states.is_empty() {

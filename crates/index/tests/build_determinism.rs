@@ -100,21 +100,6 @@ fn reach_memo_does_not_change_the_index() {
     );
 }
 
-#[test]
-fn coarse_diamonds_share_the_determinism_guarantee() {
-    // per_timestamp_mbrs = false exercises the geometry path that drops the
-    // per-time rectangles.
-    let ds = dataset();
-    let cfg = UstTreeConfig { per_timestamp_mbrs: false, build_threads: 1, ..Default::default() };
-    let serial = UstTree::build_with(&ds.database, &cfg);
-    let sharded = UstTree::build_with(
-        &ds.database,
-        &UstTreeConfig { build_threads: 3, ..cfg },
-    );
-    assert_identical_trees(&serial, &sharded, WINDOWS);
-    assert!(serial.diamonds().iter().all(|d| d.per_time.is_none()));
-}
-
 /// Serial builds of the dataset at a node capacity of 4 (a tree several
 /// levels deep over the >100 diamonds) and at the default 32.
 fn trees_by_capacity() -> Vec<(usize, UstTree)> {

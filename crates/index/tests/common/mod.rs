@@ -19,16 +19,10 @@ pub fn assert_same_diamond(a: &Diamond, b: &Diamond) {
     assert_eq!((a.t_start, a.t_end), (b.t_start, b.t_end));
     assert_eq!(a.mbr.min.map(f64::to_bits), b.mbr.min.map(f64::to_bits));
     assert_eq!(a.mbr.max.map(f64::to_bits), b.mbr.max.map(f64::to_bits));
-    match (&a.per_time, &b.per_time) {
-        (Some(xs), Some(ys)) => {
-            assert_eq!(xs.len(), ys.len());
-            for (x, y) in xs.iter().zip(ys) {
-                assert_eq!(x.min.map(f64::to_bits), y.min.map(f64::to_bits));
-                assert_eq!(x.max.map(f64::to_bits), y.max.map(f64::to_bits));
-            }
-        }
-        (None, None) => {}
-        _ => panic!("per-timestamp MBR presence differs"),
+    assert_eq!(a.per_time.len(), b.per_time.len());
+    for (x, y) in a.per_time.iter().zip(&b.per_time) {
+        assert_eq!(x.min.map(f64::to_bits), y.min.map(f64::to_bits));
+        assert_eq!(x.max.map(f64::to_bits), y.max.map(f64::to_bits));
     }
 }
 

@@ -1,10 +1,10 @@
 //! A refreshed UST-tree must equal a from-scratch build over the grown
 //! database: same diamonds in the same order, same R-tree shape, same
-//! pruning results — at every `build_threads` setting and at both diamond
-//! granularities. And it must build exactly the segments its plan asks for:
-//! a stale object's segments from τ on, the end of its last hop-feasible
-//! segment before the append, or its whole run when it is new, had a single
-//! observation or had no feasible segment.
+//! pruning results — at every `build_threads` setting. And it must build
+//! exactly the segments its plan asks for: a stale object's segments from τ
+//! on, the end of its last hop-feasible segment before the append, or its
+//! whole run when it is new, had a single observation or had no feasible
+//! segment.
 //!
 //! Each seeded case builds a random database on a line of states, then
 //! grows it by a few append batches, refreshing the previous tree after each
@@ -27,7 +27,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use ust_index::{ObjectId, Timestamp, UstTree, UstTreeConfig};
-use ust_markov::{CsrMatrix, MarkovModel, ReachabilityIndex};
+use ust_markov::reachability::segment;
+use ust_markov::{CsrMatrix, MarkovModel};
 use ust_persist::{decode_store, encode_store, StoreContents};
 use ust_spatial::{Point, StateSpace};
 use ust_trajectory::{Observation, TrajectoryDatabase, UncertainObject};
@@ -184,12 +185,8 @@ fn case(seed: u64) -> (TrajectoryDatabase, Vec<Batch>) {
     (db, batches)
 }
 
-fn cfg(per_timestamp_mbrs: bool, build_threads: usize) -> UstTreeConfig {
-    UstTreeConfig {
-        per_timestamp_mbrs,
-        build_threads,
-        ..Default::default()
-    }
+fn cfg(build_threads: usize) -> UstTreeConfig {
+    UstTreeConfig { build_threads, ..Default::default() }
 }
 
 /// Same filter results, bit for bit, on a spread of point queries.
@@ -228,9 +225,10 @@ fn planned_segments(old: &TrajectoryDatabase, grown: &TrajectoryDatabase, id: Ob
     let Some(before) = old.object(id) else {
         return segments_from(grown, id, 0);
     };
-    let reach = ReachabilityIndex::from_matrix(old.model_for(id).matrix_at(0));
+    let model = old.model_for(id);
     let last_feasible = before.observations().windows(2).rposition(|pair| {
-        reach.segment((pair[0].time, pair[0].state), (pair[1].time, pair[1].state)).is_consistent()
+        segment(model, (pair[0].time, pair[0].state), (pair[1].time, pair[1].state))
+            .is_consistent()
     });
     match last_feasible {
         Some(i) => segments_from(grown, id, i + 1),
@@ -246,14 +244,13 @@ fn check_refresh(
     old: &TrajectoryDatabase,
     grown: &TrajectoryDatabase,
     stale: &[ObjectId],
-    per_timestamp_mbrs: bool,
     rng: &mut StdRng,
 ) -> (UstTree, UstTree) {
     let mut distinct = stale.to_vec();
     distinct.sort_unstable();
     distinct.dedup();
     let planned: usize = distinct.iter().map(|&id| planned_segments(old, grown, id)).sum();
-    let full = UstTree::build_with(grown, &cfg(per_timestamp_mbrs, 1));
+    let full = UstTree::build_with(grown, &cfg(1));
     full.check_invariants()
         .expect("a full build is well formed");
     let mut refreshed: Vec<UstTree> = [1usize, 2, 4]
@@ -282,20 +279,21 @@ fn check_refresh(
 /// Whether `id`'s last segment in `db` is hop-infeasible.
 fn infeasible_tail(db: &TrajectoryDatabase, id: ObjectId) -> bool {
     let object = db.object(id).expect("known object");
-    let reach = ReachabilityIndex::from_matrix(db.model_for(id).matrix_at(0));
+    let model = db.model_for(id);
     object
         .segments()
         .last()
-        .is_some_and(|(a, b)| !reach.segment((a.time, a.state), (b.time, b.state)).is_consistent())
+        .is_some_and(|(a, b)| !segment(model, (a.time, a.state), (b.time, b.state)).is_consistent())
 }
 
-fn refresh_equals_build(per_timestamp_mbrs: bool) {
+#[test]
+fn refresh_equals_a_from_scratch_build() {
     let (mut degenerate_dropped, mut infeasible_skipped) = (false, false);
     let (mut infeasible_tail_extended, mut empty_run_extended) = (false, false);
     for seed in 0..CASES {
         let (mut db, batches) = case(seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-        let mut tree = UstTree::build_with(&db, &cfg(per_timestamp_mbrs, 1));
+        let mut tree = UstTree::build_with(&db, &cfg(1));
         for batch in &batches {
             let old = db.clone();
             for (id, obs) in batch {
@@ -303,12 +301,7 @@ fn refresh_equals_build(per_timestamp_mbrs: bool) {
                     .expect("the batch re-applies");
             }
             let stale: Vec<ObjectId> = batch.iter().map(|(id, _)| *id).collect();
-            let (refreshed, full) =
-                check_refresh(&tree, &old, &db, &stale, per_timestamp_mbrs, &mut rng);
-            assert!(full
-                .diamonds()
-                .iter()
-                .all(|d| d.per_time.is_some() == per_timestamp_mbrs));
+            let (refreshed, full) = check_refresh(&tree, &old, &db, &stale, &mut rng);
             degenerate_dropped |= old.object(SINGLE).map(|o| o.num_observations()) == Some(1)
                 && stale.contains(&SINGLE)
                 && !full
@@ -350,11 +343,12 @@ fn refresh_equals_build(per_timestamp_mbrs: bool) {
 
 /// A base tree that went through the store codec refreshes like the tree it
 /// was encoded from.
-fn decoded_base_refreshes(per_timestamp_mbrs: bool) {
+#[test]
+fn a_decoded_base_refreshes_like_a_built_one() {
     for seed in 0..CASES {
         let (db, batches) = case(seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xdec0de);
-        let built = UstTree::build_with(&db, &cfg(per_timestamp_mbrs, 1));
+        let built = UstTree::build_with(&db, &cfg(1));
         let bytes = encode_store(&StoreContents {
             database: &db,
             index: Some(&built),
@@ -370,22 +364,6 @@ fn decoded_base_refreshes(per_timestamp_mbrs: bool) {
                 .expect("the batch applies to the decoded database");
         }
         let stale: Vec<ObjectId> = batches[0].iter().map(|(id, _)| *id).collect();
-        check_refresh(&base, &old, &grown, &stale, per_timestamp_mbrs, &mut rng);
+        check_refresh(&base, &old, &grown, &stale, &mut rng);
     }
-}
-
-#[test]
-fn refresh_equals_a_from_scratch_build() {
-    refresh_equals_build(true);
-}
-
-#[test]
-fn coarse_trees_refresh_coarse() {
-    refresh_equals_build(false);
-}
-
-#[test]
-fn a_decoded_base_refreshes_like_a_built_one() {
-    decoded_base_refreshes(true);
-    decoded_base_refreshes(false);
 }

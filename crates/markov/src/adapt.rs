@@ -234,48 +234,50 @@ impl ModelAdaptation {
         model: &M,
         observations: &[(Timestamp, StateId)],
     ) -> Result<AdaptedModel, AdaptError> {
-        if observations.is_empty() {
-            return Err(AdaptError::NoObservations);
-        }
-        if observations.windows(2).any(|w| w[0].0 >= w[1].0) {
-            return Err(AdaptError::UnsortedObservations);
-        }
-        for &(time, state) in observations {
-            if (state as usize) >= model.num_states() {
-                return Err(AdaptError::StateOutOfRange { time, state });
-            }
-        }
-        // The scratch leaves its slot for the call: a panic drops it rather
-        // than leaving it half-written, and a nested call gets a fresh one.
-        let mut scratch = SCRATCH.take();
-        let adapted = self.forward_backward(model, observations, &mut scratch);
-        SCRATCH.set(scratch);
-        adapted
+        with_scratch(model, observations, |scratch| {
+            self.forward_backward(model, observations, scratch)
+        })
     }
 
-    /// Both phases over validated observations.
-    fn forward_backward<M: TransitionModel>(
+    /// The forward phase alone: `result[k]` is the belief
+    /// `P(o(start + k) = s | observations at times ≤ start + k)` — the "F"
+    /// model of Figure 12. It runs the validated forward loop of
+    /// [`ModelAdaptation::adapt`] and fails exactly where that loop does; an
+    /// [`AdaptedModel`] does not keep these marginals, since no query reads
+    /// them.
+    pub fn forward_marginals<M: TransitionModel>(
+        &self,
+        model: &M,
+        observations: &[(Timestamp, StateId)],
+    ) -> Result<Vec<SparseDist>, AdaptError> {
+        with_scratch(model, observations, |scratch| {
+            let mut marginals = Vec::new();
+            self.forward(model, observations, scratch, |belief| marginals.push(belief.clone()))?;
+            Ok(marginals)
+        })
+    }
+
+    /// Forward phase over validated observations: belief propagation, with
+    /// the time-reversed chain `R(t)` left in `scratch.reversed`. `visit`
+    /// sees the belief at every covered timestamp, the first observation's
+    /// point mass included.
+    fn forward<M: TransitionModel>(
         &self,
         model: &M,
         observations: &[(Timestamp, StateId)],
         scratch: &mut Scratch,
-    ) -> Result<AdaptedModel, AdaptError> {
-        let Scratch { groups, reversed, transitions } = scratch;
+        mut visit: impl FnMut(&SparseDist),
+    ) -> Result<(), AdaptError> {
+        let Scratch { groups, reversed, .. } = scratch;
         let (start, first) = observations[0];
-        let (end, last) = observations[observations.len() - 1];
-        let horizon = (end - start) as usize;
-
-        // ------------------------------------------------------------------
-        // Forward phase: belief propagation + time-reversed chain R(t).
-        // ------------------------------------------------------------------
-        let mut forward: Vec<SparseDist> = Vec::with_capacity(horizon + 1);
-        forward.push(SparseDist::delta(first));
+        let (end, _) = observations[observations.len() - 1];
+        let mut belief = SparseDist::delta(first);
+        visit(&belief);
         reversed.clear();
         let mut pending = observations[1..].iter().peekable();
-        for step in 1..=horizon {
-            let t = start + step as Timestamp;
+        for t in start + 1..=end {
             groups.products.clear();
-            for (j, pj) in forward[step - 1].iter() {
+            for (j, pj) in belief.iter() {
                 let (cols, vals) = model.row(j, t - 1);
                 if cols.is_empty() {
                     continue;
@@ -292,7 +294,7 @@ impl ModelAdaptation {
             if groups.products.is_empty() {
                 return Err(AdaptError::ContradictoryObservations { time: t });
             }
-            let mut belief = groups.fold_step(reversed);
+            belief = groups.fold_step(reversed);
             belief.normalize();
             if let Some(&(_, theta)) = pending.next_if(|&&(time, _)| time == t) {
                 if belief.prob(theta) <= 0.0 {
@@ -300,12 +302,28 @@ impl ModelAdaptation {
                 }
                 belief = SparseDist::delta(theta);
             }
-            forward.push(belief);
+            visit(&belief);
         }
+        Ok(())
+    }
+
+    /// Both phases over validated observations.
+    fn forward_backward<M: TransitionModel>(
+        &self,
+        model: &M,
+        observations: &[(Timestamp, StateId)],
+        scratch: &mut Scratch,
+    ) -> Result<AdaptedModel, AdaptError> {
+        // Forward phase: only R(t) is kept.
+        self.forward(model, observations, scratch, |_| {})?;
 
         // ------------------------------------------------------------------
         // Backward phase: a-posteriori marginals and transitions F(t).
         // ------------------------------------------------------------------
+        let Scratch { groups, reversed, transitions } = scratch;
+        let (start, _) = observations[0];
+        let (end, last) = observations[observations.len() - 1];
+        let horizon = (end - start) as usize;
         let mut posterior: Vec<SparseDist> = vec![SparseDist::new(); horizon + 1];
         posterior[horizon] = SparseDist::delta(last);
         transitions.clear();
@@ -336,7 +354,6 @@ impl ModelAdaptation {
         Ok(AdaptedModel {
             start,
             end,
-            forward,
             posterior,
             kernel: AliasKernel::from_rows(transitions.reversed()),
             observations: observations.to_vec(),
@@ -344,16 +361,43 @@ impl ModelAdaptation {
     }
 }
 
+/// Validates `observations` against `model` and runs `pass` on this thread's
+/// scratch.
+fn with_scratch<M: TransitionModel, T>(
+    model: &M,
+    observations: &[(Timestamp, StateId)],
+    pass: impl FnOnce(&mut Scratch) -> Result<T, AdaptError>,
+) -> Result<T, AdaptError> {
+    if observations.is_empty() {
+        return Err(AdaptError::NoObservations);
+    }
+    if observations.windows(2).any(|w| w[0].0 >= w[1].0) {
+        return Err(AdaptError::UnsortedObservations);
+    }
+    for &(time, state) in observations {
+        if (state as usize) >= model.num_states() {
+            return Err(AdaptError::StateOutOfRange { time, state });
+        }
+    }
+    // The scratch leaves its slot for the call: a panic drops it rather
+    // than leaving it half-written, and a nested call gets a fresh one.
+    let mut scratch = SCRATCH.take();
+    let out = pass(&mut scratch);
+    SCRATCH.set(scratch);
+    out
+}
+
 /// The a-posteriori model of one uncertain object: the output of Algorithm 2.
 ///
 /// It covers the closed timestamp interval `[start, end]` spanned by the
-/// object's observations.
+/// object's observations and keeps what queries read: the a-posteriori
+/// marginals and `F(t)`. The forward beliefs only serve to build the
+/// time-reversed chain and are dropped with it;
+/// [`ModelAdaptation::forward_marginals`] recomputes them.
 #[derive(Debug, Clone)]
 pub struct AdaptedModel {
     start: Timestamp,
     end: Timestamp,
-    /// `forward[k]`: P(o(start+k) = s | observations at times ≤ start+k).
-    forward: Vec<SparseDist>,
     /// `posterior[k]`: P(o(start+k) = s | all observations Θ).
     posterior: Vec<SparseDist>,
     /// `F(start+k)` at step `k` — rows P(o(start+k+1) = s_j | o(start+k) =
@@ -376,8 +420,8 @@ impl AdaptedModel {
 
     /// Reassembles a model from its stored parts (the store-loading
     /// counterpart of [`AdaptedModel::build`]). The covered interval is
-    /// derived from the first and last observation; `forward` and `posterior`
-    /// must hold one marginal per covered timestamp and `kernel` one step per
+    /// derived from the first and last observation; `posterior` must hold
+    /// one marginal per covered timestamp and `kernel` one step per
     /// covered step. Every walk from the first observed state must find a
     /// non-empty row at every step, and so must a walk started anywhere in
     /// the window: every posterior marginal is non-empty, and each of its
@@ -386,7 +430,6 @@ impl AdaptedModel {
     /// bit-for-bit.
     pub fn from_parts(
         observations: Vec<(Timestamp, StateId)>,
-        forward: Vec<SparseDist>,
         posterior: Vec<SparseDist>,
         kernel: AliasKernel,
     ) -> Result<Self, &'static str> {
@@ -398,9 +441,6 @@ impl AdaptedModel {
             return Err("observation times must be strictly increasing");
         }
         let horizon = (end - start) as usize;
-        if forward.len() != horizon + 1 {
-            return Err("forward marginal count must equal horizon + 1");
-        }
         if posterior.len() != horizon + 1 {
             return Err("posterior marginal count must equal horizon + 1");
         }
@@ -420,7 +460,7 @@ impl AdaptedModel {
         if (0..horizon).any(|k| !rows_cover(&kernel, k, &posterior[k])) {
             return Err("an a-posteriori state has no transition row at its step");
         }
-        Ok(AdaptedModel { start, end, forward, posterior, kernel, observations })
+        Ok(AdaptedModel { start, end, posterior, kernel, observations })
     }
 
     /// First observed timestamp.
@@ -455,12 +495,6 @@ impl AdaptedModel {
     /// A-posteriori marginal `P(o(t) = · | Θ)`, or `None` outside `[start, end]`.
     pub fn posterior_at(&self, t: Timestamp) -> Option<&SparseDist> {
         self.index_of(t).map(|k| &self.posterior[k])
-    }
-
-    /// Forward-only marginal `P(o(t) = · | observations up to t)` — the "F"
-    /// model of Figure 12.
-    pub fn forward_at(&self, t: Timestamp) -> Option<&SparseDist> {
-        self.index_of(t).map(|k| &self.forward[k])
     }
 
     /// The step index of `t → t+1`, if `t` lies in `[start, end)`.
@@ -527,7 +561,7 @@ impl AdaptedModel {
     }
 
     /// Validates the stochastic invariants of the adapted model:
-    /// * every posterior and forward marginal is a probability distribution,
+    /// * every posterior marginal is a probability distribution,
     /// * every transition row is a probability distribution,
     /// * the support of each transition row at time `t` is contained in the
     ///   posterior support at `t+1`,
@@ -541,11 +575,6 @@ impl AdaptedModel {
         for (k, dist) in self.posterior.iter().enumerate() {
             if !dist.is_normalized() {
                 return Err(format!("posterior at offset {k} is not normalized"));
-            }
-        }
-        for (k, dist) in self.forward.iter().enumerate() {
-            if !dist.is_normalized() {
-                return Err(format!("forward marginal at offset {k} is not normalized"));
             }
         }
         for k in 0..self.horizon() {
@@ -803,7 +832,11 @@ mod tests {
         let m = example_o1_model();
         let obs = vec![(0u32, 1u32), (4, 0)];
         let adapted = AdaptedModel::build(&m, &obs).unwrap();
-        let fwd = adapted.forward_at(3).unwrap();
+        let forward = ModelAdaptation::new().forward_marginals(&m, &obs).unwrap();
+        assert_eq!(forward.len(), adapted.horizon() + 1);
+        assert!(forward.iter().all(SparseDist::is_normalized));
+        assert_eq!(forward[4], SparseDist::delta(0), "the last observation pins the belief");
+        let fwd = &forward[3];
         let post = adapted.posterior_at(3).unwrap();
         assert!(fwd.support_size() >= post.support_size());
         // The posterior at t=3 can only contain states that reach s1 in one step.

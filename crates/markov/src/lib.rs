@@ -25,8 +25,9 @@
 //!   precomputed Walker/Vose alias table per row: the O(1)-per-draw
 //!   Monte-Carlo sampling kernel, and the only copy of `F^o(t)` an adapted
 //!   model keeps,
-//! * [`reachability`] — support-only propagation used to compute the
-//!   "diamond" space-time approximations indexed by the UST-tree (Section 6),
+//! * [`reachability`] — support-only propagation over an object's own
+//!   a-priori chain, used to compute the "diamond" space-time approximations
+//!   indexed by the UST-tree (Section 6),
 //! * [`dense`] — a small dense reference implementation of Algorithm 2 used to
 //!   cross-check the sparse code in tests and as an ablation baseline.
 
@@ -40,7 +41,6 @@ pub mod sparse;
 pub use adapt::{AdaptError, AdaptedModel, ModelAdaptation};
 pub use alias::{AliasKernel, StepRows, TransitionRow};
 pub use model::{MarkovModel, TransitionModel};
-pub use reachability::ReachabilityIndex;
 pub use sparse::{CsrMatrix, SparseDist};
 
 /// Discrete timestamp ("tic") in the database time horizon.

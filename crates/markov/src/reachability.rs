@@ -7,27 +7,29 @@
 //! time `t` iff it is forward-reachable from `θ_i` in `t - t_i` steps *and*
 //! backward-reachable from `θ_{i+1}` in `t_{i+1} - t` steps.
 //!
-//! This module computes those sets using only the *support* of the transition
-//! matrix (which states can follow which), without tracking probabilities —
-//! that is all the index needs, and it is considerably cheaper than a full
-//! adaptation. It is also the basis of the "U" (uniform) effectiveness
-//! baseline of Figure 12, which assigns equal probability to every reachable
-//! state.
+//! This module computes those sets using only the *support* of the object's
+//! own a-priori chain (which states can follow which), without tracking
+//! probabilities — that is all the index needs, and it is considerably
+//! cheaper than a full adaptation. Every step reads the matrix of its own
+//! time, [`MarkovModel::matrix_at`], so a time-varying chain gets the sets
+//! it actually allows.
 //!
 //! Each expansion step visits the successors of the whole frontier, and a
 //! state with several reached predecessors turns up several times. A
 //! per-thread scratch of generation stamps, one per state, removes those
 //! duplicates as they appear: a state joins the next set only the first time
-//! the step marks it, so only the distinct states are sorted. The scratch
-//! grows once to the largest state space the thread has seen and is never
-//! cleared between steps (each step takes a fresh stamp), so an expansion
-//! allocates nothing per state of the model. A segment then walks back from
-//! the second observation through the forward sets alone: a state stays
-//! possible at `t_i + k` iff it is forward-reachable there and has a
-//! successor still possible at `t_i + k + 1`, which is the intersection with
-//! the backward set without ever building the backward set.
+//! the step marks it. The scratch grows once to the largest state space the
+//! thread has seen and is never cleared between steps (each step takes a
+//! fresh stamp), so an expansion allocates nothing per state of the model.
+//! A segment then walks back from the second observation through the
+//! forward sets alone: it marks the states still possible at `t_i + k + 1`,
+//! and a state stays possible at `t_i + k` iff it is forward-reachable there
+//! and one of its successors is marked. That is the intersection with the
+//! backward set without ever building the backward set or a predecessor
+//! graph. Membership is all the walk back asks of a forward set, so a
+//! segment leaves them in discovery order and sorts only what it keeps.
 
-use crate::sparse::CsrMatrix;
+use crate::model::MarkovModel;
 use crate::{StateId, Timestamp};
 use std::cell::Cell;
 
@@ -64,82 +66,77 @@ impl ReachabilitySets {
     }
 }
 
-/// Precomputed forward/backward support of a transition matrix, shared by all
-/// objects that use the same a-priori model.
-#[derive(Debug, Clone)]
-pub struct ReachabilityIndex {
-    forward: CsrMatrix,
-    backward: CsrMatrix,
+/// States reachable from `from = (t, origin)` in exactly `0..=steps`
+/// transitions of `model`: `result[k]` is the sorted set at time `t + k`,
+/// each step taken by the matrix of its own time.
+pub fn forward_reachable(
+    model: &MarkovModel,
+    from: (Timestamp, StateId),
+    steps: usize,
+) -> Vec<Vec<StateId>> {
+    let mut sets = expand(model, from, steps);
+    for set in &mut sets {
+        set.sort_unstable();
+    }
+    sets
 }
 
-impl ReachabilityIndex {
-    /// Builds the index from a transition matrix (probabilities are ignored,
-    /// only the sparsity pattern matters).
-    pub fn from_matrix(matrix: &CsrMatrix) -> Self {
-        ReachabilityIndex { forward: matrix.clone(), backward: matrix.transpose() }
-    }
-
-    /// Number of states of the underlying model.
-    pub fn num_states(&self) -> usize {
-        self.forward.num_states()
-    }
-
-    /// States reachable from `origin` in exactly `0..=steps` transitions:
-    /// `result[k]` is the sorted set after `k` steps.
-    pub fn forward_reachable(&self, origin: StateId, steps: usize) -> Vec<Vec<StateId>> {
-        expand(&self.forward, origin, steps)
-    }
-
-    /// States from which `target` is reachable in exactly `0..=steps`
-    /// transitions (walking backwards in time): `result[k]` is the sorted set
-    /// of possible states `k` steps *before* the target.
-    pub fn backward_reachable(&self, target: StateId, steps: usize) -> Vec<Vec<StateId>> {
-        expand(&self.backward, target, steps)
-    }
-
-    /// Per-timestamp possible states between two consecutive observations:
-    /// the forward sets from the first observation, each cut to the states
-    /// from which the second observation stays reachable. `per_time[k]` is
-    /// `forward_reachable(θ_i)[k] ∩ backward_reachable(θ_{i+1})[steps - k]`,
-    /// computed by walking back from the second observation through the
-    /// forward sets (see the module doc).
-    ///
-    /// If the second observation is not forward-reachable from the first in
-    /// the given number of steps, the segment is contradictory — no
-    /// trajectory satisfies both observations, so the possible-state set is
-    /// empty at *every* covered timestamp — and the backward walk is skipped
-    /// entirely. Hop-infeasible commutes are common in map-matched real
-    /// data, so the index build benefits from paying one expansion instead
-    /// of two for them.
-    pub fn segment(
-        &self,
-        from: (Timestamp, StateId),
-        to: (Timestamp, StateId),
-    ) -> ReachabilitySets {
-        assert!(from.0 <= to.0, "observations must be ordered in time");
-        let steps = (to.0 - from.0) as usize;
-        let mut per_time = self.forward_reachable(from.1, steps);
-        if per_time[steps].binary_search(&to.1).is_err() {
-            return ReachabilitySets {
-                start: from.0,
-                end: to.0,
-                per_time: vec![Vec::new(); steps + 1],
-            };
-        }
-        per_time[steps] = vec![to.1];
-        with_marks(|marks| {
-            for k in (0..steps).rev() {
-                marks.next_step(self.num_states());
-                for &s in &per_time[k + 1] {
-                    for &p in self.backward.successors(s) {
-                        marks.mark(p);
-                    }
-                }
-                per_time[k].retain(|&s| marks.is_marked(s));
+/// [`forward_reachable`] with every set in discovery order: a segment sorts
+/// only what its walk back keeps.
+fn expand(model: &MarkovModel, from: (Timestamp, StateId), steps: usize) -> Vec<Vec<StateId>> {
+    let (start, origin) = from;
+    let mut out: Vec<Vec<StateId>> = Vec::with_capacity(steps + 1);
+    out.push(vec![origin]);
+    with_marks(|marks| {
+        for k in 0..steps {
+            let matrix = model.matrix_at(start.saturating_add(k as Timestamp));
+            marks.next_step(matrix.num_states());
+            let mut next: Vec<StateId> = Vec::new();
+            for &s in &out[k] {
+                next.extend(matrix.successors(s).iter().copied().filter(|&t| marks.mark(t)));
             }
-        });
-        ReachabilitySets { start: from.0, end: to.0, per_time }
+            out.push(next);
+        }
+    });
+    out
+}
+
+/// Per-timestamp possible states between two consecutive observations of
+/// an object moving by `model`: the forward sets from the first
+/// observation, each cut to the states from which the second observation
+/// stays reachable, by walking back from the second observation through the
+/// forward sets (see the module doc).
+///
+/// If the second observation is not forward-reachable from the first in
+/// the given number of steps, the segment is contradictory — no trajectory
+/// satisfies both observations, so the possible-state set is empty at
+/// *every* covered timestamp — and the walk back is skipped entirely.
+/// Hop-infeasible commutes are common in map-matched real data, so the
+/// index build benefits from skipping the walk back for them.
+pub fn segment(
+    model: &MarkovModel,
+    from: (Timestamp, StateId),
+    to: (Timestamp, StateId),
+) -> ReachabilitySets {
+    assert!(from.0 <= to.0, "observations must be ordered in time");
+    let steps = (to.0 - from.0) as usize;
+    let mut per_time = expand(model, from, steps);
+    if !per_time[steps].contains(&to.1) {
+        return ReachabilitySets { start: from.0, end: to.0, per_time: vec![Vec::new(); steps + 1] };
     }
+    per_time[steps] = vec![to.1];
+    with_marks(|marks| {
+        for k in (0..steps).rev() {
+            let matrix = model.matrix_at(from.0 + k as Timestamp);
+            marks.next_step(matrix.num_states());
+            for &s in &per_time[k + 1] {
+                marks.mark(s);
+            }
+            per_time[k].retain(|&s| matrix.successors(s).iter().any(|&t| marks.is_marked(t)));
+            per_time[k].sort_unstable();
+        }
+    });
+    ReachabilitySets { start: from.0, end: to.0, per_time }
 }
 
 /// Generation-stamped marks over the states: `stamps[s] == stamp` iff `s`
@@ -194,45 +191,24 @@ fn with_marks(f: impl FnOnce(&mut Marks)) {
     MARKS.set(marks);
 }
 
-/// Breadth-first support expansion: `result[k]` is the sorted set of states
-/// reachable from `origin` in exactly `k` steps of the given matrix. Each
-/// step keeps a successor the first time it marks it and sorts only the
-/// distinct states.
-fn expand(matrix: &CsrMatrix, origin: StateId, steps: usize) -> Vec<Vec<StateId>> {
-    let mut out: Vec<Vec<StateId>> = Vec::with_capacity(steps + 1);
-    out.push(vec![origin]);
-    with_marks(|marks| {
-        for k in 0..steps {
-            marks.next_step(matrix.num_states());
-            let mut next: Vec<StateId> = Vec::new();
-            for &s in &out[k] {
-                next.extend(matrix.successors(s).iter().copied().filter(|&t| marks.mark(t)));
-            }
-            next.sort_unstable();
-            out.push(next);
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sparse::CsrMatrix;
 
     /// A 4-state line graph: 0 <-> 1 <-> 2 <-> 3, plus self-loops.
-    fn line_graph() -> CsrMatrix {
-        CsrMatrix::stochastic_from_weights(vec![
+    fn line_graph() -> MarkovModel {
+        MarkovModel::homogeneous(CsrMatrix::stochastic_from_weights(vec![
             vec![(0, 1.0), (1, 1.0)],
             vec![(0, 1.0), (1, 1.0), (2, 1.0)],
             vec![(1, 1.0), (2, 1.0), (3, 1.0)],
             vec![(2, 1.0), (3, 1.0)],
-        ])
+        ]))
     }
 
     #[test]
     fn forward_expansion_grows_along_the_line() {
-        let idx = ReachabilityIndex::from_matrix(&line_graph());
-        let fwd = idx.forward_reachable(0, 3);
+        let fwd = forward_reachable(&line_graph(), (0, 0), 3);
         assert_eq!(fwd[0], vec![0]);
         assert_eq!(fwd[1], vec![0, 1]);
         assert_eq!(fwd[2], vec![0, 1, 2]);
@@ -241,19 +217,21 @@ mod tests {
 
     #[test]
     fn backward_expansion_mirrors_forward_on_symmetric_graphs() {
-        let idx = ReachabilityIndex::from_matrix(&line_graph());
-        let bwd = idx.backward_reachable(3, 2);
-        assert_eq!(bwd[0], vec![3]);
-        assert_eq!(bwd[1], vec![2, 3]);
-        assert_eq!(bwd[2], vec![1, 2, 3]);
+        // On a symmetric graph the walk back from 0 to 3 is the walk from 3
+        // to 0 run backwards in time.
+        let m = line_graph();
+        let there = segment(&m, (0, 0), (5, 3)).per_time;
+        let mut back = segment(&m, (0, 3), (5, 0)).per_time;
+        back.reverse();
+        assert_eq!(there, back);
+        assert_eq!(there[4], vec![2, 3]);
     }
 
     #[test]
     fn segment_intersects_forward_and_backward() {
-        let idx = ReachabilityIndex::from_matrix(&line_graph());
         // From state 0 at t=10 to state 3 at t=13: the object must move right
         // every step, so the diamond is a thin corridor.
-        let seg = idx.segment((10, 0), (13, 3));
+        let seg = segment(&line_graph(), (10, 0), (13, 3));
         assert!(seg.is_consistent());
         assert_eq!(seg.at(10), &[0]);
         assert_eq!(seg.at(11), &[1]);
@@ -265,10 +243,9 @@ mod tests {
 
     #[test]
     fn segment_with_slack_forms_a_diamond() {
-        let idx = ReachabilityIndex::from_matrix(&line_graph());
         // Same endpoints but 6 steps of time: intermediate sets widen and then
         // narrow again (the "bead"/diamond of the paper).
-        let seg = idx.segment((0, 0), (6, 3));
+        let seg = segment(&line_graph(), (0, 0), (6, 3));
         assert!(seg.is_consistent());
         assert!(seg.at(3).len() >= seg.at(1).len());
         assert!(seg.at(3).len() >= seg.at(5).len());
@@ -278,11 +255,10 @@ mod tests {
 
     #[test]
     fn contradictory_segment_yields_empty_sets() {
-        let idx = ReachabilityIndex::from_matrix(&line_graph());
         // Cannot get from state 0 to state 3 in a single step. No trajectory
         // satisfies both observations, so every covered timestamp is empty
-        // (the early exit that skips the backward BFS).
-        let seg = idx.segment((0, 0), (1, 3));
+        // (the early exit that skips the walk back).
+        let seg = segment(&line_graph(), (0, 0), (1, 3));
         assert!(!seg.is_consistent());
         assert_eq!(seg.cardinality(), 0, "impossible segments have no possible states at all");
         assert_eq!(seg.at(0), &[] as &[StateId]);
@@ -290,20 +266,36 @@ mod tests {
     }
 
     #[test]
+    fn each_step_reads_the_matrix_of_its_time() {
+        // Everything shifts right at t = 0, then stands still.
+        let shift = CsrMatrix::from_rows(vec![
+            vec![(1, 1.0)],
+            vec![(2, 1.0)],
+            vec![(3, 1.0)],
+            vec![(3, 1.0)],
+        ]);
+        let m = MarkovModel::time_varying(vec![shift, CsrMatrix::identity(4)]);
+        let seg = segment(&m, (0, 0), (2, 1));
+        assert_eq!(seg.per_time, vec![vec![0], vec![1], vec![1]]);
+        // The same commute one tick later only stands still.
+        assert!(!segment(&m, (1, 0), (3, 1)).is_consistent());
+        assert_eq!(forward_reachable(&m, (1, 2), 2), vec![vec![2], vec![2], vec![2]]);
+    }
+
+    #[test]
     fn stamps_that_wrap_mid_segment_leave_no_stale_marks() {
-        let idx = ReachabilityIndex::from_matrix(&line_graph());
-        let fresh = idx.segment((0, 0), (6, 3)).per_time;
+        let m = line_graph();
+        let fresh = segment(&m, (0, 0), (6, 3)).per_time;
         // Every state carries the stamp the wrap restarts from, and the
         // counter wraps during the forward expansion.
         MARKS.set(Marks { stamps: vec![1; 4], stamp: u32::MAX - 2 });
-        assert_eq!(idx.segment((0, 0), (6, 3)).per_time, fresh);
-        assert_eq!(idx.forward_reachable(0, 3)[1], vec![0, 1]);
+        assert_eq!(segment(&m, (0, 0), (6, 3)).per_time, fresh);
+        assert_eq!(forward_reachable(&m, (0, 0), 3)[1], vec![0, 1]);
     }
 
     #[test]
     fn zero_length_segment() {
-        let idx = ReachabilityIndex::from_matrix(&line_graph());
-        let seg = idx.segment((4, 2), (4, 2));
+        let seg = segment(&line_graph(), (4, 2), (4, 2));
         assert!(seg.is_consistent());
         assert_eq!(seg.cardinality(), 1);
         assert_eq!(seg.at(4), &[2]);

@@ -370,33 +370,6 @@ impl CsrMatrix {
         SparseDist::from_sorted(entries)
     }
 
-    /// Transposed matrix (used for backward reachability).
-    ///
-    /// A counting sort of the entries by column: one pass counts each
-    /// column, one scatters the rows in order, so every transposed row comes
-    /// out sorted without a per-row allocation or sort.
-    pub fn transpose(&self) -> CsrMatrix {
-        let mut row_offsets = vec![0usize; self.num_states + 1];
-        for &j in &self.cols {
-            row_offsets[j as usize + 1] += 1;
-        }
-        for j in 0..self.num_states {
-            row_offsets[j + 1] += row_offsets[j];
-        }
-        let mut cursor = row_offsets.clone();
-        let mut cols = vec![0; self.cols.len()];
-        let mut vals = vec![0.0; self.vals.len()];
-        for i in 0..self.num_states {
-            for (j, v) in self.row_iter(i as StateId) {
-                let at = &mut cursor[j as usize];
-                cols[*at] = i as StateId;
-                vals[*at] = v;
-                *at += 1;
-            }
-        }
-        CsrMatrix { num_states: self.num_states, row_offsets, cols, vals }
-    }
-
     /// The set of successor states of `s` (states reachable in one step).
     pub fn successors(&self, s: StateId) -> &[StateId] {
         self.row(s).0
@@ -573,42 +546,6 @@ mod tests {
         assert!((d2.prob(1) - 0.25).abs() < 1e-12);
         assert!((d2.prob(2) - 0.5).abs() < 1e-12);
         assert!(d2.is_normalized());
-    }
-
-    #[test]
-    fn transpose_equals_rebuilding_from_swapped_entries() {
-        let m = CsrMatrix::from_rows(vec![
-            vec![(2, 0.5), (0, 0.25)],
-            vec![],
-            vec![(2, 1.0), (1, 2.0), (3, 0.5)],
-            vec![(0, 3.0)],
-        ]);
-        let mut rows: Vec<Vec<(StateId, f64)>> = vec![Vec::new(); m.num_states()];
-        for i in 0..m.num_states() as StateId {
-            for (j, v) in m.row_iter(i) {
-                rows[j as usize].push((i, v));
-            }
-        }
-        let (t, expected) = (m.transpose(), CsrMatrix::from_rows(rows));
-        assert_eq!((t.num_states(), t.nnz()), (expected.num_states(), expected.nnz()));
-        for i in 0..m.num_states() as StateId {
-            assert_eq!(t.row(i), expected.row(i));
-        }
-    }
-
-    #[test]
-    fn transpose_roundtrip() {
-        let m = small_chain();
-        let t = m.transpose();
-        assert_eq!(t.get(1, 0), 0.5);
-        assert_eq!(t.get(2, 1), 1.0);
-        assert_eq!(t.get(2, 2), 1.0);
-        let tt = t.transpose();
-        for i in 0..3u32 {
-            for j in 0..3u32 {
-                assert_eq!(m.get(i, j), tt.get(i, j));
-            }
-        }
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! through [`SparseDist::from_pairs`]. On random homogeneous and
 //! time-varying chains, for the FB and FBU variants, single observations,
 //! adjacent observations and random gaps, the two must agree bit for bit:
-//! every forward and posterior marginal, every `F(t)` row, the alias kernel
-//! (`==`), and every error with its time.
+//! every posterior marginal, every `F(t)` row, the alias kernel (`==`), and
+//! every error with its time; and the forward-only pass,
+//! [`ModelAdaptation::forward_marginals`], must give every forward marginal
+//! and fail where the adaptation's forward phase does.
 //!
 //! The same chains also pin the split at observations that lets a query
 //! adapt only the observations bracketing its window: for every contiguous
@@ -164,12 +166,18 @@ fn bits(entries: impl Iterator<Item = (StateId, f64)>) -> Bits {
     entries.map(|(s, p)| (s, p.to_bits())).collect()
 }
 
-/// Asserts that the adapted model and the reference agree bit for bit.
-fn assert_identical(m: &AdaptedModel, r: &Reference) -> Result<(), TestCaseError> {
+/// Asserts that the adapted model and its forward marginals agree with the
+/// reference bit for bit.
+fn assert_identical(
+    m: &AdaptedModel,
+    forward: &[SparseDist],
+    r: &Reference,
+) -> Result<(), TestCaseError> {
     prop_assert_eq!(m.horizon(), r.transitions.len());
-    for k in 0..=m.horizon() {
+    prop_assert_eq!(forward.len(), r.forward.len());
+    for (k, (belief, expected)) in forward.iter().zip(&r.forward).enumerate() {
+        prop_assert_eq!(bits(belief.iter()), bits(expected.iter()));
         let t = m.start() + k as Timestamp;
-        prop_assert_eq!(bits(m.forward_at(t).unwrap().iter()), bits(r.forward[k].iter()));
         prop_assert_eq!(bits(m.posterior_at(t).unwrap().iter()), bits(r.posterior[k].iter()));
         let masses = (m.posterior_at(t).unwrap().total_mass(), r.posterior[k].total_mass());
         prop_assert_eq!(masses.0.to_bits(), masses.1.to_bits());
@@ -196,9 +204,15 @@ fn check<M: TransitionModel>(
     uniform: bool,
 ) -> Result<bool, TestCaseError> {
     let adaptation = ModelAdaptation { uniform_transitions: uniform };
+    let forward = adaptation.forward_marginals(model, observations);
     match (adaptation.adapt(model, observations), reference_adapt(model, observations, uniform)) {
-        (Ok(m), Ok(r)) => assert_identical(&m, &r).map(|()| true),
+        (Ok(m), Ok(r)) => {
+            let forward = forward.map_err(|e| TestCaseError::fail(format!("forward pass: {e}")))?;
+            assert_identical(&m, &forward, &r).map(|()| true)
+        }
         (Err(a), Err(b)) => {
+            // Every error of these chains is raised by the forward phase.
+            prop_assert_eq!(forward.err(), Some(a.clone()));
             prop_assert_eq!(a, b);
             Ok(false)
         }

@@ -1,29 +1,41 @@
 //! The reachability expansion must equal a plain sort-and-dedup
-//! breadth-first search, set for set.
+//! breadth-first search, set for set, on homogeneous and time-varying
+//! chains.
 //!
-//! `ReachabilityIndex` removes each step's duplicate successors with
+//! `ust_markov::reachability` removes each step's duplicate successors with
 //! generation-stamped marks in a per-thread scratch and cuts a segment's
-//! forward sets by walking back through them. The oracle below is the plain
-//! expansion: push every successor of the frontier, sort, dedup, and build a
-//! segment as the intersection of the forward and the backward sets, over a
-//! predecessor graph rebuilt from the swapped entries. Random
-//! support graphs cover self-loops, successors shared by many states, sinks
-//! and an origin without successors, at 0–12 steps. Each case alternates
-//! between a small and a large state space on the test's one thread, so the
-//! reused scratch is read at sizes below and above the last expansion's.
+//! forward sets by walking back through them, reading the matrix of each
+//! step's own time. The oracle below is the plain expansion, step by step:
+//! push every successor of the frontier under that step's matrix, sort,
+//! dedup, and build a segment as the intersection of the forward and the
+//! backward sets, the backward ones over per-step predecessor graphs rebuilt
+//! from the swapped entries. Random support graphs cover self-loops,
+//! successors shared by many states, sinks and an origin without
+//! successors, at 0–12 steps; half the chains switch among up to four such
+//! graphs over time. Each case alternates between a small and a large state
+//! space on the test's one thread, so the reused scratch is read at sizes
+//! below and above the last expansion's.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ust_markov::{CsrMatrix, ReachabilityIndex, StateId};
+use ust_markov::reachability::{forward_reachable, segment};
+use ust_markov::{CsrMatrix, MarkovModel, StateId, Timestamp};
 
 const CASES: u64 = 300;
 const MAX_STEPS: usize = 12;
 
-/// `result[k]` is the sorted set of states reachable from `origin` in exactly
-/// `k` steps: every successor of the frontier, sorted and deduplicated.
-fn oracle_expand(matrix: &CsrMatrix, origin: StateId, steps: usize) -> Vec<Vec<StateId>> {
+/// `result[k]` is the sorted set of states reachable from `origin` at time
+/// `start` in exactly `k` steps, step `k` taken by the matrix of time
+/// `start + k`: every successor of the frontier, sorted and deduplicated.
+fn oracle_expand(
+    model: &MarkovModel,
+    start: Timestamp,
+    origin: StateId,
+    steps: usize,
+) -> Vec<Vec<StateId>> {
     let mut out = vec![vec![origin]];
     for k in 0..steps {
+        let matrix = model.matrix_at(start + k as Timestamp);
         let mut next: Vec<StateId> = Vec::new();
         for &s in &out[k] {
             next.extend_from_slice(matrix.successors(s));
@@ -48,18 +60,31 @@ fn oracle_transpose(matrix: &CsrMatrix) -> CsrMatrix {
 }
 
 /// A segment's per-timestamp sets: all empty when the target is not
-/// forward-reachable, else forward ∩ backward at every step.
+/// forward-reachable, else forward ∩ backward at every step. `bwd[j]` holds
+/// the states `j` steps before the target, expanded over the predecessor
+/// graph of the step that leads out of them.
 fn oracle_segment(
-    matrix: &CsrMatrix,
+    model: &MarkovModel,
+    start: Timestamp,
     from: StateId,
     to: StateId,
     steps: usize,
 ) -> Vec<Vec<StateId>> {
-    let fwd = oracle_expand(matrix, from, steps);
+    let fwd = oracle_expand(model, start, from, steps);
     if fwd[steps].binary_search(&to).is_err() {
         return vec![Vec::new(); steps + 1];
     }
-    let bwd = oracle_expand(&oracle_transpose(matrix), to, steps);
+    let mut bwd = vec![vec![to]];
+    for j in 0..steps {
+        let preds = oracle_transpose(model.matrix_at(start + (steps - 1 - j) as Timestamp));
+        let mut prev: Vec<StateId> = Vec::new();
+        for &s in &bwd[j] {
+            prev.extend_from_slice(preds.successors(s));
+        }
+        prev.sort_unstable();
+        prev.dedup();
+        bwd.push(prev);
+    }
     (0..=steps)
         .map(|k| {
             let backward = &bwd[steps - k];
@@ -100,6 +125,7 @@ fn random_graph(rng: &mut StdRng, n: u32, origin: StateId, origin_sink: bool) ->
 #[test]
 fn expansion_and_segments_equal_the_sort_and_dedup_oracle() {
     let (mut sinks, mut consistent, mut contradictory) = (0, 0, 0);
+    let mut time_varying_differs = 0;
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(case);
         let n = if case % 2 == 0 {
@@ -109,29 +135,38 @@ fn expansion_and_segments_equal_the_sort_and_dedup_oracle() {
         };
         let origin = rng.gen_range(0..n);
         let origin_sink = rng.gen_bool(0.1);
-        let matrix = random_graph(&mut rng, n, origin, origin_sink);
-        let index = ReachabilityIndex::from_matrix(&matrix);
+        let time_varying = rng.gen_bool(0.5);
+        let (model, start) = if time_varying {
+            let count = rng.gen_range(2..=4usize);
+            let matrices = (0..count).map(|_| random_graph(&mut rng, n, origin, origin_sink));
+            // Starts before the last matrix, so a segment crosses switches.
+            (MarkovModel::time_varying(matrices.collect()), rng.gen_range(0..count as u32))
+        } else {
+            let matrix = random_graph(&mut rng, n, origin, origin_sink);
+            (MarkovModel::homogeneous(matrix), rng.gen_range(0..100u32))
+        };
         let steps = rng.gen_range(0..=MAX_STEPS);
 
-        let fwd = oracle_expand(&matrix, origin, steps);
-        assert_eq!(index.forward_reachable(origin, steps), fwd, "case {case}: forward");
+        let fwd = oracle_expand(&model, start, origin, steps);
+        assert_eq!(forward_reachable(&model, (start, origin), steps), fwd, "case {case}: forward");
         let target = if rng.gen_bool(0.7) && !fwd[steps].is_empty() {
             fwd[steps][rng.gen_range(0..fwd[steps].len())]
         } else {
             rng.gen_range(0..n)
         };
-        assert_eq!(
-            index.backward_reachable(target, steps),
-            oracle_expand(&oracle_transpose(&matrix), target, steps),
-            "case {case}: backward"
-        );
 
-        let start = rng.gen_range(0..100u32);
-        let sets = index.segment((start, origin), (start + steps as u32, target));
+        let sets = segment(&model, (start, origin), (start + steps as u32, target));
         assert_eq!((sets.start, sets.end), (start, start + steps as u32));
-        assert_eq!(sets.per_time, oracle_segment(&matrix, origin, target, steps), "case {case}");
+        let expected = oracle_segment(&model, start, origin, target, steps);
+        assert_eq!(sets.per_time, expected, "case {case}");
 
-        sinks += usize::from(matrix.successors(origin).is_empty());
+        if time_varying {
+            // The sets step 0's matrix alone would give.
+            let first = MarkovModel::homogeneous(model.matrix_at(start).clone());
+            time_varying_differs +=
+                usize::from(oracle_segment(&first, start, origin, target, steps) != expected);
+        }
+        sinks += usize::from(model.matrix_at(start).successors(origin).is_empty());
         if sets.is_consistent() {
             consistent += 1;
         } else {
@@ -140,4 +175,5 @@ fn expansion_and_segments_equal_the_sort_and_dedup_oracle() {
     }
     assert!(sinks > 0, "no case expanded from an origin without successors");
     assert!(consistent > 0 && contradictory > 0, "{consistent} consistent, {contradictory} not");
+    assert!(time_varying_differs > 0, "no time-varying case depended on its later matrices");
 }

@@ -277,10 +277,6 @@ pub(crate) fn encode_adapted(w: &mut ByteWriter, m: &AdaptedModel) {
     }
     for t in m.start()..=m.end() {
         // lint: allow(P001) encode side: t iterates the model's own [start, end] range
-        encode_dist(w, m.forward_at(t).expect("t inside the covered interval"));
-    }
-    for t in m.start()..=m.end() {
-        // lint: allow(P001) encode side: t iterates the model's own [start, end] range
         encode_dist(w, m.posterior_at(t).expect("t inside the covered interval"));
     }
     for t in m.start()..m.end() {
@@ -317,9 +313,10 @@ pub(crate) fn decode_adapted(
     };
     let horizon = (end - start) as u64;
     // The marginal and table vectors are sized from the observation span, not
-    // from a stored count — prove the input can back them (each marginal and
-    // table costs at least its 8-byte length field) before allocating.
-    let min_needed = (horizon + 1) * 16 + horizon * 8;
+    // from a stored count — prove the input can back them (each of the
+    // horizon + 1 marginals and the horizon tables costs at least its 8-byte
+    // length field) before allocating.
+    let min_needed = (horizon + 1) * 8 + horizon * 8;
     if min_needed > r.remaining() as u64 {
         return Err(StoreError::CountOverflow {
             context: "adapted-model horizon",
@@ -327,11 +324,6 @@ pub(crate) fn decode_adapted(
         });
     }
     let horizon = horizon as usize;
-    // lint: allow(A001) horizon is pre-checked against remaining() by the min_needed guard above
-    let mut forward = Vec::with_capacity(horizon + 1);
-    for _ in 0..=horizon {
-        forward.push(decode_dist(r, num_states)?);
-    }
     // lint: allow(A001) horizon is pre-checked against remaining() by the min_needed guard above
     let mut posterior = Vec::with_capacity(horizon + 1);
     for _ in 0..=horizon {
@@ -346,7 +338,7 @@ pub(crate) fn decode_adapted(
     // the decoded rows — so a store-loaded model samples identically to the
     // freshly adapted one it was encoded from, with zero format change.
     // `from_parts` also rejects rows that leave a walk without a way on.
-    AdaptedModel::from_parts(observations, forward, posterior, AliasKernel::from_rows(transitions))
+    AdaptedModel::from_parts(observations, posterior, AliasKernel::from_rows(transitions))
         .map_err(|context| StoreError::Malformed { context })
 }
 
@@ -482,14 +474,8 @@ pub(crate) fn encode_tree(w: &mut ByteWriter, tree: &UstTree) {
         w.u32(d.t_start);
         w.u32(d.t_end);
         encode_rect2(w, &d.mbr);
-        match &d.per_time {
-            Some(rects) => {
-                w.u8(1);
-                for rect in rects {
-                    encode_rect2(w, rect);
-                }
-            }
-            None => w.u8(0),
+        for rect in &d.per_time {
+            encode_rect2(w, rect);
         }
     }
 }
@@ -521,7 +507,9 @@ pub(crate) fn decode_tree(
     };
     r.set_context("diamonds");
     let known: FxHashSet<ObjectId> = db.objects().iter().map(|o| o.id()).collect();
-    let n = r.count("diamonds", 45)?;
+    // A diamond is at least its object and interval (12 bytes), its MBR and
+    // one per-time rectangle (32 bytes each).
+    let n = r.count("diamonds", 76)?;
     if stats.diamonds != n {
         return Err(StoreError::Malformed {
             context: "tree stats disagree with the diamond count",
@@ -539,27 +527,17 @@ pub(crate) fn decode_tree(
             return Err(StoreError::Malformed { context: "diamond time interval inverted" });
         }
         let mbr = decode_rect2(r)?;
-        let per_time = match r.u8()? {
-            0 => None,
-            1 => {
-                // One rect per covered timestamp — the count is implied by the
-                // time interval, so bound it against the remaining input
-                // before allocating.
-                let count = u64::from(t_end - t_start) + 1;
-                if count * 32 > r.remaining() as u64 {
-                    return Err(StoreError::CountOverflow {
-                        context: "diamond per-time rectangles",
-                        count,
-                    });
-                }
-                let mut rects = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    rects.push(decode_rect2(r)?);
-                }
-                Some(rects)
-            }
-            _ => return Err(StoreError::Malformed { context: "diamond per-time flag" }),
-        };
+        // One rect per covered timestamp — the count is implied by the time
+        // interval, so bound it against the remaining input before
+        // allocating.
+        let count = u64::from(t_end - t_start) + 1;
+        if count * 32 > r.remaining() as u64 {
+            return Err(StoreError::CountOverflow { context: "diamond per-time rectangles", count });
+        }
+        let mut per_time = Vec::with_capacity(count as usize);
+        for _ in 0..count {
+            per_time.push(decode_rect2(r)?);
+        }
         diamonds.push(Diamond { object, t_start, t_end, mbr, per_time });
     }
     // The R-tree itself is not stored: STR bulk loading is deterministic, so

@@ -22,11 +22,14 @@ use crate::error::StoreError;
 pub const MAGIC: [u8; 8] = *b"USTSTORE";
 
 /// The store format version this build writes and reads. Decoders reject any
-/// other version outright ([`StoreError::UnsupportedVersion`]); there is no
-/// cross-version "best effort" path.
-pub const FORMAT_VERSION: u32 = 1;
+/// other version outright ([`StoreError::UnsupportedVersion`]), version 1
+/// included; there is no cross-version "best effort" path.
+///
+/// Version 2 dropped the forward marginals from every MODELS entry and the
+/// per-time presence byte from every TREE diamond.
+pub const FORMAT_VERSION: u32 = 2;
 
-/// Known section ids of format version 1.
+/// Known section ids of format version 2.
 pub mod section {
     /// The trajectory database (state space, a-priori models, objects).
     /// Required — every store has one.

@@ -18,9 +18,18 @@
 //!
 //! All integers are little-endian; floats travel as IEEE-754 bit patterns, so
 //! encode→decode→encode is byte-identical. Hash-map-backed structures are
-//! written in sorted key order for the same reason. The R-tree is *not*
+//! written in sorted key order for the same reason. Each section holds what
+//! queries read and nothing they can recompute. The R-tree is *not*
 //! serialized: STR bulk loading is deterministic, so the tree section stores
-//! only the diamond arena plus the node capacity and rebuilds the rest.
+//! only the diamond arena (each diamond with its per-timestamp rectangles)
+//! plus the node capacity and rebuilds the rest. A stored adapted model is
+//! its observations, a-posteriori marginals and `F(t)` rows; the alias
+//! tables are rebuilt from the rows on load, and the forward beliefs, which
+//! no query reads, are not kept at all.
+//!
+//! A build reads exactly one format version,
+//! [`FORMAT_VERSION`](format::FORMAT_VERSION) (2): any other, version 1
+//! included, is [`StoreError::UnsupportedVersion`].
 //!
 //! # Incremental ingest
 //!

@@ -86,10 +86,9 @@ fn walk(
 }
 
 /// Builds a deterministic workload: `num_objects` random walks over a
-/// `num_states`-state chain, the UST-tree over them (per-timestamp MBRs
-/// toggled by the seed's parity, serial build for machine-independent
-/// stats), adapted models for the first half of the objects, and one
-/// per-object a-priori model override.
+/// `num_states`-state chain, the UST-tree over them (serial build for
+/// machine-independent stats), adapted models for the first half of the
+/// objects, and one per-object a-priori model override.
 pub fn build_workload(
     num_states: usize,
     num_objects: usize,
@@ -115,12 +114,7 @@ pub fn build_workload(
     let mut db = TrajectoryDatabase::with_objects(space, shared, objects);
     db.set_object_model(ids[0], Arc::new(MarkovModel::homogeneous(perturb(&matrix, &mut rng))));
 
-    let cfg = UstTreeConfig {
-        per_timestamp_mbrs: seed.is_multiple_of(2),
-        build_threads: 1,
-        ..Default::default()
-    };
-    let tree = UstTree::build_with(&db, &cfg);
+    let tree = UstTree::build_with(&db, &UstTreeConfig { build_threads: 1, ..Default::default() });
 
     let models: Vec<(ObjectId, Arc<AdaptedModel>)> = ids
         .iter()

@@ -3,10 +3,14 @@
 //! [`StoreError`] — a refactor that changes which error a corruption class
 //! yields (or worse, panics) fails here, not in production.
 //!
-//! The fixtures derive from one deterministic database-only store (the
-//! workload builder is fully seeded and the DATABASE section contains no
-//! wall-clock data, so regeneration is byte-reproducible). To regenerate
-//! after a deliberate format change:
+//! The fixtures derive from one deterministic database-only store of the
+//! current format version (the workload builder is fully seeded and the
+//! DATABASE section contains no wall-clock data, so regeneration is
+//! byte-reproducible). A version bump that leaves the DATABASE layout alone
+//! changes each fixture that carries the version field in that field only.
+//! A store of any other version, the previous one included, is
+//! [`StoreError::UnsupportedVersion`]: there is no read path for old
+//! versions. To regenerate after a deliberate format change:
 //!
 //! ```text
 //! cargo test -p ust-persist --test hostile_corpus -- --ignored
@@ -137,6 +141,17 @@ fn every_hostile_fixture_yields_its_pinned_error() {
             .expect_err(&format!("{name} must not decode"));
         assert_eq!(err, expected, "fixture {name} drifted from its pinned error");
     }
+}
+
+#[test]
+fn a_store_of_the_previous_version_is_unsupported() {
+    let mut v1 = base_store();
+    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    assert_eq!(FORMAT_VERSION, 2);
+    assert_eq!(
+        decode_store(&v1).map(|_| ()),
+        Err(StoreError::UnsupportedVersion { found: 1 })
+    );
 }
 
 #[test]

@@ -51,9 +51,6 @@ fn encode_model(
         w.u32(s);
     }
     for t in m.start()..=m.end() {
-        entries(w, m.forward_at(t).unwrap().iter().collect());
-    }
-    for t in m.start()..=m.end() {
         entries(w, posterior((t - m.start()) as usize, m.posterior_at(t).unwrap()));
     }
     for t in m.start()..m.end() {
