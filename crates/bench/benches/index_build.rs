@@ -211,7 +211,7 @@ fn main() {
             .expect("workload queries are well-formed");
         let Ok(result) = serial.try_prune_knn(
             query.times(),
-            |t| query.position_at(t).expect("query validated"),
+            query.positions(),
             1,
             |_| Ok::<(), Infallible>(()),
         );

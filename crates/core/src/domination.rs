@@ -67,16 +67,18 @@ pub fn domination_probability(
         }
     }
 
-    let is_query_time = |t: Timestamp| times.binary_search(&t).is_ok();
     let last = *times.last().expect("non-empty");
-
-    // Filter at the first timestamp if it is a query timestamp.
-    if is_query_time(first) {
-        let q = query.position_at(first).expect("validated");
-        joint.retain(|&(so, sa), _| {
-            space.position(so).dist2(&q) <= space.position(sa).dist2(&q)
-        });
-    }
+    // At each query timestamp the walk reaches, keep only the joint states
+    // in which `o` is at least as close to that timestamp's query position.
+    let mut stops = times.iter().zip(query.positions()).peekable();
+    let mut filter_at = |t: Timestamp, joint: &mut FxHashMap<(StateId, StateId), f64>| {
+        if let Some((_, q)) = stops.next_if(|&(&stop, _)| stop == t) {
+            joint.retain(|&(so, sa), _| {
+                space.position(so).dist2(q) <= space.position(sa).dist2(q)
+            });
+        }
+    };
+    filter_at(first, &mut joint);
 
     let mut t = first;
     while t < last {
@@ -99,12 +101,7 @@ pub fn domination_probability(
             }
         }
         t += 1;
-        if is_query_time(t) {
-            let q = query.position_at(t).expect("validated");
-            next.retain(|&(so, sa), _| {
-                space.position(so).dist2(&q) <= space.position(sa).dist2(&q)
-            });
-        }
+        filter_at(t, &mut next);
         joint = next;
     }
     // Same discipline for the final reduction: sum the surviving mass in key

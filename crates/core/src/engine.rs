@@ -19,10 +19,16 @@
 //!    fanned out across [`EngineConfig::adaptation_threads`] workers through
 //!    the stampede-free [`crate::prepare`] subsystem.
 //! 3. **Refinement ("FA"/"EX"/"SA")** — possible worlds are sampled from the
-//!    a-posteriori models; in each world the certain-trajectory NN primitives
-//!    decide which objects are nearest neighbors at which query timestamps;
-//!    averaging over worlds yields the probability estimates that are
-//!    compared against `τ`.
+//!    a-posteriori models, and in each world a k-th-smallest-distance cutoff
+//!    per query timestamp decides which objects are (k-)nearest neighbors
+//!    there. That one indicator lands in one [`WorldSet`] per influence
+//!    object, and every semantics reads its answer from those sets (Section
+//!    5.2.3): P∃NN counts the worlds whose marks hold at some timestamp, P∀NN
+//!    those whose marks hold at every timestamp, and PCNN mines the subsets
+//!    `T_i` on which they hold. The shares are compared against `τ`.
+//!
+//! Every phase time in [`QueryStats`] is a difference of the evaluation's one
+//! clock, [`BudgetGauge::elapsed`].
 
 use crate::govern::{
     BudgetGauge, QueryBudget, QueryPhase, Verdict, FILTER_CHECK_INTERVAL, WORLD_CHECK_INTERVAL,
@@ -37,14 +43,12 @@ use crate::results::{ObjectProbability, PcnnObjectResult, PcnnOutcome, QueryOutc
 use crate::ObjectId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rustc_hash::FxHashMap;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use ust_index::{IndexBuildStats, UstTree, UstTreeConfig};
 use ust_markov::{AdaptedModel, ModelAdaptation, Timestamp};
 use ust_sampling::{block_seed, WorldBlock, WorldSampler, WORLD_BLOCK_WIDTH};
-use ust_spatial::Point;
 use ust_trajectory::TrajectoryDatabase;
 
 /// Configuration of the query engine.
@@ -175,13 +179,6 @@ impl<'a> QueryEngine<'a> {
     /// The underlying database.
     pub fn database(&self) -> &TrajectoryDatabase {
         self.db
-    }
-
-    /// Ingested-observation statistics of the underlying database (see
-    /// [`ust_trajectory::DatabaseSummary`]): object and observation counts,
-    /// the per-object observation spread and the data-defined time horizon.
-    pub fn database_summary(&self) -> ust_trajectory::DatabaseSummary {
-        self.db.summary()
     }
 
     /// The UST-tree, if the filter step is enabled.
@@ -356,8 +353,7 @@ impl<'a> QueryEngine<'a> {
         let mut cold_time = Duration::ZERO;
         if !cold.is_empty() {
             let cold_keys: Vec<ModelKey> = cold.iter().map(|&(_, key)| key).collect();
-            // lint: allow(T001) cold_time is QueryStats observability; it never feeds results
-            let start = Instant::now();
+            let start = gauge.elapsed();
             let results = adapt_batch_governed(
                 &self.cache,
                 &cold_keys,
@@ -365,7 +361,7 @@ impl<'a> QueryEngine<'a> {
                 |key| self.adapt_uncached(key),
                 gauge,
             );
-            cold_time = start.elapsed();
+            cold_time = gauge.elapsed().saturating_sub(start);
             for (&(i, _), result) in cold.iter().zip(results) {
                 let (model, was_cold) = result?;
                 cold_adaptations += usize::from(was_cold);
@@ -419,15 +415,13 @@ impl<'a> QueryEngine<'a> {
         k: usize,
         gauge: &BudgetGauge,
     ) -> Result<(Vec<ObjectId>, Vec<ObjectId>), QueryError> {
-        query.validate()?;
         gauge.check(QueryPhase::Filter)?;
-        let times = query.times();
         match &self.index {
             Some(tree) => {
                 let cap = gauge.max_diamonds();
                 let pruning = tree.try_prune_knn(
-                    times,
-                    |t| query.position_at(t).expect("query validated above"),
+                    query.times(),
+                    query.positions(),
                     k,
                     |streamed| {
                         if let Some(cap) = cap {
@@ -459,10 +453,11 @@ impl<'a> QueryEngine<'a> {
     // Refinement (Monte-Carlo sampling)
     // ------------------------------------------------------------------
 
-    /// Samples possible worlds over the influence set and collects, for every
-    /// `tracked` object, its transposed [`WorldSet`] (per query timestamp, the
-    /// bitset of worlds in which the object is a NN there) and, for every
-    /// influence object, the number of worlds with at least one NN timestamp.
+    /// Samples possible worlds over the influence set and returns one
+    /// [`WorldSet`] per influence object, in `influencers` (= sampler)
+    /// order: per query timestamp, the bitset of worlds in which the object
+    /// is a k-nearest neighbor there. Every query semantics reads its answer
+    /// from these sets and nothing else.
     ///
     /// Worlds are drawn in blocks of [`WORLD_BLOCK_WIDTH`] = 64 into a
     /// structure-of-arrays [`WorldBlock`] over the query window
@@ -474,11 +469,10 @@ impl<'a> QueryEngine<'a> {
     /// from its own generator, seeded with
     /// [`block_seed`]`(config.seed, b)`, so a capped or degraded run holds
     /// exactly the first worlds of the uncapped one. The NN evaluation
-    /// accumulates one `u64` of hit bits per tracked object per timestamp
-    /// per block and lands it with a single [`WorldSet::or_word`], and
-    /// per-object ∃-membership is one `count_ones` per block instead of
-    /// per-world bookkeeping. The block width equals
-    /// [`WORLD_CHECK_INTERVAL`], so the budget is probed once per block.
+    /// accumulates one `u64` of hit bits per influence object per timestamp
+    /// per block and lands it with a single [`WorldSet::or_word`]. The block
+    /// width equals [`WORLD_CHECK_INTERVAL`], so the budget is probed once
+    /// per block.
     ///
     /// The influence objects' models come from the TS phase over the query
     /// window (brackets, see [`ModelKey::bracket`]); the adaptation and
@@ -486,12 +480,11 @@ impl<'a> QueryEngine<'a> {
     fn sample(
         &self,
         query: &Query,
-        tracked: &[ObjectId],
         influencers: &[ObjectId],
         k: usize,
         gauge: &BudgetGauge,
         stats: &mut QueryStats,
-    ) -> Result<SamplingOutput, QueryError> {
+    ) -> Result<Vec<WorldSet>, QueryError> {
         let window = query.start()..=query.end();
         let prepared = self.prepare_governed(influencers, &window, gauge)?;
         stats.adaptation_time = prepared.cold_time;
@@ -501,8 +494,7 @@ impl<'a> QueryEngine<'a> {
         let times = query.times();
         let space = self.db.state_space();
 
-        // lint: allow(T001) sampling_time is QueryStats observability; it never feeds results
-        let start = Instant::now();
+        let sampling_start = gauge.elapsed();
         let requested = self.config.num_samples;
         // A `max_worlds` cap truncates the run up front: blocks are seeded
         // by index and filled world-major, so the first `cap` worlds of the
@@ -517,40 +509,19 @@ impl<'a> QueryEngine<'a> {
                 degraded = true;
             }
         }
-        // One vertical world-set per tracked object, in ascending object order
-        // (the order PCNN results are reported in).
-        let mut sorted_tracked = tracked.to_vec();
-        sorted_tracked.sort_unstable();
-        let mut tracked_worlds: Vec<(ObjectId, WorldSet)> = sorted_tracked
-            .iter()
-            .map(|&id| (id, WorldSet::new(times.len(), num_worlds)))
-            .collect();
-        let tracked_slot: FxHashMap<ObjectId, usize> =
-            sorted_tracked.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-        // Per world-position bookkeeping (world positions = sampler order =
-        // `influencers` order), so the hot loop indexes flat vectors instead
-        // of hashing object ids.
-        let world_ids: Vec<ObjectId> = sampler.object_ids().collect();
-        let slot_of: Vec<Option<usize>> =
-            world_ids.iter().map(|id| tracked_slot.get(id).copied()).collect();
-        let mut exists_counts: Vec<usize> = vec![0; world_ids.len()];
-        let query_positions: Vec<Point> = times
-            .iter()
-            .map(|&t| query.position_at(t).expect("query validated"))
-            .collect();
+        let mut worlds: Vec<WorldSet> =
+            (0..sampler.len()).map(|_| WorldSet::new(times.len(), num_worlds)).collect();
         // Scratch: distances of the objects alive at the current timestamp,
         // as (distance², world position) pairs.
-        let mut alive: Vec<(f64, usize)> = Vec::with_capacity(world_ids.len());
+        let mut alive: Vec<(f64, usize)> = Vec::with_capacity(sampler.len());
 
         // One 64-world SoA block over the query window, refilled per
         // iteration; its width matches the budget-probe interval.
         const _: () = assert!(WORLD_BLOCK_WIDTH == WORLD_CHECK_INTERVAL);
         let mut block = WorldBlock::for_window(&sampler, window, WORLD_BLOCK_WIDTH);
         let mut world_generation_time = Duration::ZERO;
-        // Per block: one word of hits per (tracked object, timestamp) and one
-        // word of ∃-membership per influence object.
-        let mut hit_words: Vec<u64> = vec![0; sorted_tracked.len()];
-        let mut exists_words: Vec<u64> = vec![0; world_ids.len()];
+        // Per block and timestamp: one word of hits per influence object.
+        let mut hit_words: Vec<u64> = vec![0; sampler.len()];
         let mut worlds_done = 0usize;
         while worlds_done < num_worlds {
             // Deadline breaches degrade: the worlds sampled so far are a
@@ -568,21 +539,19 @@ impl<'a> QueryEngine<'a> {
             // Block `b` is word `b` of every world set.
             let word_index = worlds_done / WORLD_BLOCK_WIDTH;
             let mut rng = StdRng::seed_from_u64(block_seed(self.config.seed, word_index));
-            // lint: allow(T001) world_generation_time is QueryStats observability; it never feeds results
-            let fill_start = Instant::now();
+            let fill_start = gauge.elapsed();
             block.fill(&mut rng, count);
-            world_generation_time += fill_start.elapsed();
+            world_generation_time += gauge.elapsed().saturating_sub(fill_start);
             // Per-object world rows of the current timestamp, hoisted out of
             // the 64-world scan.
-            let mut rows: Vec<Option<&[u32]>> = Vec::with_capacity(world_ids.len());
-            for (i, &t) in times.iter().enumerate() {
+            let mut rows: Vec<Option<&[u32]>> = Vec::with_capacity(sampler.len());
+            for (i, (&t, q)) in times.iter().zip(query.positions()).enumerate() {
                 if k == 0 {
                     break;
                 }
-                let q = &query_positions[i];
                 hit_words.fill(0);
                 rows.clear();
-                rows.extend((0..world_ids.len()).map(|j| block.states_at(j, t)));
+                rows.extend((0..sampler.len()).map(|j| block.states_at(j, t)));
                 for w in 0..count {
                     alive.clear();
                     for (j, row) in rows.iter().enumerate() {
@@ -607,42 +576,31 @@ impl<'a> QueryEngine<'a> {
                     let bit = 1u64 << w;
                     for &(d, j) in &alive {
                         if d <= cutoff {
-                            exists_words[j] |= bit;
-                            if let Some(slot) = slot_of[j] {
-                                hit_words[slot] |= bit;
-                            }
+                            hit_words[j] |= bit;
                         }
                     }
                 }
-                for (slot, &bits) in hit_words.iter().enumerate() {
+                for (set, &bits) in worlds.iter_mut().zip(&hit_words) {
                     if bits != 0 {
-                        tracked_worlds[slot].1.or_word(i, word_index, bits);
+                        set.or_word(i, word_index, bits);
                     }
                 }
             }
-            for (j, word) in exists_words.iter_mut().enumerate() {
-                exists_counts[j] += word.count_ones() as usize;
-                *word = 0;
-            }
             worlds_done += count;
         }
-        stats.sampling_time = start.elapsed();
+        stats.sampling_time = gauge.elapsed().saturating_sub(sampling_start);
         stats.world_generation_time = world_generation_time;
         stats.worlds = worlds_done;
         stats.worlds_requested = requested;
         stats.degraded = degraded;
         if worlds_done < num_worlds {
-            // Shrink every tracked world-set to the worlds actually sampled,
-            // so supports and probability denominators agree.
-            for (_, worlds) in &mut tracked_worlds {
-                worlds.truncate_worlds(worlds_done);
+            // Shrink every world set to the worlds actually sampled, so
+            // supports and probability denominators agree.
+            for set in &mut worlds {
+                set.truncate_worlds(worlds_done);
             }
         }
-
-        Ok(SamplingOutput {
-            tracked_worlds,
-            exists_counts: world_ids.into_iter().zip(exists_counts).collect(),
-        })
+        Ok(worlds)
     }
 
     // ------------------------------------------------------------------
@@ -650,35 +608,25 @@ impl<'a> QueryEngine<'a> {
     // ------------------------------------------------------------------
 
     /// The steps every query semantics opens with, run once under
-    /// [`EngineConfig::budget`]: validate `tau`, start the gauge, time the
-    /// filter, then adapt and sample, keeping a world set for each of the
-    /// `tracked` objects. A budget error from these phases carries the
-    /// filter's counts and time in its partial stats.
-    fn evaluate(
-        &self,
-        query: &Query,
-        k: usize,
-        tau: f64,
-        tracked: Tracked,
-    ) -> Result<Evaluation, QueryError> {
+    /// [`EngineConfig::budget`]: validate `tau`, start the gauge, run the
+    /// filter, then adapt and sample one world set per influence object. A
+    /// budget error from these phases carries the filter's counts and time
+    /// in its partial stats.
+    fn evaluate(&self, query: &Query, k: usize, tau: f64) -> Result<Evaluation, QueryError> {
         Query::validate_threshold(tau)?;
         let gauge = self.config.budget.start();
-        // lint: allow(T001) filter_time is QueryStats observability; it never feeds results
-        let filter_start = Instant::now();
         let (candidates, influencers) = self.filter_knn_governed(query, k, &gauge)?;
         let mut stats = QueryStats {
             candidates: candidates.len(),
             influencers: influencers.len(),
-            filter_time: filter_start.elapsed(),
+            filter_time: gauge.elapsed(),
             ..Default::default()
         };
-        let tracked: &[ObjectId] = match tracked {
-            Tracked::Nothing => &[],
-            Tracked::Candidates => &candidates,
-            Tracked::Influencers => &influencers,
-        };
-        match self.sample(query, tracked, &influencers, k, &gauge, &mut stats) {
-            Ok(sampling) => Ok(Evaluation { gauge, stats, sampling }),
+        match self.sample(query, &influencers, k, &gauge, &mut stats) {
+            Ok(worlds) => {
+                let worlds = influencers.into_iter().zip(worlds).collect();
+                Ok(Evaluation { gauge, stats, candidates, worlds })
+            }
             Err(error) => Err(enrich_partial(error, &stats)),
         }
     }
@@ -697,16 +645,23 @@ impl<'a> QueryEngine<'a> {
 
     /// P∀kNNQ (Section 8): objects that belong to the k-NN set of `q` at every
     /// timestamp of `T` with probability at least `tau`.
+    ///
+    /// Only the ∀-candidates `C∀(q)` are read: an influence object the filter
+    /// rules out at some timestamp cannot be a kNN there.
     pub fn pforall_knn(
         &self,
         query: &Query,
         k: usize,
         tau: f64,
     ) -> Result<QueryOutcome, QueryError> {
-        let run = self.evaluate(query, k, tau, Tracked::Candidates)?;
+        let run = self.evaluate(query, k, tau)?;
         // The ∀ event is one AND-reduction over the candidate's world-set
         // columns — no per-world mask is ever materialised.
-        let hits = run.sampling.tracked_worlds.iter().map(|(o, w)| (*o, w.forall_support()));
+        let hits = run
+            .worlds
+            .iter()
+            .filter(|(o, _)| run.candidates.binary_search(o).is_ok())
+            .map(|(o, w)| (*o, w.forall_support()));
         Ok(run.answer(hits, tau))
     }
 
@@ -718,8 +673,10 @@ impl<'a> QueryEngine<'a> {
         k: usize,
         tau: f64,
     ) -> Result<QueryOutcome, QueryError> {
-        let run = self.evaluate(query, k, tau, Tracked::Nothing)?;
-        Ok(run.answer(run.sampling.exists_counts.iter().copied(), tau))
+        let run = self.evaluate(query, k, tau)?;
+        // The ∃ event is one OR-reduction over the world-set columns.
+        let hits = run.worlds.iter().map(|(o, w)| (*o, w.exists_support()));
+        Ok(run.answer(hits, tau))
     }
 
     /// PCNNQ (Definition 3, Algorithm 1): per object, the timestamp subsets of
@@ -748,31 +705,27 @@ impl<'a> QueryEngine<'a> {
     /// (an exact under-approximation of the full answer) are returned with
     /// `stats.degraded` set; cancellation is always a typed error.
     pub fn pcknn(&self, query: &Query, k: usize, tau: f64) -> Result<PcnnOutcome, QueryError> {
-        let run = self.evaluate(query, k, tau, Tracked::Influencers)?;
+        let run = self.evaluate(query, k, tau)?;
         let cfg = if self.config.maximal_pcnn_sets {
             PcnnConfig::maximal(tau)
         } else {
             PcnnConfig::new(tau)
         };
         let times = query.times();
-        // lint: allow(T001) mining_time is QueryStats observability; it never feeds results
-        let mine_start = Instant::now();
-        let lattices: Vec<Result<PcnnResult, QueryError>> = parallel_map_ordered(
-            &run.sampling.tracked_worlds,
-            self.config.pcnn_threads,
-            |(_, worlds)| {
+        let mine_start = run.gauge.elapsed();
+        let lattices: Vec<Result<PcnnResult, QueryError>> =
+            parallel_map_ordered(&run.worlds, self.config.pcnn_threads, |(_, worlds)| {
                 let mut lattice = vertical_timesets(worlds, &cfg, Some(&run.gauge))?;
                 lattice.sets.map_timestamps(|i| times[i as usize]);
                 Ok(lattice)
-            },
-        );
-        let mining_time = mine_start.elapsed();
+            });
+        let mining_time = run.gauge.elapsed().saturating_sub(mine_start);
         let mut candidate_sets_evaluated = 0usize;
         let mut max_level = 0usize;
         let mut frontier_peak = 0usize;
         let mut mining_degraded = false;
         let mut results: Vec<PcnnObjectResult> = Vec::new();
-        for ((object, _), lattice) in run.sampling.tracked_worlds.iter().zip(lattices) {
+        for ((object, _), lattice) in run.worlds.iter().zip(lattices) {
             let lattice = lattice.map_err(|e| enrich_partial(e, &run.stats))?;
             candidate_sets_evaluated += lattice.candidate_sets_evaluated;
             max_level = max_level.max(lattice.max_level);
@@ -808,28 +761,6 @@ fn enrich_partial(mut error: QueryError, filtered: &QueryStats) -> QueryError {
     error
 }
 
-/// The objects an evaluation keeps a [`WorldSet`] for.
-#[derive(Debug, Clone, Copy)]
-enum Tracked {
-    /// No object: P∃NN reads only the per-object ∃ counts.
-    Nothing,
-    /// The ∀-candidates `C∀(q)`, whose world sets P∀NN reads.
-    Candidates,
-    /// Every influence object: PCNN's qualifying subsets may omit the
-    /// timestamps where an object is pruned or absent.
-    Influencers,
-}
-
-/// Output of the internal sampling pass.
-struct SamplingOutput {
-    /// Per tracked object (ascending object order), the transposed
-    /// world-set: one bitset over worlds per query timestamp.
-    tracked_worlds: Vec<(ObjectId, WorldSet)>,
-    /// Per influence object (sampler order), the number of worlds with at
-    /// least one NN timestamp (the ∃ event of Definition 1).
-    exists_counts: Vec<(ObjectId, usize)>,
-}
-
 /// One evaluation after its shared opening steps: the live gauge, the
 /// filter and sampling stats, and the sampled worlds every semantics reads
 /// its answer from.
@@ -839,7 +770,10 @@ struct Evaluation {
     /// `budget_checkpoints` is read from the gauge by
     /// [`stats_now`](Self::stats_now).
     stats: QueryStats,
-    sampling: SamplingOutput,
+    /// The ∀-candidates `C∀(q)`, ascending: the only objects P∀kNN reports.
+    candidates: Vec<ObjectId>,
+    /// One world set per influence object, by ascending object id.
+    worlds: Vec<(ObjectId, WorldSet)>,
 }
 
 impl Evaluation {

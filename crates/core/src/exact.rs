@@ -171,9 +171,8 @@ pub fn exact_pknn(
         }
         worlds += 1;
         if world_prob > 0.0 {
-            let profile = NnTimeProfile::compute_knn(&refs, space, times, |t| {
-                query.position_at(t).expect("query validated by the caller")
-            }, k);
+            let profile =
+                NnTimeProfile::compute_knn(&refs, space, times, query.positions(), k);
             for (id, mask) in profile.iter() {
                 if mask.all() {
                     *result.forall.entry(id).or_insert(0.0) += world_prob;

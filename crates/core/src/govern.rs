@@ -254,10 +254,12 @@ impl BudgetGauge {
         QueryError::BudgetExhausted { phase, resource, limit, stats: self.partial_stats() }
     }
 
-    /// Wall-clock time since [`QueryBudget::start`].
+    /// Wall-clock time since [`QueryBudget::start`]. This is the one clock of
+    /// an evaluation: the engine times each phase in
+    /// [`QueryStats`] as a difference of two readings.
     pub fn elapsed(&self) -> Duration {
-        // lint T001 waiver (lint.toml): the deadline clock is governance
-        // observability; it bounds wall time but never feeds result bytes.
+        // lint T001 waiver (lint.toml): the deadline clock is governance and
+        // phase-timing observability; it never feeds result bytes.
         self.started.elapsed()
     }
 

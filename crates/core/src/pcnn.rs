@@ -108,14 +108,17 @@ pub struct PcnnResult {
     pub degraded: bool,
 }
 
-/// The transposed ("vertical") world-membership of one candidate object: for
+/// The transposed ("vertical") world-membership of one influence object: for
 /// every query timestamp, the bitset of sampled worlds in which the object is
-/// a nearest neighbor at that timestamp.
+/// a (k-)nearest neighbor at that timestamp.
 ///
 /// Columns are stored contiguously as `Vec<u64>` words (column `t` occupies
 /// `words[t*stride .. (t+1)*stride]`, bit `w` of a column = world `w`). The
 /// query engine fills the columns directly while iterating worlds — no
-/// per-world mask is materialised — and the PCNN miner intersects them.
+/// per-world mask is materialised — and every semantics reads the same set:
+/// P∃NN its OR-reduction ([`exists_support`](Self::exists_support)), P∀NN
+/// its AND-reduction ([`forall_support`](Self::forall_support)), and the
+/// PCNN miner intersects subsets of its columns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorldSet {
     num_times: usize,
@@ -173,8 +176,8 @@ impl WorldSet {
     /// ORs a whole word of world bits into the column of timestamp index
     /// `time`: bit `b` of `bits` marks world `word_index * 64 + b`. This is
     /// the block-sampling feed — the engine builds one `u64` of hits per
-    /// candidate per timestamp per 64-world block and lands it with a single
-    /// OR instead of 64 [`record`](Self::record) calls.
+    /// influence object per timestamp per 64-world block and lands it with a
+    /// single OR instead of 64 [`record`](Self::record) calls.
     ///
     /// # Panics
     /// Panics if `time` or `word_index` is out of range, or if `bits` sets a
@@ -213,6 +216,19 @@ impl WorldSet {
         for t in 1..self.num_times {
             for (a, b) in acc.iter_mut().zip(self.column(t)) {
                 *a &= b;
+            }
+        }
+        acc.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Number of worlds in which the object is a NN at **some** timestamp —
+    /// the ∃-event count of Definition 1, one OR-reduction over the columns.
+    /// With zero columns no world qualifies.
+    pub fn exists_support(&self) -> usize {
+        let mut acc = vec![0u64; self.stride];
+        for t in 0..self.num_times {
+            for (a, b) in acc.iter_mut().zip(self.column(t)) {
+                *a |= b;
             }
         }
         acc.iter().map(|w| w.count_ones() as usize).sum()
@@ -767,6 +783,40 @@ mod tests {
         assert_eq!(ws.forall_support(), 35);
         assert_eq!(ws.num_worlds(), 70);
         assert_eq!(ws.column(1)[1], 0b01_0101, "worlds 64, 66 and 68 of column 1");
+    }
+
+    #[test]
+    fn exists_support_counts_every_world_with_some_nn_timestamp_once() {
+        // World 0 is a NN at all three timestamps and counts once.
+        let ws = world_set(3, &[&[0, 1, 2], &[0, 1], &[2], &[]]);
+        assert_eq!(ws.exists_support(), 3);
+
+        // 130 worlds: a stride of three words.
+        let mut wide = WorldSet::new(2, 130);
+        for w in 0..130 {
+            if w % 3 == 0 {
+                wide.record(0, w);
+            }
+            if w % 2 == 0 {
+                wide.record(1, w);
+            }
+        }
+        let expected = (0..130).filter(|w| w % 3 == 0 || w % 2 == 0).count();
+        assert_eq!(wide.exists_support(), expected);
+
+        // A degraded run: 70 of 130 worlds sampled, every one a NN at one of
+        // the two timestamps.
+        let mut cut = WorldSet::new(2, 130);
+        for w in 0..70 {
+            cut.record(w % 2, w);
+        }
+        cut.truncate_worlds(70);
+        assert_eq!((cut.exists_support(), cut.forall_support()), (70, 0));
+
+        // No timestamp: no world is a NN at some timestamp, while every
+        // world is one at all of them.
+        let empty = WorldSet::new(0, 100);
+        assert_eq!((empty.exists_support(), empty.forall_support()), (0, 100));
     }
 
     #[test]

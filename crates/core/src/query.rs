@@ -2,13 +2,12 @@
 //!
 //! All query semantics of the paper take "a certain reference state or
 //! trajectory `q` and a set of timesteps `T`" (Section 3.2). A query state is
-//! a trivial query trajectory, so [`Query`] stores a set of timestamps plus
-//! either a constant location or one location per timestamp.
+//! a trivial query trajectory, so [`Query`] stores the timestamps and one
+//! position per timestamp, repeating a query state's point.
 
 use crate::govern::QueryPhase;
 use crate::results::QueryStats;
 use crate::Timestamp;
-use rustc_hash::FxHashMap;
 use ust_spatial::Point;
 
 /// Errors raised when constructing or evaluating queries.
@@ -18,12 +17,6 @@ pub enum QueryError {
     EmptyTimes,
     /// Query timestamps were not strictly increasing.
     UnsortedTimes,
-    /// A per-timestamp query trajectory is missing the position for a
-    /// timestamp of `T`.
-    MissingPosition {
-        /// The timestamp without a position.
-        time: Timestamp,
-    },
     /// The probability threshold was outside `[0, 1]`.
     InvalidThreshold {
         /// The offending threshold.
@@ -121,9 +114,6 @@ impl std::fmt::Display for QueryError {
         match self {
             QueryError::EmptyTimes => write!(f, "query needs at least one timestamp"),
             QueryError::UnsortedTimes => write!(f, "query timestamps must be strictly increasing"),
-            QueryError::MissingPosition { time } => {
-                write!(f, "query trajectory has no position for timestamp {time}")
-            }
             QueryError::InvalidThreshold { tau } => {
                 write!(f, "probability threshold {tau} is outside [0, 1]")
             }
@@ -148,21 +138,12 @@ impl std::fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// The (certain) location of the query over time.
-#[derive(Debug, Clone)]
-enum QueryLocation {
-    /// A constant location (a query *state*).
-    Static(Point),
-    /// One location per query timestamp (a query *trajectory*).
-    PerTime(FxHashMap<Timestamp, Point>),
-}
-
 /// A probabilistic NN query input: the reference state/trajectory `q` and the
-/// query timestamps `T`.
+/// query timestamps `T`, with one query position per timestamp.
 #[derive(Debug, Clone)]
 pub struct Query {
     times: Vec<Timestamp>,
-    location: QueryLocation,
+    positions: Vec<Point>,
 }
 
 impl Query {
@@ -173,32 +154,31 @@ impl Query {
         times: impl IntoIterator<Item = Timestamp>,
     ) -> Result<Self, QueryError> {
         let times = Self::validate_times(times)?;
-        Ok(Query { times, location: QueryLocation::Static(location) })
-    }
-
-    /// A query with a constant reference location over the inclusive interval
-    /// `[from, to]`.
-    pub fn at_point_interval(location: Point, from: Timestamp, to: Timestamp) -> Result<Self, QueryError> {
-        Self::at_point(location, from..=to)
+        let positions = vec![location; times.len()];
+        Ok(Query { times, positions })
     }
 
     /// A query given by a certain reference trajectory: one position per query
-    /// timestamp.
+    /// timestamp, in any order. A timestamp given twice keeps its last
+    /// position.
     pub fn with_trajectory(
         positions: impl IntoIterator<Item = (Timestamp, Point)>,
     ) -> Result<Self, QueryError> {
-        let mut map: FxHashMap<Timestamp, Point> = FxHashMap::default();
-        let mut times: Vec<Timestamp> = Vec::new();
-        for (t, p) in positions {
-            if map.insert(t, p).is_none() {
-                times.push(t);
+        let mut pairs: Vec<(Timestamp, Point)> = positions.into_iter().collect();
+        // Stable, so the copies of a timestamp stay in input order.
+        pairs.sort_by_key(|&(t, _)| t);
+        pairs.dedup_by(|later, kept| {
+            let repeated = later.0 == kept.0;
+            if repeated {
+                kept.1 = later.1;
             }
-        }
-        times.sort_unstable();
-        if times.is_empty() {
+            repeated
+        });
+        if pairs.is_empty() {
             return Err(QueryError::EmptyTimes);
         }
-        Ok(Query { times, location: QueryLocation::PerTime(map) })
+        let (times, positions) = pairs.into_iter().unzip();
+        Ok(Query { times, positions })
     }
 
     fn validate_times(
@@ -244,40 +224,16 @@ impl Query {
         self.times[self.times.len() - 1]
     }
 
-    /// The query position at timestamp `t`, or `None` if the query trajectory
-    /// has no position there.
+    /// The query positions, one per timestamp of [`times`](Self::times).
+    #[inline]
+    pub fn positions(&self) -> &[Point] {
+        &self.positions
+    }
+
+    /// The query position at timestamp `t`, or `None` if `t` is not a query
+    /// timestamp.
     pub fn position_at(&self, t: Timestamp) -> Option<Point> {
-        match &self.location {
-            QueryLocation::Static(p) => Some(*p),
-            QueryLocation::PerTime(map) => map.get(&t).copied(),
-        }
-    }
-
-    /// Validates that a position exists for every query timestamp.
-    pub fn validate(&self) -> Result<(), QueryError> {
-        for &t in &self.times {
-            if self.position_at(t).is_none() {
-                return Err(QueryError::MissingPosition { time: t });
-            }
-        }
-        Ok(())
-    }
-
-    /// Returns a sub-query restricted to the given subset of timestamps (used
-    /// by the PCNN lattice). Timestamps not belonging to this query are
-    /// silently dropped.
-    pub fn restricted_to(&self, subset: &[Timestamp]) -> Result<Query, QueryError> {
-        let keep: Vec<Timestamp> =
-            subset.iter().copied().filter(|t| self.times.contains(t)).collect();
-        if keep.is_empty() {
-            return Err(QueryError::EmptyTimes);
-        }
-        match &self.location {
-            QueryLocation::Static(p) => Query::at_point(*p, keep),
-            QueryLocation::PerTime(map) => {
-                Query::with_trajectory(keep.into_iter().map(|t| (t, map[&t])))
-            }
-        }
+        self.times.binary_search(&t).ok().map(|i| self.positions[i])
     }
 
     /// Validates a probability threshold.
@@ -302,14 +258,8 @@ mod tests {
         assert_eq!(q.start(), 3);
         assert_eq!(q.end(), 5);
         assert_eq!(q.position_at(4), Some(Point::new(1.0, 2.0)));
-        assert_eq!(q.position_at(99), Some(Point::new(1.0, 2.0)));
-        assert!(q.validate().is_ok());
-    }
-
-    #[test]
-    fn interval_constructor() {
-        let q = Query::at_point_interval(Point::ORIGIN, 2, 8).unwrap();
-        assert_eq!(q.times(), &[2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(q.position_at(99), None, "99 is no query timestamp");
+        assert_eq!(q.positions(), &[Point::new(1.0, 2.0); 3]);
     }
 
     #[test]
@@ -339,18 +289,30 @@ mod tests {
         assert_eq!(q.times(), &[1, 2, 3]);
         assert_eq!(q.position_at(1), Some(Point::new(1.0, 0.0)));
         assert_eq!(q.position_at(4), None);
-        assert!(q.validate().is_ok());
+        assert_eq!(
+            Query::with_trajectory(Vec::new()).unwrap_err(),
+            QueryError::EmptyTimes
+        );
     }
 
     #[test]
-    fn restriction_to_subset() {
-        let q = Query::at_point(Point::ORIGIN, vec![1, 2, 3, 4]).unwrap();
-        let sub = q.restricted_to(&[2, 4, 9]).unwrap();
-        assert_eq!(sub.times(), &[2, 4]);
-        assert!(q.restricted_to(&[99]).is_err());
-        let traj = Query::with_trajectory(vec![(1, Point::ORIGIN), (2, Point::new(1.0, 1.0))]).unwrap();
-        let sub = traj.restricted_to(&[2]).unwrap();
-        assert_eq!(sub.position_at(2), Some(Point::new(1.0, 1.0)));
+    fn a_repeated_timestamp_keeps_its_last_position() {
+        let q = Query::with_trajectory(vec![
+            (5, Point::new(0.0, 0.0)),
+            (2, Point::new(1.0, 0.0)),
+            (5, Point::new(2.0, 0.0)),
+            (3, Point::new(3.0, 0.0)),
+            (5, Point::new(4.0, 0.0)),
+        ])
+        .unwrap();
+        assert_eq!(q.times(), &[2, 3, 5]);
+        assert_eq!(
+            q.positions(),
+            &[Point::new(1.0, 0.0), Point::new(3.0, 0.0), Point::new(4.0, 0.0)]
+        );
+        for (&t, &p) in q.times().iter().zip(q.positions()) {
+            assert_eq!(q.position_at(t), Some(p));
+        }
     }
 
     #[test]

@@ -127,9 +127,8 @@ fn combine(
     // Both aggregations are products starting at one: Π_t p_t for the ∀ case,
     // Π_t (1 - p_t) for the ∃ case (complemented at the end).
     let mut acc: FxHashMap<ObjectId, f64> = models.iter().map(|(id, _)| (*id, 1.0)).collect();
-    for &t in query.times() {
-        let q = query.position_at(t).expect("query validated by the caller");
-        let per_t = snapshot_nn_probabilities(models, space, &q, t);
+    for (&t, q) in query.times().iter().zip(query.positions()) {
+        let per_t = snapshot_nn_probabilities(models, space, q, t);
         // lint: allow(D001) per-entry in-place update; no cross-entry order dependence
         for (id, value) in acc.iter_mut() {
             let p_t = per_t.get(id).copied().unwrap_or(0.0);

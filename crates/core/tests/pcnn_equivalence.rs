@@ -394,8 +394,10 @@ fn ring_db(num_states: usize, num_objects: u32, gap: u32) -> TrajectoryDatabase 
 /// Re-runs the engine's Monte-Carlo pass the plain way — the worlds rebuilt
 /// from the window kernel with the engine's per-block seeds, one
 /// `NnTimeProfile` + per-world mask per world, `apriori_timesets` per object —
-/// and checks that the engine's outcome is identical, with and without the
-/// UST-tree filter.
+/// and checks that the engine's outcome is identical, for k = 1 and 2, with
+/// and without the UST-tree filter. The engine answers P∃kNN, P∀kNN and
+/// PCkNN from one world set per influence object; the reference reduces its
+/// per-world masks independently (any, all, Apriori).
 #[test]
 fn engine_sampling_matches_the_mask_based_reference() {
     let gap = 6u32;
@@ -408,17 +410,17 @@ fn engine_sampling_matches_the_mask_based_reference() {
     let space = db.state_space();
     // Without the index every covering object is a ∀-candidate; with it the
     // candidates shrink and PCNN mines objects outside C∀(q) too.
-    for use_index in [false, true] {
+    for (use_index, k) in [(false, 1), (true, 1), (false, 2), (true, 2)] {
         let engine = QueryEngine::new(
             &db,
             EngineConfig { num_samples, seed, use_index, ..Default::default() },
         );
-        let outcome = engine.pcnn(&query, tau).expect("query succeeds");
-        let forall = engine.pforall_nn(&query, 0.0).expect("query succeeds");
-        let exists = engine.pexists_nn(&query, 0.0).expect("query succeeds");
+        let outcome = engine.pcknn(&query, k, tau).expect("query succeeds");
+        let forall = engine.pforall_knn(&query, k, 0.0).expect("query succeeds");
+        let exists = engine.pexists_knn(&query, k, 0.0).expect("query succeeds");
 
         // Reference pass: identical seeds, identical influencer order.
-        let (candidates, influencers) = engine.filter_knn(&query, 1).expect("filter succeeds");
+        let (candidates, influencers) = engine.filter_knn(&query, k).expect("filter succeeds");
         let prepared = engine.prepare_objects(&influencers).expect("adaptation succeeds");
         let sampler = WorldSampler::from_models(prepared.models);
         let mut block =
@@ -440,9 +442,8 @@ fn engine_sampling_matches_the_mask_based_reference() {
                         Some((block.object_id(obj)?, Trajectory::new(start, states.collect())))
                     })
                     .collect();
-                let profile = NnTimeProfile::compute(&world, space, times, |t| {
-                    query.position_at(t).expect("static query")
-                });
+                let profile =
+                    NnTimeProfile::compute_knn(&world, space, times, query.positions(), k);
                 for (id, count) in exists_counts.iter_mut() {
                     if profile.mask(*id).map(|m| m.any()).unwrap_or(false) {
                         *count += 1;
@@ -461,11 +462,11 @@ fn engine_sampling_matches_the_mask_based_reference() {
             let hits = object_masks.iter().filter(|m| m.all()).count();
             let expected = hits as f64 / num_samples as f64;
             let expected = if expected > 0.0 && candidates.contains(id) { expected } else { 0.0 };
-            assert_eq!(forall.probability_of(*id), expected, "index {use_index}, object {id}");
+            assert_eq!(forall.probability_of(*id), expected, "index {use_index}, k {k}, object {id}");
         }
         for (id, hits) in &exists_counts {
             let expected = *hits as f64 / num_samples as f64;
-            assert_eq!(exists.probability_of(*id), if expected > 0.0 { expected } else { 0.0 });
+            assert_eq!(exists.probability_of(*id), expected, "index {use_index}, k {k}, object {id}");
         }
 
         // PCNN sets, probabilities and per-object counters must match
@@ -482,7 +483,7 @@ fn engine_sampling_matches_the_mask_based_reference() {
             }
             match outcome.sets_of(*id) {
                 Some(sets) => {
-                    assert_eq!(sets, &expected, "object {id} sets diverged");
+                    assert_eq!(sets, &expected, "index {use_index}, k {k}: object {id} sets diverged");
                     let result = outcome.results.iter().find(|r| r.object == *id).unwrap();
                     assert_eq!(result.candidate_sets_evaluated, reference.candidate_sets_evaluated);
                 }

@@ -48,17 +48,6 @@ impl Network {
         Network { space, adjacency }
     }
 
-    /// Builds a network from per-state neighbor lists (directed input is
-    /// symmetrised).
-    pub fn from_adjacency(space: Arc<StateSpace>, neighbors: Vec<Vec<StateId>>) -> Self {
-        let edges: Vec<(StateId, StateId)> = neighbors
-            .iter()
-            .enumerate()
-            .flat_map(|(i, ns)| ns.iter().map(move |&n| (i as StateId, n)))
-            .collect();
-        Network::new(space, edges)
-    }
-
     /// The underlying state space.
     #[inline]
     pub fn space(&self) -> &Arc<StateSpace> {

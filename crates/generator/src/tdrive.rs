@@ -430,17 +430,6 @@ pub fn format_fix(fix: &RawFix) -> String {
     )
 }
 
-/// Renders fixes as a T-Drive CSV document (one row per fix, trailing
-/// newline). The output is byte-deterministic in the input order.
-pub fn render_fixes<'a>(fixes: impl IntoIterator<Item = &'a RawFix>) -> String {
-    let mut out = String::new();
-    for fix in fixes {
-        out.push_str(&format_fix(fix));
-        out.push('\n');
-    }
-    out
-}
-
 /// Deterministic fixture writer: renders a workload of uncertain objects back
 /// into T-Drive format, so tests and CI can exercise the full
 /// parse→match→query pipeline without any external dataset.
@@ -603,7 +592,7 @@ mod tests {
             RawFix { object: 12, seconds: 1_201_966_568, lon: 116.51172, lat: 39.92123 },
             RawFix { object: 3, seconds: 1_201_966_600, lon: -0.12345, lat: 51.5 },
         ];
-        let csv = render_fixes(&fixes);
+        let csv: String = fixes.iter().map(|fix| format_fix(fix) + "\n").collect();
         let out = parse_str(&csv);
         assert!(out.errors.is_empty());
         assert_eq!(out.fixes, fixes);

@@ -507,10 +507,10 @@ impl UstTree {
     /// objects and the per-timestamp pruning distances, the k-th smallest
     /// `dmax` over all alive objects (`k = 1` is the plain NN filter).
     ///
-    /// `query_pos(t)` must be defined for every `t` in `times`, and `times`
-    /// must be ascending (as produced by `Query::times`): the streamed probe
-    /// below relies on the covered timestamps of each diamond forming a
-    /// contiguous subrange.
+    /// `positions[i]` is the query position at `times[i]`, and `times` must be
+    /// ascending (as produced by `Query::times`): the streamed probe below
+    /// relies on the covered timestamps of each diamond forming a contiguous
+    /// subrange.
     ///
     /// Diamonds are streamed straight out of the R-tree into a dense
     /// per-query bounds arena (the slot-interned `BoundsTable` of
@@ -526,11 +526,12 @@ impl UstTree {
     pub fn try_prune_knn<E>(
         &self,
         times: &[Timestamp],
-        query_pos: impl Fn(Timestamp) -> Point,
+        positions: &[Point],
         k: usize,
         mut guard: impl FnMut(usize) -> Result<(), E>,
     ) -> Result<PruningResult, E> {
         debug_assert!(times.is_sorted(), "query timestamps must be ascending");
+        assert_eq!(positions.len(), times.len(), "one query position per timestamp");
         if times.is_empty() {
             return Ok(PruningResult {
                 times: Vec::new(),
@@ -541,7 +542,6 @@ impl UstTree {
         }
         let t_from = *times.first().expect("non-empty");
         let t_to = *times.last().expect("non-empty");
-        let positions: Vec<Point> = times.iter().map(|&t| query_pos(t)).collect();
         let mut table = BoundsTable::new(times.len());
         let mut streamed = 0usize;
         self.rtree.try_for_each_intersecting(&time_window(t_from, t_to), |_, &index| {
@@ -632,7 +632,8 @@ mod tests {
     /// The filter without a budget: [`UstTree::try_prune_knn`] for a static
     /// query point, under a guard that never trips.
     fn prune_at(tree: &UstTree, times: &[Timestamp], q: Point, k: usize) -> PruningResult {
-        let Ok(result) = tree.try_prune_knn(times, |_| q, k, |_| Ok::<(), Infallible>(()));
+        let positions = vec![q; times.len()];
+        let Ok(result) = tree.try_prune_knn(times, &positions, k, |_| Ok::<(), Infallible>(()));
         result
     }
 

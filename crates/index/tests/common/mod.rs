@@ -8,7 +8,8 @@ use ust_spatial::Point;
 /// The filter without a budget: `UstTree::try_prune_knn` for a static query
 /// point, under a guard that never trips.
 pub fn prune_at(tree: &UstTree, times: &[Timestamp], q: Point, k: usize) -> PruningResult {
-    let Ok(result) = tree.try_prune_knn(times, |_| q, k, |_| Ok::<(), Infallible>(()));
+    let positions = vec![q; times.len()];
+    let Ok(result) = tree.try_prune_knn(times, &positions, k, |_| Ok::<(), Infallible>(()));
     result
 }
 

@@ -59,30 +59,12 @@ impl ReachabilitySets {
     pub fn is_consistent(&self) -> bool {
         self.per_time.iter().all(|s| !s.is_empty())
     }
-
-    /// Total number of possible `(time, state)` pairs.
-    pub fn cardinality(&self) -> usize {
-        self.per_time.iter().map(|s| s.len()).sum()
-    }
 }
 
 /// States reachable from `from = (t, origin)` in exactly `0..=steps`
-/// transitions of `model`: `result[k]` is the sorted set at time `t + k`,
-/// each step taken by the matrix of its own time.
-pub fn forward_reachable(
-    model: &MarkovModel,
-    from: (Timestamp, StateId),
-    steps: usize,
-) -> Vec<Vec<StateId>> {
-    let mut sets = expand(model, from, steps);
-    for set in &mut sets {
-        set.sort_unstable();
-    }
-    sets
-}
-
-/// [`forward_reachable`] with every set in discovery order: a segment sorts
-/// only what its walk back keeps.
+/// transitions of `model`: `result[k]` is the set at time `t + k`, each step
+/// taken by the matrix of its own time. Every set is in discovery order: a
+/// segment sorts only what its walk back keeps.
 fn expand(model: &MarkovModel, from: (Timestamp, StateId), steps: usize) -> Vec<Vec<StateId>> {
     let (start, origin) = from;
     let mut out: Vec<Vec<StateId>> = Vec::with_capacity(steps + 1);
@@ -206,6 +188,19 @@ mod tests {
         ]))
     }
 
+    /// [`expand`] with every set sorted.
+    fn forward_reachable(
+        model: &MarkovModel,
+        from: (Timestamp, StateId),
+        steps: usize,
+    ) -> Vec<Vec<StateId>> {
+        let mut sets = expand(model, from, steps);
+        for set in &mut sets {
+            set.sort_unstable();
+        }
+        sets
+    }
+
     #[test]
     fn forward_expansion_grows_along_the_line() {
         let fwd = forward_reachable(&line_graph(), (0, 0), 3);
@@ -237,7 +232,6 @@ mod tests {
         assert_eq!(seg.at(11), &[1]);
         assert_eq!(seg.at(12), &[2]);
         assert_eq!(seg.at(13), &[3]);
-        assert_eq!(seg.cardinality(), 4);
         assert_eq!(seg.at(9), &[] as &[StateId]);
     }
 
@@ -260,7 +254,6 @@ mod tests {
         // (the early exit that skips the walk back).
         let seg = segment(&line_graph(), (0, 0), (1, 3));
         assert!(!seg.is_consistent());
-        assert_eq!(seg.cardinality(), 0, "impossible segments have no possible states at all");
         assert_eq!(seg.at(0), &[] as &[StateId]);
         assert_eq!(seg.at(1), &[] as &[StateId]);
     }
@@ -297,7 +290,6 @@ mod tests {
     fn zero_length_segment() {
         let seg = segment(&line_graph(), (4, 2), (4, 2));
         assert!(seg.is_consistent());
-        assert_eq!(seg.cardinality(), 1);
         assert_eq!(seg.at(4), &[2]);
     }
 }

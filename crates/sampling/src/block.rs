@@ -506,7 +506,7 @@ mod tests {
 
     #[test]
     fn empty_sampler_produces_an_empty_block() {
-        let block = WorldBlock::for_sampler(&WorldSampler::new(), 10, WORLD_BLOCK_WIDTH);
+        let block = WorldBlock::for_sampler(&WorldSampler::default(), 10, WORLD_BLOCK_WIDTH);
         assert_eq!(block.num_objects(), 0);
         assert_eq!(block.states_at(0, 0), None);
         assert_eq!(block.object_id(0), None);

@@ -25,11 +25,6 @@ impl<'a> PosteriorSampler<'a> {
         PosteriorSampler { model }
     }
 
-    /// The adapted model this sampler draws from.
-    pub fn model(&self) -> &AdaptedModel {
-        self.model
-    }
-
     /// Draws one trajectory covering `[start, end]` of the adapted model: one
     /// RNG draw per chain step from the first observation to the last.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> Trajectory {
@@ -48,11 +43,6 @@ impl<'a> PosteriorSampler<'a> {
             states.push(current);
         }
         Trajectory::new(start, states)
-    }
-
-    /// Draws `n` independent trajectories.
-    pub fn sample_many<R: Rng>(&self, n: usize, rng: &mut R) -> Vec<Trajectory> {
-        (0..n).map(|_| self.sample(rng)).collect()
     }
 }
 
@@ -81,7 +71,7 @@ mod tests {
         let adapted = AdaptedModel::build(&model, &[(1, 1), (3, 0)]).unwrap();
         let sampler = PosteriorSampler::new(&adapted);
         let mut rng = StdRng::seed_from_u64(0);
-        for tr in sampler.sample_many(200, &mut rng) {
+        for tr in (0..200).map(|_| sampler.sample(&mut rng)) {
             assert_eq!(tr.start(), 1);
             assert_eq!(tr.end(), 3);
             assert_eq!(tr.state_at(1), Some(1));
@@ -96,7 +86,7 @@ mod tests {
         let adapted = AdaptedModel::build(&model, &[(0, 1), (2, 2), (4, 0)]).unwrap();
         let sampler = PosteriorSampler::new(&adapted);
         let mut rng = StdRng::seed_from_u64(7);
-        for tr in sampler.sample_many(100, &mut rng) {
+        for tr in (0..100).map(|_| sampler.sample(&mut rng)) {
             assert_eq!(tr.state_at(2), Some(2));
         }
     }
@@ -124,7 +114,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         let n = 30_000;
         let mut counts: FxHashMap<Vec<u32>, usize> = FxHashMap::default();
-        for tr in sampler.sample_many(n, &mut rng) {
+        for tr in (0..n).map(|_| sampler.sample(&mut rng)) {
             *counts.entry(tr.states().to_vec()).or_insert(0) += 1;
         }
         assert_eq!(counts.len(), 2, "exactly two possible worlds");

@@ -20,19 +20,9 @@ pub struct WorldSampler {
 }
 
 impl WorldSampler {
-    /// Creates an empty sampler.
-    pub fn new() -> Self {
-        WorldSampler { models: Vec::new() }
-    }
-
     /// Creates a sampler over the given adapted models.
     pub fn from_models(models: Vec<(ObjectId, Arc<AdaptedModel>)>) -> Self {
         WorldSampler { models }
-    }
-
-    /// The objects this sampler covers.
-    pub fn object_ids(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.models.iter().map(|(id, _)| *id)
     }
 
     /// Number of objects.
@@ -80,7 +70,8 @@ mod tests {
         let mut block = WorldBlock::for_window(&sampler, 0..=3, WORLD_BLOCK_WIDTH);
         block.fill(&mut StdRng::seed_from_u64(0), 50);
         assert_eq!(block.num_objects(), 2);
-        assert_eq!(sampler.object_ids().collect::<Vec<_>>(), vec![1, 2]);
+        let ids: Vec<ObjectId> = sampler.models().iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, vec![1, 2]);
         for (obj, (id, model)) in sampler.models().iter().enumerate() {
             assert_eq!(block.object_id(obj), Some(*id));
             for w in 0..50 {
@@ -94,7 +85,7 @@ mod tests {
 
     #[test]
     fn empty_sampler_yields_empty_worlds() {
-        let sampler = WorldSampler::new();
+        let sampler = WorldSampler::default();
         let mut block = WorldBlock::for_window(&sampler, 0..=10, WORLD_BLOCK_WIDTH);
         block.fill(&mut StdRng::seed_from_u64(2), WORLD_BLOCK_WIDTH);
         assert_eq!(block.count(), WORLD_BLOCK_WIDTH);

@@ -65,12 +65,6 @@ impl Point {
     pub fn lerp(&self, other: &Point, f: f64) -> Point {
         Point::new(self.x + (other.x - self.x) * f, self.y + (other.y - self.y) * f)
     }
-
-    /// Midpoint between `self` and `other`.
-    #[inline]
-    pub fn midpoint(&self, other: &Point) -> Point {
-        self.lerp(other, 0.5)
-    }
 }
 
 impl From<[f64; 2]> for Point {
@@ -119,7 +113,7 @@ mod tests {
         let b = Point::new(2.0, 4.0);
         assert_eq!(a.lerp(&b, 0.0), a);
         assert_eq!(a.lerp(&b, 1.0), b);
-        assert_eq!(a.midpoint(&b), Point::new(1.0, 2.0));
+        assert_eq!(a.lerp(&b, 0.5), Point::new(1.0, 2.0));
     }
 
     #[test]

@@ -69,12 +69,6 @@ impl<const D: usize> Rect<D> {
         (0..D).any(|i| self.min[i] > self.max[i])
     }
 
-    /// Extent along axis `i` (zero for the empty rectangle).
-    #[inline]
-    pub fn extent(&self, i: usize) -> f64 {
-        (self.max[i] - self.min[i]).max(0.0)
-    }
-
     /// Center of the rectangle.
     #[inline]
     pub fn center(&self) -> [f64; D] {
@@ -115,12 +109,6 @@ impl<const D: usize> Rect<D> {
         (0..D).all(|i| self.min[i] <= other.min[i] && self.max[i] >= other.max[i])
     }
 
-    /// Whether `self` contains the point `p` (boundaries inclusive).
-    #[inline]
-    pub fn contains_point(&self, p: &[f64; D]) -> bool {
-        (0..D).all(|i| self.min[i] <= p[i] && p[i] <= self.max[i])
-    }
-
     /// Squared minimum distance between any point of `self` and the point `p`.
     #[inline]
     pub fn min_dist2_point(&self, p: &[f64; D]) -> f64 {
@@ -144,30 +132,6 @@ impl<const D: usize> Rect<D> {
         let mut d2 = 0.0;
         for ((&pi, &lo), &hi) in p.iter().zip(&self.min).zip(&self.max) {
             let d = (pi - lo).abs().max((pi - hi).abs());
-            d2 += d * d;
-        }
-        d2
-    }
-
-    /// Squared minimum distance between any point of `self` and any point of
-    /// `other` (zero if they intersect).
-    #[inline]
-    pub fn min_dist2_rect(&self, other: &Rect<D>) -> f64 {
-        let mut d2 = 0.0;
-        for i in 0..D {
-            let d = (self.min[i] - other.max[i]).max(other.min[i] - self.max[i]).max(0.0);
-            d2 += d * d;
-        }
-        d2
-    }
-
-    /// Squared maximum distance between any point of `self` and any point of
-    /// `other`.
-    #[inline]
-    pub fn max_dist2_rect(&self, other: &Rect<D>) -> f64 {
-        let mut d2 = 0.0;
-        for i in 0..D {
-            let d = (self.max[i] - other.min[i]).abs().max((other.max[i] - self.min[i]).abs());
             d2 += d * d;
         }
         d2
@@ -235,7 +199,6 @@ mod tests {
     fn empty_rectangle_is_union_identity() {
         let e = Rect2::empty();
         assert!(e.is_empty());
-        assert_eq!(e.extent(0), 0.0);
         let a = r([1.0, 1.0], [2.0, 2.0]);
         assert_eq!(union(e, &a), a);
         assert_eq!(union(a, &e), a);
@@ -291,17 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn rect_rect_distances() {
-        let a = r([0.0, 0.0], [1.0, 1.0]);
-        let b = r([3.0, 0.0], [4.0, 1.0]);
-        assert_eq!(a.min_dist2_rect(&b), 4.0);
-        assert_eq!(a.max_dist2_rect(&b), 16.0 + 1.0);
-        // Intersecting rectangles have min distance zero.
-        let c = r([0.5, 0.5], [2.0, 2.0]);
-        assert_eq!(a.min_dist2_rect(&c), 0.0);
-    }
-
-    #[test]
     fn bounding_of_points() {
         let pts = vec![Point::new(1.0, 5.0), Point::new(-2.0, 3.0), Point::new(0.0, 7.0)];
         let b = Rect2::bounding(pts);
@@ -315,30 +267,23 @@ mod tests {
         let st = a.with_time(5.0, 9.0);
         assert_eq!(st.min, [0.0, 0.0, 5.0]);
         assert_eq!(st.max, [1.0, 1.0, 9.0]);
-        assert!(st.contains_point(&[0.5, 0.5, 7.0]));
-        assert!(!st.contains_point(&[0.5, 0.5, 10.0]));
+        assert!(st.contains(&Rect::point([0.5, 0.5, 7.0])));
+        assert!(!st.contains(&Rect::point([0.5, 0.5, 10.0])));
     }
 
     #[test]
     fn min_max_dist_bound_every_contained_point_pair() {
-        // A small deterministic grid check: for all pairs of sample points
-        // inside two boxes, dmin <= d <= dmax.
+        // A small deterministic grid check: for every sample point inside
+        // the box and every query point on a grid around it,
+        // dmin <= d <= dmax (the filter's per-timestamp bounds).
         let a = r([0.0, 0.0], [1.0, 2.0]);
-        let b = r([2.5, -1.0], [4.0, 0.5]);
-        let dmin = a.min_dist2_rect(&b).sqrt();
-        let dmax = a.max_dist2_rect(&b).sqrt();
-        for i in 0..=4 {
-            for j in 0..=4 {
-                for k in 0..=4 {
-                    for l in 0..=4 {
-                        let p = Point::new(
-                            a.min[0] + a.extent(0) * i as f64 / 4.0,
-                            a.min[1] + a.extent(1) * j as f64 / 4.0,
-                        );
-                        let q = Point::new(
-                            b.min[0] + b.extent(0) * k as f64 / 4.0,
-                            b.min[1] + b.extent(1) * l as f64 / 4.0,
-                        );
+        for k in 0..=4 {
+            for l in 0..=4 {
+                let q = Point::new(-1.5 + k as f64, -1.0 + l as f64);
+                let (dmin, dmax) = (a.min_dist(&q), a.max_dist(&q));
+                for i in 0..=4 {
+                    for j in 0..=4 {
+                        let p = Point::new(a.min[0] + i as f64 / 4.0, a.min[1] + j as f64 / 2.0);
                         let d = p.dist(&q);
                         assert!(d >= dmin - 1e-9, "d {d} < dmin {dmin}");
                         assert!(d <= dmax + 1e-9, "d {d} > dmax {dmax}");

@@ -65,17 +65,9 @@ impl<const D: usize, T> RTree<D, T> {
     }
 
     /// Height of the tree (a tree holding only a root leaf has height 1).
-    pub fn height(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn height(&self) -> usize {
         self.root.height()
-    }
-
-    /// Bounding box of everything stored in the tree, or `None` if empty.
-    pub fn bounds(&self) -> Option<Rect<D>> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(self.root.mbr())
-        }
     }
 
     /// Calls `f(rect, item)` for every stored item whose box intersects
@@ -161,7 +153,6 @@ mod tests {
         let t: RTree<2, usize> = RTree::bulk_load(Vec::new(), 4);
         assert!(t.is_empty());
         assert_eq!(t.len(), 0);
-        assert!(t.bounds().is_none());
         assert!(intersecting(&t, &Rect::new([0.0, 0.0], [1.0, 1.0])).is_empty());
         assert!(t.check_invariants().is_ok());
     }
@@ -207,7 +198,7 @@ mod tests {
     #[test]
     fn walk_stops_at_the_first_error() {
         let t = RTree::bulk_load(pseudo_random_items(300), 8);
-        let everything = t.bounds().unwrap();
+        let everything = Rect::new([0.0, 0.0], [101.0, 101.0]);
         let mut order = Vec::new();
         let Ok(()) = t.try_for_each_intersecting(&everything, |_, &i| {
             order.push(i);

@@ -25,6 +25,7 @@ pub(super) enum Node<const D: usize, T> {
 
 impl<const D: usize, T> Node<D, T> {
     /// Height of the subtree rooted at this node (leaf = 1).
+    #[cfg(test)]
     pub(super) fn height(&self) -> usize {
         match self {
             Node::Leaf(_) => 1,

@@ -91,12 +91,6 @@ impl StateSpace {
         self.position(a).dist2(&self.position(b))
     }
 
-    /// Euclidean distance between a state and an arbitrary point.
-    #[inline]
-    pub fn dist_to_point(&self, s: StateId, p: &Point) -> f64 {
-        self.position(s).dist(p)
-    }
-
     /// Minimum bounding rectangle of a set of states.
     ///
     /// This is the basic building block of the UST-tree's "diamond"
@@ -158,7 +152,6 @@ mod tests {
         let s = sample_space();
         assert_eq!(s.dist(0, 1), 1.0);
         assert_eq!(s.dist2(0, 3), 8.0);
-        assert_eq!(s.dist_to_point(1, &Point::new(1.0, 3.0)), 3.0);
     }
 
     #[test]

@@ -84,11 +84,6 @@ impl Trajectory {
         self.states.iter().enumerate().map(move |(k, &s)| (self.start + k as Timestamp, s))
     }
 
-    /// Euclidean length of the polyline through the visited state positions.
-    pub fn path_length(&self, space: &StateSpace) -> f64 {
-        self.states.windows(2).map(|w| space.dist(w[0], w[1])).sum()
-    }
-
     /// Whether the trajectory passes through all given `(time, state)`
     /// observations. Sampled trajectories must always satisfy this for the
     /// observations they were conditioned on.
@@ -127,7 +122,6 @@ mod tests {
         let sp = space();
         assert_eq!(tr.position_at(0, &sp), Some(Point::new(0.0, 0.0)));
         assert_eq!(tr.position_at(1, &sp), Some(Point::new(2.0, 0.0)));
-        assert_eq!(tr.path_length(&sp), 3.0);
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! distance *is* a nearest neighbor. An object whose trajectory does not
 //! cover `t` neither qualifies nor prunes at that timestamp.
 //!
-//! The Monte-Carlo engine in `ust-core` evaluates these primitives once per
-//! sampled world and averages the outcomes into probabilities.
+//! These are the per-world reference semantics: `ust-core`'s exact oracle
+//! and the tests evaluate them once per enumerated or sampled world. The
+//! Monte-Carlo engine applies the same tie rule to a whole 64-world block at
+//! once and does not call them.
 
 use crate::certain::Trajectory;
 use crate::object::ObjectId;
@@ -29,8 +31,7 @@ use ust_spatial::{Point, StateSpace};
 /// The world is generic over [`Borrow<Trajectory>`], so both borrowed views
 /// (`&[(ObjectId, &Trajectory)]`) and owned possible-world storage
 /// (`&[(ObjectId, Trajectory)]`) are accepted without building an
-/// intermediate reference `Vec` — the Monte-Carlo engine calls this once per
-/// sampled world, so that allocation used to run 10 000× per query.
+/// intermediate reference `Vec` per world.
 pub fn nn_objects_at<T: Borrow<Trajectory>>(
     world: &[(ObjectId, T)],
     space: &StateSpace,
@@ -95,13 +96,14 @@ impl NnTimeProfile {
         world: &[(ObjectId, T)],
         space: &StateSpace,
         times: &[Timestamp],
-        query_pos: impl Fn(Timestamp) -> Point,
+        positions: &[Point],
     ) -> Self {
-        Self::compute_knn(world, space, times, query_pos, 1)
+        Self::compute_knn(world, space, times, positions, 1)
     }
 
     /// Computes the profile for general `k`: bit `i` of an object's mask is
-    /// set iff the object belongs to the kNN set of the query at `times[i]`.
+    /// set iff the object belongs to the kNN set of the query at position
+    /// `positions[i]` and time `times[i]`.
     ///
     /// Like [`nn_objects_at`], the world is generic over
     /// [`Borrow<Trajectory>`] so a sampled possible world's owned trajectory
@@ -110,16 +112,16 @@ impl NnTimeProfile {
         world: &[(ObjectId, T)],
         space: &StateSpace,
         times: &[Timestamp],
-        query_pos: impl Fn(Timestamp) -> Point,
+        positions: &[Point],
         k: usize,
     ) -> Self {
+        assert_eq!(positions.len(), times.len(), "one query position per timestamp");
         let mut masks: FxHashMap<ObjectId, TimeMask> = FxHashMap::default();
-        for (i, &t) in times.iter().enumerate() {
-            let q = query_pos(t);
+        for (i, (&t, q)) in times.iter().zip(positions).enumerate() {
             let members = if k == 1 {
-                nn_objects_at(world, space, &q, t)
+                nn_objects_at(world, space, q, t)
             } else {
-                knn_members_at(world, space, &q, t, k)
+                knn_members_at(world, space, q, t, k)
             };
             for id in members {
                 masks
@@ -165,35 +167,6 @@ impl NnTimeProfile {
             Some(m) => m.contains_all(subset),
             None => !subset.any(),
         }
-    }
-
-    /// Maximal runs of consecutive query timestamps at which `id` is a nearest
-    /// neighbor, as inclusive `(from, to)` timestamp pairs. This is the
-    /// certain-trajectory continuous-NN answer of [8, 21] inside this world.
-    pub fn nn_intervals(&self, id: ObjectId) -> Vec<(Timestamp, Timestamp)> {
-        let Some(mask) = self.masks.get(&id) else { return Vec::new() };
-        let mut out = Vec::new();
-        let mut run_start: Option<usize> = None;
-        for i in 0..self.times.len() {
-            let set = mask.get(i);
-            let contiguous = i > 0 && self.times[i] == self.times[i - 1] + 1;
-            match (set, run_start) {
-                (true, None) => run_start = Some(i),
-                (true, Some(s)) if !contiguous => {
-                    out.push((self.times[s], self.times[i - 1]));
-                    run_start = Some(i);
-                }
-                (false, Some(s)) => {
-                    out.push((self.times[s], self.times[i - 1]));
-                    run_start = None;
-                }
-                _ => {}
-            }
-        }
-        if let Some(s) = run_start {
-            out.push((self.times[s], self.times[self.times.len() - 1]));
-        }
-        out
     }
 }
 
@@ -280,7 +253,7 @@ mod tests {
         let b = Trajectory::new(0, vec![3, 2, 0]);
         let world = vec![(1u32, &a), (2u32, &b)];
         let times = vec![0, 1, 2];
-        let profile = NnTimeProfile::compute(&world, &sp, &times, |_| Point::new(0.0, 0.0));
+        let profile = NnTimeProfile::compute(&world, &sp, &times, &[Point::ORIGIN; 3]);
         assert!(profile.is_forall_nn(1));
         assert!(profile.is_exists_nn(1));
         assert!(!profile.is_forall_nn(2));
@@ -298,14 +271,14 @@ mod tests {
         let b = Trajectory::new(0, vec![0, 0, 3, 0]);
         let world = vec![(1u32, &a), (2u32, &b)];
         let times = vec![0, 1, 2, 3];
-        let profile = NnTimeProfile::compute(&world, &sp, &times, |_| Point::new(0.0, 0.0));
+        let profile = NnTimeProfile::compute(&world, &sp, &times, &[Point::ORIGIN; 4]);
         let subset01 = TimeMask::from_indices(4, [0, 1]);
         let subset02 = TimeMask::from_indices(4, [0, 2]);
         assert!(profile.covers_subset(2, &subset01));
         assert!(!profile.covers_subset(2, &subset02));
-        assert_eq!(profile.nn_intervals(2), vec![(0, 1), (3, 3)]);
-        assert_eq!(profile.nn_intervals(1), vec![(2, 2)]);
-        assert_eq!(profile.nn_intervals(42), Vec::<(Timestamp, Timestamp)>::new());
+        assert_eq!(profile.mask(2), Some(&TimeMask::from_indices(4, [0, 1, 3])));
+        assert_eq!(profile.mask(1), Some(&TimeMask::from_indices(4, [2])));
+        assert!(profile.mask(42).is_none());
     }
 
     #[test]
@@ -329,8 +302,8 @@ mod tests {
             knn_members_at(&borrowed, &sp, &q, 0, 2)
         );
         let times = vec![0, 1, 2];
-        let a = NnTimeProfile::compute(&owned, &sp, &times, |_| q);
-        let b = NnTimeProfile::compute(&borrowed, &sp, &times, |_| q);
+        let a = NnTimeProfile::compute(&owned, &sp, &times, &[q; 3]);
+        let b = NnTimeProfile::compute(&borrowed, &sp, &times, &[q; 3]);
         for id in [1u32, 2] {
             assert_eq!(a.mask(id), b.mask(id));
         }
@@ -339,11 +312,14 @@ mod tests {
     #[test]
     fn time_profile_with_gap_in_query_times() {
         let sp = space();
-        let a = Trajectory::new(0, vec![0; 10]);
-        let world = vec![(1u32, &a)];
-        // Non-contiguous query times: intervals must not merge across the gap.
+        // Object 1 is alive only at t = 5 and 6, the last two query times.
+        let a = Trajectory::new(5, vec![0, 0]);
+        let b = Trajectory::new(0, vec![3; 10]);
+        let world = vec![(1u32, &a), (2u32, &b)];
+        // Non-contiguous query times: mask bits index `times`, not timestamps.
         let times = vec![0, 1, 5, 6];
-        let profile = NnTimeProfile::compute(&world, &sp, &times, |_| Point::new(0.0, 0.0));
-        assert_eq!(profile.nn_intervals(1), vec![(0, 1), (5, 6)]);
+        let profile = NnTimeProfile::compute(&world, &sp, &times, &[Point::ORIGIN; 4]);
+        assert_eq!(profile.mask(1), Some(&TimeMask::from_indices(4, [2, 3])));
+        assert_eq!(profile.mask(2), Some(&TimeMask::from_indices(4, [0, 1])));
     }
 }

@@ -86,12 +86,12 @@ impl Figure1 {
     /// Sums the probabilities of the possible worlds in which `predicate`
     /// holds, where the predicate receives the NN time profile of the world.
     fn probability_of(&self, times: &[Timestamp], predicate: impl Fn(&NnTimeProfile) -> bool) -> f64 {
-        let q = Point::new(0.0, 0.0);
+        let positions = vec![Point::new(0.0, 0.0); times.len()];
         let mut total = 0.0;
         for (tr1, p1) in &self.o1_worlds {
             for (tr2, p2) in &self.o2_worlds {
                 let world = vec![(1u32, tr1), (2u32, tr2)];
-                let profile = NnTimeProfile::compute(&world, &self.space, times, |_| q);
+                let profile = NnTimeProfile::compute(&world, &self.space, times, &positions);
                 if predicate(&profile) {
                     total += p1 * p2;
                 }

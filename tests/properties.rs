@@ -212,8 +212,8 @@ proptest! {
             )));
         }
         // Every stored item is reachable through the directory.
-        let bounds = tree.bounds().expect("non-empty tree has bounds");
-        prop_assert_eq!(intersecting(&tree, &bounds), (0..n).collect::<Vec<_>>());
+        let everything = Rect2::new([0.0, 0.0], [101.0, 101.0]);
+        prop_assert_eq!(intersecting(&tree, &everything), (0..n).collect::<Vec<_>>());
     }
 
     // -----------------------------------------------------------------
@@ -335,7 +335,7 @@ proptest! {
         let q_point = ds.network.position(q_state);
         let times: Vec<Timestamp> = vec![1, 2, 3];
         let Ok(pruning) =
-            tree.try_prune_knn(&times, |_| q_point, 1, |_| Ok::<(), Infallible>(()));
+            tree.try_prune_knn(&times, &[q_point; 3], 1, |_| Ok::<(), Infallible>(()));
 
         // Exact evaluation over all objects overlapping the interval.
         let overlapping = ds.database.objects_overlapping(1, 3);
